@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .combdim import BlockChoice, gen_triangle
 from .distribution import StepDistribution
 from .errors import InvalidArgumentError, NumericFailureError, ResourceLimitError
@@ -35,6 +36,7 @@ KHINTCHINE_MAX_COEFFS = 20
 RUD_EXACT_MAX = 20
 _PATTERN_CHUNK = 1 << 14
 _SWEEP_BITS_CAP = 28  # pattern bits + configuration bits of one sweep
+_SUP_BLOCK_ENTRIES = 1 << 21  # float32 entries per configuration block of the sup sweep
 CLT_PAIR_BUDGET = 10_000_000
 
 
@@ -246,18 +248,13 @@ def rud_average(
 # ---------------------------------------------------------------------------
 
 
-def _monomial_config_matrix(elements, support):
-    """(2^s, m) matrix of monomial values over all support configurations."""
-    pos = {j: b for b, j in enumerate(support)}
-    cfg = np.arange(1 << len(support), dtype=np.uint64)
-    cols = []
-    for t in elements:
-        mask = np.uint64(sum(1 << pos[j] for j in t))
-        x = cfg & mask
-        for s in (32, 16, 8, 4, 2, 1):
-            x = x ^ (x >> np.uint64(s))
-        cols.append(1.0 - 2.0 * (x & np.uint64(1)).astype(np.float32))
-    return np.stack(cols, axis=1)
+def _monomial_config_matrix(elements, support, start=0, stop=None):
+    """(stop - start, m) float32 matrix of monomial values at configurations start..stop-1.
+
+    ``stop`` defaults to 2^s, the end of the support's configuration space.
+    """
+    stop = 1 << len(support) if stop is None else min(stop, 1 << len(support))
+    return kernel.sign_matrix(kernel.masks(elements, support), start, stop)
 
 
 def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None):
@@ -307,11 +304,10 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None
 
         def sweep(start):
             stop = min(start + chunk, 1 << m)
-            idx = np.arange(start, stop, dtype=np.uint64)
-            bits = (idx[:, None] >> np.arange(m, dtype=np.uint64)[None, :]) & np.uint64(1)
-            U = (1.0 - 2.0 * bits).astype(np.float32)
-            G = np.abs(U @ S.T)
-            exceed = G > lam
+            # pattern p puts sign -1 on term t when bit t of p is set
+            U = kernel.sign_matrix([1 << t for t in range(m)], start, stop)
+            G = U @ S.T
+            exceed = np.abs(G, out=G) > lam
             return int(np.count_nonzero(exceed.any(axis=1))), exceed.sum(axis=0, dtype=np.int64)
 
         sup_count = 0
@@ -365,13 +361,21 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
             A = gen_triangle(d, n)
             elements = list(A.tuples())
             support = sorted({j for t in elements for j in t})
-            S = _monomial_config_matrix(elements, support)
-            det = float(np.abs(S.sum(axis=1)).max())
             rng = np.random.Generator(np.random.Philox(key=seed, counter=idx << 96))
             U = (1.0 - 2.0 * rng.integers(0, 2, size=(mc_samples, len(elements)))).astype(
                 np.float32
             )
-            sups = np.abs(U @ S.T).max(axis=1)
+            # stream blocks of configurations so memory stays bounded at any n
+            per_cfg = len(elements) + mc_samples
+            block = 1 << min(16, max(0, (_SUP_BLOCK_ENTRIES // per_cfg).bit_length() - 1))
+            det = 0.0
+            sups = np.zeros(mc_samples, dtype=np.float32)
+            for start in range(0, 1 << len(support), block):
+                S = _monomial_config_matrix(elements, support, start, start + block)
+                det = max(det, float(np.abs(S.sum(axis=1)).max()))
+                G = U @ S.T
+                np.abs(G, out=G)
+                np.maximum(sups, G.max(axis=1), out=sups)
             avg = float(sups.mean())
             se = float(sups.std(ddof=1) / math.sqrt(mc_samples))
             R = det / avg

@@ -5,9 +5,15 @@ The j-th Rademacher function is the dyadic sign function
 of distinct Rademacher functions indexed by a strictly decreasing
 multi-index, and finite linear combinations of monomials are represented
 as sparse Walsh polynomials over their joint sign configuration space.
-All distributions are computed exactly by enumerating that space (fast
-Walsh-Hadamard transform), with a seeded counter-based Monte Carlo
-fallback for supports beyond the enumeration cap.
+All distributions are computed exactly by enumerating that space, with a
+seeded counter-based Monte Carlo fallback for supports beyond the
+enumeration cap.  The enumeration and the sampling run in :mod:`kernel`:
+monomials are uint64 masks over the ascending support, configurations
+are uint64 words and a monomial's sign is the parity of their AND.
+Integer coefficients with absolute sum at most 2^31 - 1 get their exact
+law from an int32 Walsh-Hadamard transform streamed over slices of
+the high configuration bits, with no 2^k array; other coefficients take
+one float64 transform over all 2^k configurations.
 """
 
 from __future__ import annotations
@@ -24,12 +30,11 @@ from .errors import (
     ResolutionError,
     ResourceLimitError,
 )
-from .parallel import map_chunks
+from . import kernel
 
 DEFAULT_BITS_CAP = 24
-_DYADIC_CAP = 26  # hard guard on 2^m cell arrays
+_DYADIC_CAP = 26  # hard guard on 2^m cell arrays and enumerated configurations
 _MATERIALIZE_CAP = 5_000_000  # rows when materializing an implicit set
-_MC_CHUNK = 1 << 16
 
 
 class MultiIndex(tuple):
@@ -353,39 +358,23 @@ class SignFunction:
         vector, O(k 2^k).
         """
         k = len(self.support)
-        if k > _DYADIC_CAP:
-            raise ResourceLimitError(
-                f"materializing 2^{k} configuration values exceeds the hard cap 2^{_DYADIC_CAP}",
-                required=k,
-                budget=_DYADIC_CAP,
-            )
-        pos = {j: b for b, j in enumerate(self.support)}
-        coeff = np.zeros(1 << k)
-        for key, c in self.terms.items():
-            m = 0
-            for j in key:
-                m |= 1 << pos[j]
-            coeff[m] += c
-        return _fwht(coeff)
+        _check_values_cap(k)
+        return kernel.values(kernel.masks(self.terms, self.support), list(self.terms.values()), k)
 
     def second_moment(self):
         """E f^2 = sum of squared Walsh coefficients (orthonormality)."""
         return float(sum(c * c for c in self.terms.values()))
 
 
-def _fwht(vec):
-    """In-place fast Walsh-Hadamard transform, sign (-1)^popcount(c & S)."""
-    a = np.array(vec, dtype=float)
-    n = a.size
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] += a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(n)
-        h *= 2
-    return a
+def _check_values_cap(k):
+    if k > _DYADIC_CAP:
+        raise ResourceLimitError(
+            f"materializing 2^{k} configuration values exceeds the hard cap 2^{_DYADIC_CAP}; "
+            f"distribution_exact streams the law of integer coefficients without this "
+            f"array, and distribution_mc samples the law beyond the cap",
+            required=k,
+            budget=_DYADIC_CAP,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +435,12 @@ def unit_coefficients(index_set):
 
 
 def distribution_exact(f, bits_cap=DEFAULT_BITS_CAP):
-    """Exact law of a sign function under the uniform hypercube measure."""
+    """Exact law of a sign function under the uniform hypercube measure.
+
+    Small integer coefficients take the streamed integer transform of
+    :func:`kernel.int_law`; others take the float64 values of
+    :func:`kernel.values`.
+    """
     k = len(f.support)
     if k > bits_cap:
         raise ResourceLimitError(
@@ -455,11 +449,21 @@ def distribution_exact(f, bits_cap=DEFAULT_BITS_CAP):
             required=k,
             budget=bits_cap,
         )
+    if k > _DYADIC_CAP:
+        raise ResourceLimitError(
+            f"exact enumeration of 2^{k} configurations exceeds the hard cap "
+            f"2^{_DYADIC_CAP}; sample the law with distribution_mc",
+            required=k,
+            budget=_DYADIC_CAP,
+        )
     if k == 0:
         return StepDistribution.point_mass(f.terms.get((), 0.0))
-    vals = f.values()
-    uniq, counts = np.unique(vals, return_counts=True)
-    return StepDistribution(uniq, counts / vals.size)
+    term_masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
+    law = kernel.int_law(term_masks, coeffs, k)
+    if law is None:
+        law = np.unique(kernel.values(term_masks, coeffs, k), return_counts=True)
+    values, counts = law
+    return StepDistribution(values, counts / (1 << k))
 
 
 def distribution_mc(f, samples, seed=0):
@@ -475,34 +479,10 @@ def distribution_mc(f, samples, seed=0):
     k = len(f.support)
     if k == 0:
         return StepDistribution.point_mass(f.terms.get((), 0.0))
-    term_items = list(f.terms.items())
-    pos = {j: b for b, j in enumerate(f.support)}
-
-    starts = list(range(0, samples, _MC_CHUNK))
-
-    def run_chunk(start):
-        m = min(_MC_CHUNK, samples - start)
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=(start // _MC_CHUNK) << 64))
-        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(m, k)).astype(np.float64)
-        out = np.zeros(m)
-        for key, c in term_items:
-            if not key:
-                out += c
-                continue
-            prod = signs[:, pos[key[0]]].copy()
-            for j in key[1:]:
-                prod *= signs[:, pos[j]]
-            out += c * prod
-        v, n = np.unique(out, return_counts=True)
-        return v, n
-
-    counts = {}
-    for v, n in map_chunks(run_chunk, starts):
-        for value, cnt in zip(v.tolist(), n.tolist()):
-            counts[value] = counts.get(value, 0) + cnt
-    values = np.array(sorted(counts))
-    weights = np.array([counts[v] for v in values.tolist()], dtype=float) / samples
-    return StepDistribution(values, weights)
+    values, counts = kernel.sample_law(
+        kernel.masks(f.terms, f.support), list(f.terms.values()), k, samples, seed
+    )
+    return StepDistribution(values, counts / samples)
 
 
 @dataclass(frozen=True)

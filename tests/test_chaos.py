@@ -1,6 +1,7 @@
 """Inequality certificates: Khintchine, RUD averages, concentration, CLT."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from chaoslab import (
     sign_concentration_check,
     unit_coefficients,
 )
+from chaoslab import chaos as chaos_module
 
 TRIANGLE_2_3 = IndexSet.from_tuples([(2, 1), (3, 1), (3, 2)])
 
@@ -236,6 +238,29 @@ class TestAveragedSupGrowth:
     def test_configuration_cap(self):
         with pytest.raises(ResourceLimitError):
             averaged_sup_growth(2, [6, 24], mc_samples=10)
+
+    def test_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            report = averaged_sup_growth(2, [12, 16], mc_samples=50, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.quantity("deterministic_sup_n16") == 120.0
+        assert peak < 16 * 2**20
+
+    def test_blocks_match_one_matrix(self, monkeypatch):
+        # the sweep streams configuration blocks; sups equal the one-matrix sweep
+        d, n_list, samples, seed = 2, [5, 7], 40, 9
+        monkeypatch.setattr(chaos_module, "_SUP_BLOCK_ENTRIES", 64)
+        report = averaged_sup_growth(d, n_list, mc_samples=samples, seed=seed)
+        for idx, n in enumerate(n_list):
+            elements = list(gen_triangle(d, n).tuples())
+            S = chaos_module._monomial_config_matrix(elements, list(range(1, n + 1)))
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=idx << 96))
+            U = (1.0 - 2.0 * rng.integers(0, 2, size=(samples, len(elements)))).astype(np.float32)
+            sups = np.abs(U @ S.T).max(axis=1)
+            assert report.quantity(f"averaged_sup_n{n}") == float(sups.mean())
 
 
 class TestLowerBound:

@@ -147,6 +147,11 @@ class TestOtherCommands:
                     "--out", str(out)]) == 0
         assert out.read_text().startswith("n,best_count")
 
+    def test_enumeration_hard_cap_exit(self, tmp_path):
+        path = tmp_path / "s40.idx"
+        assert run(["gen-set", "--kind", "sum", "--max", "40", "--out", str(path)]) == 0
+        assert run(["moments", "--set", str(path), "--max-enum-bits", "40"]) == 3
+
     def test_norm_coefficient_mismatch(self, sum_file):
         assert run(["norm", "--set", str(sum_file), "--coeffs", "1,2",
                     "--space", "lp:2"]) == 2

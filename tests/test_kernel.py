@@ -1,0 +1,255 @@
+"""Configuration kernel: independent routes to a law agree exactly."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from chaoslab import (
+    ResourceLimitError,
+    SignFunction,
+    chaos_sum,
+    distribution_exact,
+    distribution_mc,
+    evaluate_dyadic,
+    gen_sum_set,
+    gen_triangle,
+    unit_coefficients,
+)
+from chaoslab import kernel
+from chaoslab.chaos import _monomial_config_matrix
+
+
+def fwht_reference(vec):
+    """Copying transform, lowest bit first, butterflies (a + b, a - b)."""
+    a = np.array(vec, dtype=float)
+    h = 1
+    while h < a.size:
+        a = a.reshape(-1, 2, h)
+        top = a[:, 0, :].copy()
+        a[:, 0, :] += a[:, 1, :]
+        a[:, 1, :] = top - a[:, 1, :]
+        a = a.reshape(-1)
+        h *= 2
+    return a
+
+
+def mc_reference(f, samples, seed):
+    """Column products over the Philox sign stream, accumulated in term order."""
+    pos = {j: b for b, j in enumerate(f.support)}
+    counts = {}
+    for start in range(0, samples, kernel.MC_CHUNK):
+        m = min(kernel.MC_CHUNK, samples - start)
+        rng = np.random.Generator(
+            np.random.Philox(key=seed, counter=(start // kernel.MC_CHUNK) << 64)
+        )
+        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(m, len(f.support))).astype(np.float64)
+        out = np.zeros(m)
+        for key, c in f.terms.items():
+            prod = np.ones(m)
+            for j in key:
+                prod *= signs[:, pos[j]]
+            out += c * prod if key else c
+        for v in out.tolist():
+            counts[v] = counts.get(v, 0) + 1
+    values = sorted(counts)
+    return values, [counts[v] / samples for v in values]
+
+
+def parity_law(f):
+    """Law by Python-integer popcounts over every configuration."""
+    masks = kernel.masks(f.terms, f.support)
+    coeffs = list(f.terms.values())
+    counts = {}
+    for cfg in range(1 << len(f.support)):
+        v = sum(c * (-1) ** bin(cfg & m).count("1") for m, c in zip(masks, coeffs))
+        counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def as_counts(dist, k):
+    return {v: round(w * (1 << k)) for v, w in dist.atoms()}
+
+
+monomial = st.sets(st.integers(1, 9), max_size=3).map(lambda s: tuple(sorted(s, reverse=True)))
+keys = st.lists(monomial, min_size=1, max_size=12, unique=True)
+int_coeff = st.integers(-40, 40).filter(bool).map(float)
+# non-integer dyadic rationals: every route sums them exactly, in any order
+dyadic_coeff = st.integers(-300, 300).filter(lambda n: n % 8).map(lambda n: n / 8)
+
+
+@st.composite
+def functions(draw, coeff):
+    key_list = draw(keys)
+    coeffs = draw(st.lists(coeff, min_size=len(key_list), max_size=len(key_list)))
+    f = SignFunction(dict(zip(key_list, coeffs)))
+    assume(f.support)
+    return f
+
+
+class TestRouteAgreement:
+    @settings(max_examples=60, deadline=None)
+    @given(functions(int_coeff))
+    def test_integer_routes(self, f):
+        k = len(f.support)
+        masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
+        vals, counts = kernel.int_law(masks, coeffs, k)
+        sliced = dict(zip(vals.tolist(), counts.tolist()))
+        fvals, fcounts = np.unique(f.values(), return_counts=True)
+        assert dict(zip(fvals.tolist(), fcounts.tolist())) == sliced
+        assert parity_law(f) == sliced
+        assert as_counts(distribution_exact(f), k) == sliced
+        m = max(f.support)
+        dyadic = evaluate_dyadic(f, m).histogram()
+        assert as_counts(dyadic, k) == sliced
+
+    @settings(max_examples=60, deadline=None)
+    @given(functions(dyadic_coeff))
+    def test_float_routes(self, f):
+        k = len(f.support)
+        coeffs = list(f.terms.values())
+        assert kernel.int_dtype(coeffs) == (None, None)
+        assert kernel.int_law(kernel.masks(f.terms, f.support), coeffs, k) is None
+        exact = distribution_exact(f)
+        assert as_counts(exact, k) == parity_law(f)
+        assert evaluate_dyadic(f, max(f.support)).histogram().atoms() == exact.atoms()
+
+    @settings(max_examples=40, deadline=None)
+    @given(functions(int_coeff), st.integers(1, 9))
+    def test_slice_width(self, f, slice_bits):
+        k = len(f.support)
+        masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "SLICE_BITS", k)
+            whole = kernel.int_law(masks, coeffs, k)
+            mp.setattr(kernel, "SLICE_BITS", slice_bits)
+            sliced = kernel.int_law(masks, coeffs, k)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9, 10, 11, 14, 16, 17, 19])
+    def test_values_bit_identical_to_copying_transform(self, k):
+        rng = np.random.default_rng(k)
+        vec = rng.standard_normal(1 << k)
+        got = kernel.fwht(vec.copy())
+        assert np.array_equal(got, fwht_reference(vec))
+
+    def test_parity_matches_popcount(self):
+        cfg = np.arange(1 << 10, dtype=np.uint64)
+        for mask in (0, 1, 0b1011, 0b1111111111, 0b1000000001):
+            expect = [bin(c & mask).count("1") & 1 for c in range(1 << 10)]
+            assert kernel.parity(cfg, np.uint64(mask)).tolist() == expect
+
+    def test_config_matrix_matches_popcount(self):
+        elements = list(gen_triangle(2, 7).tuples())
+        support = list(range(1, 8))
+        S = _monomial_config_matrix(elements, support)
+        assert S.dtype == np.float32 and S.shape == (1 << 7, len(elements))
+        for i, t in enumerate(elements):
+            mask = sum(1 << (j - 1) for j in t)
+            expect = [1.0 - 2.0 * (bin(c & mask).count("1") & 1) for c in range(1 << 7)]
+            assert S[:, i].tolist() == expect
+        assert np.array_equal(_monomial_config_matrix(elements, support, 40, 90), S[40:90])
+
+
+class TestMonteCarlo:
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(3, 1): 2.0, (2,): -1.0, (): 3.0, (5, 4, 1): 1.0},
+            {(3, 1): 0.37, (2,): -1.25, (): 0.5, (5, 4, 1): 2.0},
+            {(3, 1): 70000.0, (2,): -1.0, (): 3.0, (5, 4, 1): 1.0},
+        ],
+        ids=["integer", "float", "wide-integer"],
+    )
+    def test_matches_column_products(self, terms):
+        f = SignFunction(terms)
+        samples = kernel.MC_CHUNK + 1000  # two counter blocks
+        law = distribution_mc(f, samples, seed=4)
+        values, weights = mc_reference(f, samples, seed=4)
+        assert law.values.tolist() == values
+        assert law.weights.tolist() == weights
+
+    @pytest.mark.parametrize("cross", [2.0, 0.5], ids=["integer", "float"])
+    def test_supports_wider_than_one_word(self, cross):
+        terms = {(2 * j, 2 * j - 1): float(j % 3 + 1) for j in range(1, 41)}
+        terms[(80, 3, 1)] = cross  # bits 79, 2 and 0: spans both words
+        f = SignFunction(terms)
+        assert len(f.support) == 80
+        law = distribution_mc(f, 3000, seed=2)
+        values, weights = mc_reference(f, 3000, seed=2)
+        assert law.values.tolist() == values
+        assert law.weights.tolist() == weights
+
+
+class TestWorkerCount:
+    def test_exact_and_mc_laws(self, monkeypatch):
+        f = chaos_sum(unit_coefficients(gen_sum_set(12)))
+        g = SignFunction({(2, 1): 1.5, (5, 3): -0.25, (4,): 1.0})
+        masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
+        k = len(f.support)
+        monkeypatch.setattr(kernel, "SLICE_BITS", 4)
+
+        def laws():
+            sliced = kernel.int_law(masks, coeffs, k)
+            return (
+                [a.tolist() for a in sliced],
+                distribution_exact(f).atoms(),
+                distribution_mc(f, 150_000, seed=3).atoms(),
+                distribution_mc(g, 150_000, seed=3).atoms(),
+            )
+
+        monkeypatch.setenv("CHAOSLAB_THREADS", "1")
+        single = laws()
+        monkeypatch.delenv("CHAOSLAB_THREADS")
+        assert laws() == single
+
+
+class TestDtypeBoundaries:
+    @pytest.mark.parametrize(
+        "bound, dtype",
+        [(32767, np.int32), (2**31 - 1, np.int32), (2**31, None)],
+    )
+    def test_dtype_and_law(self, bound, dtype):
+        coeffs = {(1,): float(bound - 7), (3, 2): 3.0, (2,): -4.0}
+        f = SignFunction(coeffs)
+        assert kernel.int_dtype(list(f.terms.values()))[0] is dtype
+        law = distribution_exact(f)
+        assert law.values[-1] == float(bound)
+        assert as_counts(law, 3) == parity_law(f)
+
+    def test_non_integer_takes_float_path(self):
+        assert kernel.int_dtype([1.0, 2.5]) == (None, None)
+        assert kernel.int_dtype([1.0, float("nan")]) == (None, None)
+        f = SignFunction({(1,): 1.0, (2,): 2.5})
+        law = distribution_exact(f)
+        assert law.atoms() == [(-3.5, 0.25), (-1.5, 0.25), (1.5, 0.25), (3.5, 0.25)]
+
+
+class TestMemoryAndCaps:
+    def test_sum_set_n22_streams(self):
+        f = chaos_sum(unit_coefficients(gen_sum_set(22)))
+        tracemalloc.start()
+        try:
+            law = distribution_exact(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(law.weights.sum() - 1.0) < 1e-12
+        assert peak < 8 * 2**20
+
+    def test_exact_law_keeps_hard_cap(self):
+        f = chaos_sum(unit_coefficients(gen_sum_set(27)))
+        with pytest.raises(ResourceLimitError) as err:
+            distribution_exact(f, bits_cap=40)
+        assert (err.value.required, err.value.budget) == (27, 26)
+        assert "distribution_mc" in str(err.value)
+
+    def test_values_cap_names_cheaper_routes(self):
+        f = SignFunction({(j,): 1.0 for j in range(1, 28)})
+        with pytest.raises(ResourceLimitError) as err:
+            f.values()
+        assert (err.value.required, err.value.budget) == (27, 26)
+        assert "distribution_exact" in str(err.value)
+        assert "distribution_mc" in str(err.value)

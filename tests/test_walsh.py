@@ -171,7 +171,7 @@ class TestDistributionExact:
         f = chaos_sum({(j,): 1.0 for j in range(1, 26)})
         with pytest.raises(ResourceLimitError) as err:
             distribution_exact(f, bits_cap=24)
-        assert err.value.required == 25
+        assert (err.value.required, err.value.budget) == (25, 24)
         assert "25" in str(err.value)
 
     def test_weights_sum_to_one(self):
