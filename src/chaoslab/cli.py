@@ -32,9 +32,9 @@ from .combdim import (
     max_density,
 )
 from .errors import ChaosLabError, InvalidArgumentError, ResourceLimitError
-from .report import RunManifest, write_report
-from .symspace import ConcaveWeight, OrliczFunction, SpaceSpec
-from .walsh import chaos_sum, distribution_exact
+from .report import RunManifest, csv_text, format_number as _fmt, write_report, write_text
+from .symspace import ConcaveWeight, OrliczFunction, SpaceSpec, coincidence_check, norm
+from .walsh import chaos_sum, distribution_exact, unit_coefficients
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -42,37 +42,60 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _fmt(x):
-    return f"{float(x):.12g}"
+# Descriptor grammar: NAME[:ARG...].  Each parser maps a name and its
+# arguments to a spec, or returns None for an unknown name.
+
+
+def _orlicz(name, args):
+    """power:P or exp:R[:U0]"""
+    if name == "power":
+        return OrliczFunction.power(float(args[0]))
+    if name == "exp":
+        return OrliczFunction.exponential(float(args[0]), float(args[1]) if args[1:] else None)
+    return None
+
+
+def _weight(name, args):
+    """log:GAMMA"""
+    if name == "log":
+        return ConcaveWeight.log_power(float(args[0]))
+    return None
+
+
+def _space(name, args):
+    """lp:P, linf, explr:R[:bisection|extrapolation], orlicz-ORLICZ,
+    lorentz-WEIGHT or marcinkiewicz-WEIGHT"""
+    if name == "lp":
+        return SpaceSpec.lp(float(args[0]))
+    if name == "linf":
+        return SpaceSpec.linf()
+    if name == "explr":
+        method = args[1] if len(args) > 1 else "bisection"
+        return SpaceSpec.exp_lr(
+            float(args[0]), "orlicz-bisection" if method == "bisection" else method
+        )
+    family, _, fragment = name.partition("-")
+    if family in ("orlicz", "lorentz", "marcinkiewicz"):
+        inner = (_orlicz if family == "orlicz" else _weight)(fragment, args)
+        return None if inner is None else getattr(SpaceSpec, family)(inner)
+    return None
+
+
+def _parse(kind, parser, text):
+    name, *args = text.strip().lower().split(":")
+    try:
+        spec = parser(name, args)
+    except (IndexError, ValueError) as exc:
+        raise InvalidArgumentError(f"bad {kind} descriptor {text!r}: {exc}") from exc
+    if spec is None:
+        raise InvalidArgumentError(f"unknown {kind} descriptor {text!r}")
+    return spec
 
 
 def parse_space(text):
     """Parse a space descriptor such as lp:4, linf, orlicz-power:3,
     orlicz-exp:2, lorentz-log:1, marcinkiewicz-log:0.5, explr:2:extrapolation."""
-    parts = text.strip().lower().split(":")
-    head, args = parts[0], parts[1:]
-    try:
-        if head == "lp":
-            return SpaceSpec.lp(float(args[0]))
-        if head == "linf":
-            return SpaceSpec.linf()
-        if head == "orlicz-power":
-            return SpaceSpec.orlicz(OrliczFunction.power(float(args[0])))
-        if head == "orlicz-exp":
-            u0 = float(args[1]) if len(args) > 1 else None
-            return SpaceSpec.orlicz(OrliczFunction.exponential(float(args[0]), u0))
-        if head == "lorentz-log":
-            return SpaceSpec.lorentz(ConcaveWeight.log_power(float(args[0])))
-        if head == "marcinkiewicz-log":
-            return SpaceSpec.marcinkiewicz(ConcaveWeight.log_power(float(args[0])))
-        if head == "explr":
-            method = args[1] if len(args) > 1 else "orlicz-bisection"
-            if method == "bisection":
-                method = "orlicz-bisection"
-            return SpaceSpec.exp_lr(float(args[0]), method)
-    except (IndexError, ValueError) as exc:
-        raise InvalidArgumentError(f"bad space descriptor {text!r}: {exc}") from exc
-    raise InvalidArgumentError(f"unknown space descriptor {text!r}")
+    return _parse("space", _space, text)
 
 
 def _csv_ints(text):
@@ -174,27 +197,10 @@ def _build_parser():
     return top
 
 
-def _parse_orlicz(text):
-    parts = text.strip().lower().split(":")
-    if parts[0] == "power":
-        return OrliczFunction.power(float(parts[1]))
-    if parts[0] == "exp":
-        u0 = float(parts[2]) if len(parts) > 2 else None
-        return OrliczFunction.exponential(float(parts[1]), u0)
-    raise InvalidArgumentError(f"unknown Orlicz descriptor {text!r}")
-
-
-def _parse_weight(text):
-    parts = text.strip().lower().split(":")
-    if parts[0] == "log":
-        return ConcaveWeight.log_power(float(parts[1]))
-    raise InvalidArgumentError(f"unknown weight descriptor {text!r}")
-
-
 def _coeff_map(index_set, coeffs):
-    elements = list(index_set.tuples())
     if coeffs is None:
-        return {t: 1.0 for t in elements}
+        return unit_coefficients(index_set)
+    elements = list(index_set.tuples())
     if len(coeffs) != len(elements):
         raise InvalidArgumentError(
             f"{len(coeffs)} coefficients for {len(elements)} elements"
@@ -212,9 +218,14 @@ def _emit(report, args, outputs):
             print(f"  {c.quantity} = {_fmt(c.value)} {c.comparison} {_fmt(c.bound)} [{state}]")
     print(f"verdict: {'pass' if report.verdict else 'fail'}")
     if args.out:
-        write_report(report, args.out, "csv")
+        write_report(report, args.out)
         outputs.append(args.out)
     return EXIT_OK if report.verdict else EXIT_CERT_FAIL
+
+
+def _save(text, args, outputs):
+    write_text(args.out, text)
+    outputs.append(args.out)
 
 
 def run(argv=None) -> int:
@@ -229,6 +240,20 @@ def run(argv=None) -> int:
     outputs = []
     try:
         code = _dispatch(args, outputs)
+        if args.manifest:
+            RunManifest(
+                command_line="chaoslab " + " ".join(argv if argv is not None else sys.argv[1:]),
+                parameters={
+                    k: v
+                    for k, v in vars(args).items()
+                    if k not in ("command", "manifest") and v is not None
+                },
+                seed=getattr(args, "seed", None),
+                tolerances={"tol": args.tol, "max_enum_bits": args.max_enum_bits},
+                version=__version__,
+                wall_time_s=time.perf_counter() - t0,
+                outputs=outputs,
+            ).write(args.manifest)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -241,26 +266,6 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-
-    if getattr(args, "manifest", None):
-        manifest = RunManifest(
-            command_line="chaoslab " + " ".join(argv if argv is not None else sys.argv[1:]),
-            parameters={
-                k: v
-                for k, v in vars(args).items()
-                if k not in ("command", "manifest") and v is not None
-            },
-            seed=getattr(args, "seed", None),
-            tolerances={"tol": args.tol, "max_enum_bits": args.max_enum_bits},
-            version=__version__,
-            wall_time_s=time.perf_counter() - t0,
-            outputs=outputs,
-        )
-        try:
-            write_report(None, args.manifest, "manifest", manifest=manifest)
-        except OSError as exc:
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
     return code
 
 
@@ -306,12 +311,9 @@ def _dispatch(args, outputs) -> int:
         for row in profile.rows:
             print(f"  n={row.n}: best_count={row.best_count} [{row.strategy}]")
         if args.out:
-            lines = ["n,best_count"]
-            lines += [f"{row.n},{row.best_count}" for row in profile.rows]
-            lines += [f"# alpha_hat,{_fmt(profile.alpha_hat)}"]
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write("\n".join(lines) + "\n")
-            outputs.append(args.out)
+            rows = [(row.n, row.best_count) for row in profile.rows]
+            notes = [("alpha_hat", profile.alpha_hat)]
+            _save(csv_text(("n", "best_count"), rows, notes), args, outputs)
         return EXIT_OK
 
     if cmd == "norm":
@@ -319,9 +321,7 @@ def _dispatch(args, outputs) -> int:
         space = parse_space(args.space)
         coeffs = _coeff_map(A, args.coeffs)
         dist = distribution_exact(chaos_sum(coeffs), args.max_enum_bits)
-        from .symspace import norm as space_norm
-
-        value = space_norm(dist, space, args.tol)
+        value = norm(dist, space, args.tol)
         print(f"norm[{space.describe()}] = {value:.6f}")
         return EXIT_OK
 
@@ -331,8 +331,7 @@ def _dispatch(args, outputs) -> int:
         low = report.checks[1].bound
         high = report.checks[2].bound
         print(f"||sum a_j r_j||_{args.p:g} = {value:.6f}  (bounds [{low:.6f}, {high:.6f}])")
-        code = _emit(report, args, outputs)
-        return code
+        return _emit(report, args, outputs)
 
     if cmd == "moments":
         A = load_index_set(args.set_path)
@@ -345,11 +344,7 @@ def _dispatch(args, outputs) -> int:
             report = blei_bound_check(A, coeffs, args.beta, args.p_list, args.max_enum_bits)
             return _emit(report, args, outputs)
         if args.out:
-            lines = ["p,norm"] + [f"{_fmt(p)},{_fmt(v)}" for p, v in table.rows]
-            lines += [f"# theta,{_fmt(table.theta)}"]
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write("\n".join(lines) + "\n")
-            outputs.append(args.out)
+            _save(csv_text(("p", "norm"), table.rows, [("theta", table.theta)]), args, outputs)
         return EXIT_OK
 
     if cmd == "rud":
@@ -386,28 +381,20 @@ def _dispatch(args, outputs) -> int:
     if cmd == "clt":
         A = load_index_set(args.set_path)
         report = clt_criteria(A, args.N_list, args.star_threshold, args.sharp_threshold)
-        lines = ["N,cardinality,star_ratio,sharp_ratio"]
-        for N in args.N_list:
-            card = report.quantity(f"card_N{N}")
-            lines.append(
-                f"{N},{int(card)},{_fmt(report.quantity(f'star_ratio_N{N}'))},"
-                f"{_fmt(report.quantity(f'sharp_ratio_N{N}'))}"
-            )
+        columns = ("card", "star_ratio", "sharp_ratio")
+        rows = [[N] + [report.quantity(f"{c}_N{N}") for c in columns] for N in args.N_list]
+        text = csv_text(("N", "cardinality", "star_ratio", "sharp_ratio"), rows)
         if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write("\n".join(lines) + "\n")
-            outputs.append(args.out)
+            _save(text, args, outputs)
         else:
-            print("\n".join(lines))
+            print(text, end="")
         print(f"verdict: {'pass' if report.verdict else 'fail'}")
         return EXIT_OK if report.verdict else EXIT_CERT_FAIL
 
     if cmd == "coincidence":
-        from .symspace import coincidence_check
-
         report = coincidence_check(
-            _parse_orlicz(args.orlicz),
-            _parse_weight(args.weight),
+            _parse("Orlicz", _orlicz, args.orlicz),
+            _parse("weight", _weight, args.weight),
             args.eps,
             grid=args.grid,
             tol=args.tol,

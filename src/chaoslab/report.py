@@ -2,16 +2,16 @@
 
 Every inequality or criterion check in the library returns a
 :class:`CertificateReport` whose verdict is the conjunction of its rows.
-Reports serialize to a diff-stable CSV (12 significant digits, '.'
-decimal separator) or, together with a :class:`RunManifest`, to a JSON
-manifest of the producing run.
+Reports and the CLI's tables serialize through :func:`csv_text` to a
+diff-stable CSV (12 significant digits, '.' decimal separator); a
+:class:`RunManifest` writes the JSON record of the producing run.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import InvalidArgumentError
 
@@ -103,44 +103,43 @@ class RunManifest:
     wall_time_s: float
     outputs: list
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "command_line": self.command_line,
-                "parameters": self.parameters,
-                "seed": self.seed,
-                "tolerances": self.tolerances,
-                "version": self.version,
-                "wall_time_s": self.wall_time_s,
-                "outputs": list(self.outputs),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def write(self, path):
+        """Write the record as indented JSON with sorted keys."""
+        write_text(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(x):
+def format_number(x):
     return f"{float(x):.12g}"
 
 
-def write_report(report, path, fmt="csv", manifest=None):
-    """Write a report as CSV rows or a run manifest as JSON.
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return format_number(value)
 
-    CSV columns: quantity, value, bound, comparison, verdict.  Identical
-    reports produce byte-identical files.
-    """
-    if fmt == "csv":
-        lines = ["quantity,value,bound,comparison,verdict"]
-        for c in report.checks:
-            bound = "" if c.bound is None else _fmt(c.bound)
-            verdict = "pass" if c.passed else "fail"
-            lines.append(f"{c.quantity},{_fmt(c.value)},{bound},{c.comparison},{verdict}")
-        text = "\n".join(lines) + "\n"
-    elif fmt == "manifest":
-        if manifest is None:
-            raise InvalidArgumentError("manifest format needs a RunManifest")
-        text = manifest.to_json() + "\n"
-    else:
-        raise InvalidArgumentError(f"unknown report format {fmt!r}")
+
+def csv_text(header, rows, notes=()):
+    """CSV text of a table: ``None`` cells are empty, strings are kept, and
+    numbers take 12 significant digits.  Each ``(key, value)`` note becomes
+    a trailing ``# key,value`` line."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    lines += [f"# {key},{_cell(value)}" for key, value in notes]
+    return "\n".join(lines) + "\n"
+
+
+def write_text(path, text):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
+
+
+def write_report(report, path):
+    """Write a report as CSV rows: quantity, value, bound, comparison,
+    verdict.  Identical reports produce byte-identical files."""
+    rows = [
+        (c.quantity, c.value, c.bound, c.comparison, "pass" if c.passed else "fail")
+        for c in report.checks
+    ]
+    write_text(path, csv_text(("quantity", "value", "bound", "comparison", "verdict"), rows))

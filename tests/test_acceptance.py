@@ -196,10 +196,27 @@ def test_criterion_08_concentration():
         report = sign_concentration_check(gen_triangle(d, n), BlockChoice.identity(d, n))
         if not report.verdict:
             failures.append((d, n))
+    # The default lambda = sqrt(2dnm) is at least m here, so |g| <= m never
+    # exceeds it.  An explicit lambda < m gives a nonzero pointwise tail,
+    # which at every configuration is P(|sum of m signs| > lambda).
+    explicit = [(1, 10, 4), (2, 5, 5), (2, 6, 9), (3, 5, 4), (4, 5, 2)]
+    for d, n, lam in explicit:
+        report = sign_concentration_check(
+            gen_triangle(d, n), BlockChoice.identity(d, n), threshold=lam
+        )
+        m = math.comb(n, d)
+        tail = sum(math.comb(m, k) for k in range(m + 1) if abs(2 * k - m) > lam) / 2**m
+        if not (
+            report.verdict
+            and report.quantity("pointwise_tail_max") == tail
+            and report.quantity("pointwise_tail_min") == tail
+        ):
+            failures.append((d, n, lam))
     announce(
         8,
         not failures,
-        f"concentration on {len(instances)} triangle instances, failures={failures}",
+        f"concentration on {len(instances)} triangle instances and "
+        f"{len(explicit)} with explicit lambda < m, failures={failures}",
         t0,
         120.0,
     )

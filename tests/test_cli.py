@@ -169,6 +169,68 @@ class TestOtherCommands:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,text",
+        [
+            ("--orlicz", "power"),
+            ("--orlicz", "exp:abc"),
+            ("--orlicz", "cubic:2"),
+            ("--weight", "log"),
+            ("--weight", "log:x"),
+        ],
+    )
+    def test_coincidence_malformed_descriptor(self, flag, text, capsys):
+        given = {"--orlicz": "exp:2", "--weight": "log:0.5", flag: text}
+        code = run(["coincidence", "--orlicz", given["--orlicz"],
+                    "--weight", given["--weight"], "--eps", "0.5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOutputBytes:
+    """Exact bytes of the tables the CLI writes, on small fixed inputs."""
+
+    @pytest.fixture
+    def set_file(self, tmp_path):
+        def make(top):
+            path = tmp_path / f"s{top}.idx"
+            assert run(["gen-set", "--kind", "sum", "--max", str(top), "--out", str(path)]) == 0
+            return str(path)
+
+        return make
+
+    def test_dimension_csv(self, set_file, tmp_path):
+        out = tmp_path / "dim.csv"
+        assert run(["dimension", "--set", set_file(60), "--n-list", "8,16,32",
+                    "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "n,best_count\n8,12\n16,56\n32,240\n# alpha_hat,2.16096404744\n"
+        )
+
+    def test_moments_csv(self, set_file, tmp_path):
+        out = tmp_path / "mom.csv"
+        assert run(["moments", "--set", set_file(6), "--coeffs", "1,-0.5,2,0.25,3,-1.5",
+                    "--p-list", "1,2,3,4", "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "p,norm\n1,3.25\n2,4.06970514902\n3,4.70807988472\n4,5.18845766907\n"
+            "# theta,0.338248883768\n"
+        )
+
+    CLT_TABLE = "N,cardinality,star_ratio,sharp_ratio\n10,20,0.4,0\n20,90,0.2,0\n40,380,0.1,0\n"
+
+    def test_clt_csv(self, set_file, tmp_path, capsys):
+        out = tmp_path / "clt.csv"
+        assert run(["clt", "--set", set_file(40), "--n-list", "10,20,40",
+                    "--out", str(out)]) == 0
+        assert out.read_text() == self.CLT_TABLE
+        assert capsys.readouterr().out.endswith("verdict: pass\n")
+
+    def test_clt_stdout(self, set_file, capsys):
+        path = set_file(40)
+        capsys.readouterr()
+        assert run(["clt", "--set", path, "--n-list", "10,20,40"]) == 0
+        assert capsys.readouterr().out == self.CLT_TABLE + "verdict: pass\n"
+
 
 class TestParseSpace:
     @pytest.mark.parametrize(
@@ -248,13 +310,9 @@ class TestManifest:
         assert record["version"]
         assert record["tolerances"]["tol"] == 1e-10
 
-    def test_manifest_requires_record(self, tmp_path):
-        with pytest.raises(InvalidArgumentError):
-            write_report(CertificateReport("x"), tmp_path / "m.json", "manifest")
-
     def test_manifest_direct(self, tmp_path):
         manifest = RunManifest("chaoslab demo", {"p": 2}, 0, {"tol": 1e-10},
                                "0.1.0", 0.5, [])
         path = tmp_path / "m.json"
-        write_report(None, path, "manifest", manifest=manifest)
+        manifest.write(path)
         assert json.loads(path.read_text())["command_line"] == "chaoslab demo"
