@@ -211,9 +211,10 @@ def rud_average(
 
     det = norm(distribution_exact(chaos_sum(coeffs), bits_cap), space, tol)
 
-    def pattern_norm(signs):
-        g = SignFunction(dict(zip(elements, base * signs)))
-        return norm(distribution_exact(g, bits_cap), space, tol)
+    # pattern laws drop zero-coefficient terms, which then widen no support
+    keep = np.flatnonzero(base)
+    support = sorted({j for i in keep for j in elements[i]})
+    term_masks, k = kernel.masks([elements[i] for i in keep], support), len(support)
 
     if samples is None:
         if m > RUD_EXACT_MAX:
@@ -223,38 +224,33 @@ def rud_average(
                 required=m,
                 budget=RUD_EXACT_MAX,
             )
-        total = 0.0
-        for pattern in range(1 << m):
-            signs = 1.0 - 2.0 * ((pattern >> np.arange(m)) & 1)
-            total += pattern_norm(signs)
-        avg = total / (1 << m)
-        se = None
-        mode = "exact"
+        unit_masks = [1 << t for t in range(m)]
+        blocks = (
+            kernel.sign_matrix(unit_masks, start, min(start + _PATTERN_CHUNK, 1 << m))
+            for start in range(0, 1 << m, _PATTERN_CHUNK)
+        )
     else:
         samples = int(samples)
         if samples < 1:
             raise InvalidArgumentError("sample count must be >= 1")
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        draws = 1.0 - 2.0 * rng.integers(0, 2, size=(samples, m)).astype(float)
-        vals = np.array([pattern_norm(draws[i]) for i in range(samples)])
-        avg = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-        mode = "mc"
-    return RudAverage(avg, det, det / avg, se, mode)
+        blocks = [kernel.random_signs(seed, 0, samples, m)]
+
+    def pattern_norm(c):
+        values, counts = kernel.law(term_masks, c, k)
+        return norm(StepDistribution(values, counts / (1 << k)), space, tol)
+
+    vals = np.fromiter((pattern_norm(c) for U in blocks for c in U[:, keep] * base[keep]), float)
+    if samples is None:
+        avg = float(np.cumsum(vals)[-1]) / vals.size  # running sum in pattern order
+        return RudAverage(avg, det, det / avg, None, "exact")
+    avg = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
+    return RudAverage(avg, det, det / avg, se, "mc")
 
 
 # ---------------------------------------------------------------------------
 # Concentration of the randomized sup-norm
 # ---------------------------------------------------------------------------
-
-
-def _monomial_config_matrix(elements, support, start=0, stop=None):
-    """(stop - start, m) float32 matrix of monomial values at configurations start..stop-1.
-
-    ``stop`` defaults to 2^s, the end of the support's configuration space.
-    """
-    stop = 1 << len(support) if stop is None else min(stop, 1 << len(support))
-    return kernel.sign_matrix(kernel.masks(elements, support), start, stop)
 
 
 def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None):
@@ -296,8 +292,8 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None
         "sign-concentration",
         {"d": d, "n": n, "intersection": m, "support_bits": s, "threshold": lam},
     ) as report:
-        S = _monomial_config_matrix(elements, support)  # (2^s, m)
-        n_cfg = S.shape[0]
+        n_cfg = 1 << s
+        S = kernel.sign_matrix(kernel.masks(elements, support), 0, n_cfg)  # (2^s, m)
         # keep each chunk's pattern x configuration block around 64 MB
         chunk = max(1, min(_PATTERN_CHUNK, (1 << 24) // n_cfg))
         starts = list(range(0, 1 << m, chunk))
@@ -358,20 +354,16 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
     ) as report:
         ratios = []
         for idx, n in enumerate(n_list):
-            A = gen_triangle(d, n)
-            elements = list(A.tuples())
-            support = sorted({j for t in elements for j in t})
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=idx << 96))
-            U = (1.0 - 2.0 * rng.integers(0, 2, size=(mc_samples, len(elements)))).astype(
-                np.float32
-            )
+            elements = list(gen_triangle(d, n).tuples())  # support 1..n
+            term_masks = kernel.masks(elements, range(1, n + 1))
+            U = kernel.random_signs(seed, idx << 96, mc_samples, len(elements))
             # stream blocks of configurations so memory stays bounded at any n
             per_cfg = len(elements) + mc_samples
             block = 1 << min(16, max(0, (_SUP_BLOCK_ENTRIES // per_cfg).bit_length() - 1))
             det = 0.0
             sups = np.zeros(mc_samples, dtype=np.float32)
-            for start in range(0, 1 << len(support), block):
-                S = _monomial_config_matrix(elements, support, start, start + block)
+            for start in range(0, 1 << n, block):
+                S = kernel.sign_matrix(term_masks, start, min(start + block, 1 << n))
                 det = max(det, float(np.abs(S.sum(axis=1)).max()))
                 G = U @ S.T
                 np.abs(G, out=G)
@@ -563,8 +555,8 @@ def normalized_sum_cdf(A: IndexSet, N, bits_cap=DEFAULT_BITS_CAP) -> NormalizedS
     m = len(arr)
     if m == 0:
         raise InvalidArgumentError(f"A restricted to entries <= {N} is empty")
-    f = chaos_sum(unit_coefficients(arr)) * (1.0 / math.sqrt(m))
-    dist = distribution_exact(f, bits_cap)
+    f = chaos_sum(unit_coefficients(arr))  # scaled after the law: integer kernel, symmetric atoms
+    dist = distribution_exact(f, bits_cap).scaled(1.0 / math.sqrt(m))
     l2 = dist.lp_norm(2)
     F = dist.cdf()
     ks = 0.0

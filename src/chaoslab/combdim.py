@@ -10,8 +10,10 @@ counts is the empirical combinatorial dimension.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,25 +148,22 @@ def max_density(A: IndexSet, n, universe, strategy="exhaustive"):
         blocks = BlockChoice.identity(d, n)
         return density_count(A, blocks), blocks
 
+    per_coord = math.comb(universe, n)
+    if strategy == "exhaustive" and per_coord**d > EXHAUSTIVE_BUDGET:
+        raise ResourceLimitError(
+            f"exhaustive search over {per_coord**d} block choices exceeds the budget "
+            f"of {EXHAUSTIVE_BUDGET}",
+            required=per_coord**d,
+            budget=EXHAUSTIVE_BUDGET,
+        )
+    # rows of A inside the universe (no other element meets a block choice) as bits:
+    # a block's rows are the OR of its values' masks, a block choice's the AND
+    value_masks = [{} for _ in range(d)]
+    for row, t in enumerate(A.restrict(universe).to_array().tolist()):
+        for masks, v in zip(value_masks, t):
+            masks[v] = masks.get(v, 0) | (1 << row)
+
     if strategy == "exhaustive":
-        per_coord = math.comb(universe, n)
-        cost = per_coord**d
-        if cost > EXHAUSTIVE_BUDGET:
-            raise ResourceLimitError(
-                f"exhaustive search over {cost} block choices exceeds the budget "
-                f"of {EXHAUSTIVE_BUDGET}",
-                required=cost,
-                budget=EXHAUSTIVE_BUDGET,
-            )
-        # element rows as bitset positions: one AND + popcount per block choice
-        arr = A.to_array()
-        value_masks = []
-        for i in range(d):
-            col = arr[:, i]
-            masks = {}
-            for row, v in enumerate(col.tolist()):
-                masks[v] = masks.get(v, 0) | (1 << row)
-            value_masks.append(masks)
         candidates = list(itertools.combinations(range(1, universe + 1), n))
         cand_masks = [
             [_union_mask(value_masks[i], c) for c in candidates] for i in range(d)
@@ -186,21 +185,23 @@ def max_density(A: IndexSet, n, universe, strategy="exhaustive"):
 
     # greedy-swap
     blocks = [list(range(1, n + 1)) for _ in range(d)]
-    count = density_count(A, blocks)
+    unions = [_union_mask(masks, b) for masks, b in zip(value_masks, blocks)]
+    count = functools.reduce(operator.and_, unions).bit_count()
     improved = True
     while improved:
         improved = False
         for i in range(d):
             here = set(blocks[i])
+            others = functools.reduce(operator.and_, unions[:i] + unions[i + 1 :], -1)
             for out in sorted(here):
                 for cand in range(1, universe + 1):
                     if cand in here:
                         continue
                     trial = sorted(here - {out} | {cand})
-                    trial_blocks = blocks[:i] + [trial] + blocks[i + 1 :]
-                    c = density_count(A, trial_blocks)
+                    union = _union_mask(value_masks[i], trial)
+                    c = (others & union).bit_count()
                     if c > count:
-                        blocks = trial_blocks
+                        blocks[i], unions[i] = trial, union
                         count = c
                         improved = True
                         break

@@ -6,6 +6,8 @@ configuration exactly when bit b of its word is set; a monomial is the
 mask of its coordinates, and its value at a configuration is
 (-1)^parity(word & mask), with parity taken by ``np.bitwise_count``.
 
+Every exact law goes through :func:`law`, the one place that picks a route:
+
 * Integer coefficients whose absolute sum S is at most 2^31 - 1 get an
   exact law from an int32 fast Walsh-Hadamard transform (FWHT).  Every
   partial sum of the transform is bounded by S, so it cannot overflow.  The
@@ -21,6 +23,8 @@ mask of its coordinates, and its value at a configuration is
   in counter blocks of ``MC_CHUNK`` rows, packs each row into uint64
   words and adds the terms by parity: exactly in int64 for integer
   coefficients, in float64 and in term order otherwise.
+* Sign patterns over m terms share the convention: :func:`sign_matrix` of
+  the masks 1 << t lists them in order, :func:`random_signs` draws them.
 """
 
 from __future__ import annotations
@@ -122,6 +126,13 @@ def values(term_masks, coeffs, k):
     return fwht(a)
 
 
+def law(term_masks, coeffs, k):
+    """Exact (values, counts) over the 2^k configurations: the sliced integer
+    transform when ``int_dtype`` allows it, else ``np.unique`` of :func:`values`."""
+    out = int_law(term_masks, coeffs, k)
+    return np.unique(values(term_masks, coeffs, k), return_counts=True) if out is None else out
+
+
 def int_law(term_masks, coeffs, k):
     """Exact (values, counts) over the 2^k configurations by a sliced integer FWHT.
 
@@ -132,21 +143,27 @@ def int_law(term_masks, coeffs, k):
     dtype, bound = int_dtype(coeffs)
     if dtype is None:
         return None
-    slice_bits = SLICE_BITS
-    if k <= slice_bits:
+    if k <= SLICE_BITS:
         v = np.zeros(1 << k, dtype)
         v[term_masks] = coeffs
         return _histogram(fwht(v), bound)
-    low_idx = np.array([m & ((1 << slice_bits) - 1) for m in term_masks], dtype=np.intp)
-    high = np.array([m >> slice_bits for m in term_masks], dtype=np.uint64)
+    low_idx = np.array([m & ((1 << SLICE_BITS) - 1) for m in term_masks], dtype=np.intp)
+    high = np.array([m >> SLICE_BITS for m in term_masks], dtype=np.uint64)
     c = np.array(coeffs, dtype=np.int64)
 
     def run_slice(h):
-        v = np.zeros(1 << slice_bits, dtype)
+        v = np.zeros(1 << SLICE_BITS, dtype)
         np.add.at(v, low_idx, np.where(parity(np.uint64(h), high), -c, c))
         return _histogram(fwht(v), bound)
 
-    return _merge(map_chunks(run_slice, range(1 << (k - slice_bits))))
+    return _merge(map_chunks(run_slice, range(1 << (k - SLICE_BITS))))
+
+
+def random_signs(seed, counter, rows, m):
+    """float32 (rows, m) matrix of seeded +-1 signs: -1 where the Philox
+    stream with key ``seed`` at ``counter`` draws 1 from ``integers(0, 2)``."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    return 1.0 - 2.0 * rng.integers(0, 2, size=(rows, m)).astype(np.float32)
 
 
 def sample_law(term_masks, coeffs, k, samples, seed):

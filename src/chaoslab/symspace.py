@@ -355,13 +355,8 @@ def luxemburg_norm(dist: StepDistribution, fn: OrliczFunction, tol: float = DEFA
 def _lorentz_norm(dist, weight):
     """integral of x* d(phi) as a finite Stieltjes sum over the plateaus."""
     rr = decreasing_rearrangement(dist)
-    total = 0.0
-    prev = 0.0  # phi(0) = 0 by definition of the weight class
-    for t, v in zip(rr.breakpoints[1:], rr.values):
-        cur = weight(t)
-        total += v * (cur - prev)
-        prev = cur
-    return total
+    # phi(0) = 0, so the first increment is phi(t_1)
+    return float(np.dot(rr.values, np.diff(weight.apply(rr.breakpoints))))
 
 
 def _marcinkiewicz_norm(dist, weight, tol):

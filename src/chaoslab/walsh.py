@@ -437,9 +437,8 @@ def unit_coefficients(index_set):
 def distribution_exact(f, bits_cap=DEFAULT_BITS_CAP):
     """Exact law of a sign function under the uniform hypercube measure.
 
-    Small integer coefficients take the streamed integer transform of
-    :func:`kernel.int_law`; others take the float64 values of
-    :func:`kernel.values`.
+    The law comes from :func:`kernel.law`: a streamed integer transform
+    for small integer coefficients, float64 values otherwise.
     """
     k = len(f.support)
     if k > bits_cap:
@@ -456,13 +455,7 @@ def distribution_exact(f, bits_cap=DEFAULT_BITS_CAP):
             required=k,
             budget=_DYADIC_CAP,
         )
-    if k == 0:
-        return StepDistribution.point_mass(f.terms.get((), 0.0))
-    term_masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
-    law = kernel.int_law(term_masks, coeffs, k)
-    if law is None:
-        law = np.unique(kernel.values(term_masks, coeffs, k), return_counts=True)
-    values, counts = law
+    values, counts = kernel.law(kernel.masks(f.terms, f.support), list(f.terms.values()), k)
     return StepDistribution(values, counts / (1 << k))
 
 

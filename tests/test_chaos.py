@@ -8,9 +8,12 @@ import pytest
 
 from chaoslab import (
     BlockChoice,
+    ConcaveWeight,
     IndexSet,
     InvalidArgumentError,
+    OrliczFunction,
     ResourceLimitError,
+    SignFunction,
     SpaceSpec,
     VerificationParams,
     averaged_sup_growth,
@@ -25,6 +28,7 @@ from chaoslab import (
     khintchine_check,
     lower_bound_check,
     moment_table,
+    norm,
     normalized_sum_cdf,
     rademacher,
     rud_average,
@@ -32,8 +36,51 @@ from chaoslab import (
     unit_coefficients,
 )
 from chaoslab import chaos as chaos_module
+from chaoslab import kernel
 
 TRIANGLE_2_3 = IndexSet.from_tuples([(2, 1), (3, 1), (3, 2)])
+
+
+def rud_reference(A, coeffs, space, samples=None, seed=0):
+    """(average, stderr) of the per-pattern loop: one SignFunction and one
+    exact law per sign pattern, patterns decoded bit by bit."""
+    elements = list(A.tuples())
+    base = np.array([coeffs[t] for t in elements])
+    m = len(elements)
+
+    def pattern_norm(signs):
+        g = SignFunction(dict(zip(elements, base * signs)))
+        return norm(distribution_exact(g), space, 1e-10)
+
+    if samples is None:
+        total = 0.0
+        for pattern in range(1 << m):
+            total += pattern_norm(1.0 - 2.0 * ((pattern >> np.arange(m)) & 1))
+        return total / (1 << m), None
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = 1.0 - 2.0 * rng.integers(0, 2, size=(samples, m)).astype(float)
+    vals = np.array([pattern_norm(signs) for signs in draws])
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+RUD_SPACES = {
+    "lp4": SpaceSpec.lp(4),
+    "linf": SpaceSpec.linf(),
+    "orlicz3": SpaceSpec.orlicz(OrliczFunction.power(3)),
+    "lorentz": SpaceSpec.lorentz(ConcaveWeight.log_power(0.5)),
+}
+
+
+def rud_instance(kind, seed, m=7):
+    """m seeded elements of triangle(2, 6) with integer or Gaussian coefficients."""
+    rng = np.random.default_rng(seed)
+    elements = list(gen_triangle(2, 6).tuples())
+    chosen = [elements[i] for i in sorted(rng.choice(len(elements), size=m, replace=False))]
+    if kind == "int":
+        values = rng.integers(-3, 4, size=m).astype(float)
+    else:
+        values = rng.standard_normal(m)
+    return IndexSet.from_tuples(chosen), dict(zip(chosen, values.tolist()))
 
 
 class TestKhintchine:
@@ -147,6 +194,38 @@ class TestRudAverage:
         assert a.stderr == b.stderr
         assert a.mode == "mc"
 
+    @pytest.mark.parametrize("space", sorted(RUD_SPACES))
+    @pytest.mark.parametrize("kind", ["int", "gauss"])
+    def test_matches_per_pattern_loop(self, kind, space):
+        for seed in (1, 2):
+            A, coeffs = rud_instance(kind, seed)
+            spec = RUD_SPACES[space]
+            exact = rud_average(A, coeffs, spec)
+            assert (exact.average, exact.stderr) == rud_reference(A, coeffs, spec)
+            mc = rud_average(A, coeffs, spec, samples=25, seed=seed)
+            assert (mc.average, mc.stderr) == rud_reference(A, coeffs, spec, 25, seed)
+
+    def test_zero_coefficient_keeps_support(self):
+        # (9, 8) has coefficient 0 and is the only element touching 8 and 9
+        A = IndexSet.from_tuples([(2, 1), (3, 1), (3, 2), (9, 8)])
+        for coeffs in (
+            {(2, 1): 1.0, (3, 1): -2.0, (3, 2): 0.5, (9, 8): 0.0},
+            {(2, 1): 1.0, (3, 1): -2.0, (3, 2): 1.0, (9, 8): 0.0},
+        ):
+            for spec in RUD_SPACES.values():
+                exact = rud_average(A, coeffs, spec)
+                assert exact.average == rud_reference(A, coeffs, spec)[0]
+                # only the support {1, 2, 3} of the nonzero terms counts against the cap
+                assert rud_average(A, coeffs, spec, bits_cap=3) == exact
+                mc = rud_average(A, coeffs, spec, samples=20, seed=3)
+                assert (mc.average, mc.stderr) == rud_reference(A, coeffs, spec, 20, 3)
+
+    def test_pattern_blocks(self, monkeypatch):
+        A, coeffs = rud_instance("gauss", 4)
+        whole = rud_average(A, coeffs, RUD_SPACES["lp4"])
+        monkeypatch.setattr(chaos_module, "_PATTERN_CHUNK", 4)
+        assert rud_average(A, coeffs, RUD_SPACES["lp4"]) == whole
+
     def test_exact_cap(self):
         A = gen_triangle(2, 8)  # 28 elements
         with pytest.raises(ResourceLimitError):
@@ -256,7 +335,7 @@ class TestAveragedSupGrowth:
         report = averaged_sup_growth(d, n_list, mc_samples=samples, seed=seed)
         for idx, n in enumerate(n_list):
             elements = list(gen_triangle(d, n).tuples())
-            S = chaos_module._monomial_config_matrix(elements, list(range(1, n + 1)))
+            S = kernel.sign_matrix(kernel.masks(elements, list(range(1, n + 1))), 0, 1 << n)
             rng = np.random.Generator(np.random.Philox(key=seed, counter=idx << 96))
             U = (1.0 - 2.0 * rng.integers(0, 2, size=(samples, len(elements)))).astype(np.float32)
             sups = np.abs(U @ S.T).max(axis=1)
@@ -408,6 +487,12 @@ class TestNormalizedSum:
         below = np.concatenate([[0.0], F[:-1]])  # P(X < x) at each atom
         # F(-x^-) = 1 - F(x) exactly on atoms
         assert np.allclose(below[::-1], 1.0 - F, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [14, 18, 22])
+    def test_atoms_exactly_antisymmetric(self, N):
+        # the law is symmetric under r -> -r, so the atoms are too, to the bit
+        vals = normalized_sum_cdf(gen_sum_set(N), N).distribution.values
+        assert np.array_equal(vals, -vals[::-1])
 
     def test_ks_improves(self):
         ks8 = normalized_sum_cdf(gen_sum_set(8), 8).ks_distance

@@ -122,6 +122,32 @@ class TestDensityCount:
             assert c <= min(len(A), n**3)
 
 
+def greedy_reference(A, n, universe):
+    """Greedy swap with one density_count per trial block choice."""
+    blocks = [list(range(1, n + 1)) for _ in range(A.order)]
+    count = density_count(A, blocks)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(A.order):
+            here = set(blocks[i])
+            for out in sorted(here):
+                for cand in range(1, universe + 1):
+                    if cand in here:
+                        continue
+                    trial = sorted(here - {out} | {cand})
+                    trial_blocks = blocks[:i] + [trial] + blocks[i + 1 :]
+                    c = density_count(A, trial_blocks)
+                    if c > count:
+                        blocks, count, improved = trial_blocks, c, True
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+    return count, tuple(tuple(b) for b in blocks)
+
+
 class TestMaxDensity:
     def test_exhaustive_example(self):
         count, witness = max_density(gen_triangle(2, 4), 2, 4, "exhaustive")
@@ -154,6 +180,25 @@ class TestMaxDensity:
         assert greedy >= ident
         exh, _ = max_density(A, 2, 6, "exhaustive")
         assert greedy <= exh
+
+    def test_exhaustive_counts_only_the_universe(self):
+        # the full triangle(3, 1000) has 166,167,000 elements; C(6, 3) lie in [1, 6]
+        count, witness = max_density(gen_triangle(3, 1000), 2, 6, "exhaustive")
+        assert count == 8
+        assert witness.blocks == ((5, 6), (3, 4), (1, 2))
+
+    def test_greedy_matches_per_trial_counts(self):
+        rng = np.random.default_rng(41)
+        sets = [gen_sum_set(N) for N in (12, 20, 40)]
+        sets += [gen_triangle(2, 9), gen_triangle(3, 10), gen_triangle(3, 40)]
+        tri = list(gen_triangle(3, 12).tuples())
+        sets += [IndexSet.from_tuples([tri[i] for i in rng.choice(len(tri), 60, replace=False)])]
+        for A in sets:
+            for _ in range(3):
+                universe = int(rng.integers(A.order + 1, 16))
+                n = int(rng.integers(1, universe))
+                count, witness = max_density(A, n, universe, "greedy-swap")
+                assert (count, witness.blocks) == greedy_reference(A, n, universe)
 
     def test_budget_error(self):
         with pytest.raises(ResourceLimitError) as err:

@@ -19,7 +19,6 @@ from chaoslab import (
     unit_coefficients,
 )
 from chaoslab import kernel
-from chaoslab.chaos import _monomial_config_matrix
 
 
 def fwht_reference(vec):
@@ -96,6 +95,8 @@ class TestRouteAgreement:
         k = len(f.support)
         masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
         vals, counts = kernel.int_law(masks, coeffs, k)
+        law = kernel.law(masks, coeffs, k)
+        assert np.array_equal(law[0], vals) and np.array_equal(law[1], counts)
         sliced = dict(zip(vals.tolist(), counts.tolist()))
         fvals, fcounts = np.unique(f.values(), return_counts=True)
         assert dict(zip(fvals.tolist(), fcounts.tolist())) == sliced
@@ -111,7 +112,10 @@ class TestRouteAgreement:
         k = len(f.support)
         coeffs = list(f.terms.values())
         assert kernel.int_dtype(coeffs) == (None, None)
-        assert kernel.int_law(kernel.masks(f.terms, f.support), coeffs, k) is None
+        masks = kernel.masks(f.terms, f.support)
+        assert kernel.int_law(masks, coeffs, k) is None
+        unique = np.unique(f.values(), return_counts=True)
+        assert all(np.array_equal(a, b) for a, b in zip(kernel.law(masks, coeffs, k), unique))
         exact = distribution_exact(f)
         assert as_counts(exact, k) == parity_law(f)
         assert evaluate_dyadic(f, max(f.support)).histogram().atoms() == exact.atoms()
@@ -141,16 +145,24 @@ class TestRouteAgreement:
             expect = [bin(c & mask).count("1") & 1 for c in range(1 << 10)]
             assert kernel.parity(cfg, np.uint64(mask)).tolist() == expect
 
+    @pytest.mark.parametrize("seed, counter", [(0, 0), (5, 0), (9, 2 << 96)])
+    def test_random_signs_read_the_philox_stream(self, seed, counter):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+        expect = 1.0 - 2.0 * rng.integers(0, 2, size=(30, 11))
+        got = kernel.random_signs(seed, counter, 30, 11)
+        assert got.dtype == np.float32 and np.array_equal(got, expect)
+
     def test_config_matrix_matches_popcount(self):
         elements = list(gen_triangle(2, 7).tuples())
         support = list(range(1, 8))
-        S = _monomial_config_matrix(elements, support)
+        masks = kernel.masks(elements, support)
+        S = kernel.sign_matrix(masks, 0, 1 << 7)
         assert S.dtype == np.float32 and S.shape == (1 << 7, len(elements))
         for i, t in enumerate(elements):
             mask = sum(1 << (j - 1) for j in t)
             expect = [1.0 - 2.0 * (bin(c & mask).count("1") & 1) for c in range(1 << 7)]
             assert S[:, i].tolist() == expect
-        assert np.array_equal(_monomial_config_matrix(elements, support, 40, 90), S[40:90])
+        assert np.array_equal(kernel.sign_matrix(masks, 40, 90), S[40:90])
 
 
 class TestMonteCarlo:
