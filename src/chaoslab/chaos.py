@@ -206,6 +206,9 @@ def rud_average(
         missing = [t for t in elements if t not in coeffs]
         if missing:
             raise InvalidArgumentError(f"coefficients missing for {len(missing)} elements")
+        extra = set(coeffs).difference(elements)
+        if extra:
+            raise InvalidArgumentError(f"coefficients given for {len(extra)} keys outside A'")
     base = np.array([coeffs[t] for t in elements])
     m = len(elements)
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .distribution import StepDistribution
 from .errors import InvalidArgumentError, NumericFailureError
@@ -21,6 +20,9 @@ from .report import timed_report
 
 DEFAULT_TOL = 1e-10
 _BRACKET_STEPS = 200
+_GL_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (20, 40))
+_GL_RTOL = 1e-13
+_GL_DEPTH = 50
 DEFAULT_P_GRID = tuple(float(2**i) for i in range(11))  # 1, 2, 4, ..., 1024
 
 
@@ -177,7 +179,7 @@ class ConcaveWeight:
         if self.kind == "log_power":
             out = np.where(t > 0, np.log(math.e / np.maximum(t, 1e-300)) ** (-self.gamma), 0.0)
             return out
-        return np.array([self(x) for x in np.atleast_1d(t)])
+        return np.array([self(x) for x in t.ravel()]).reshape(t.shape)
 
     def validate(self, grid=None):
         """Spot-check monotonicity and quasiconcavity (phi(t)/t decreasing)."""
@@ -362,40 +364,40 @@ def _lorentz_norm(dist, weight):
 def _marcinkiewicz_norm(dist, weight, tol):
     """sup_t phi(t)/t * integral_0^t x*, maximized per plateau segment.
 
-    On each segment the running integral is affine in t, so the objective
-    is smooth but not monotone; each segment gets a coarse scan plus a
-    bounded scalar search, and all breakpoints are evaluated exactly.
+    On plateau i, with value v on (t0, t1] and b = integral_0^t0 x* - v t0
+    >= 0, the objective is phi(t) (v + b/t).  For phi = log^-gamma(e/t) its
+    derivative has the sign of h(t) = gamma (v t + b) - b log(e/t), and
+    h' = gamma v + b/t > 0, so each segment peaks at an endpoint and the
+    breakpoint maximum is exact for every gamma >= 0.  Other weights can
+    peak inside a segment (phi = min(t/c, 1) does at c), so they also get
+    a 33-point scan of every segment and a golden-section search in the
+    bracket of its best scan point, vectorized over all segments.
     """
     rr = decreasing_rearrangement(dist)
     if float(rr.values[0]) == 0.0:
         return 0.0
-    best = 0.0
-    area = 0.0
-    for i, v in enumerate(rr.values):
-        t0, t1 = rr.breakpoints[i], rr.breakpoints[i + 1]
+    t0, t1, v = rr.breakpoints[:-1], rr.breakpoints[1:], rr.values
+    area = np.cumsum(v * (t1 - t0))
+    best = float(np.max(weight.apply(t1) * area / t1))
+    if weight.kind == "log_power":
+        return best
 
-        def objective(t, t0=t0, area=area, v=v):
-            return weight(t) * (area + v * (t - t0)) / t
+    def objective(t):
+        return weight.apply(t) * (area + v * (t - t1)) / t
 
-        best = max(best, objective(t1))
-        if t0 > 0.0:
-            best = max(best, objective(t0))
-        grid = np.linspace(t0, t1, 34)[1:]
-        gv = [objective(t) for t in grid]
-        k = int(np.argmax(gv))
-        best = max(best, gv[k])
-        lo = grid[k - 1] if k > 0 else max(t0, 1e-300)
-        hi = grid[k + 1] if k + 1 < len(grid) else t1
-        res = optimize.minimize_scalar(
-            lambda t: -objective(t),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": max(tol * t1, 1e-15)},
-        )
-        if res.success:
-            best = max(best, -float(res.fun))
-        area += v * (t1 - t0)
-    return best
+    scan = np.linspace(t0, t1, 34)  # row j is t0 + j (t1 - t0) / 33
+    gv = objective(scan[1:])
+    k = np.argmax(gv, axis=0)
+    best = max(best, float(gv.max()))
+    cols = np.arange(len(v))
+    lo, hi = scan[k, cols], scan[np.minimum(k + 2, 33), cols]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    steps = math.log(float(np.max((hi - lo) / np.maximum(tol * t1, 1e-15))), 1.0 / g)
+    for _ in range(max(math.ceil(steps), 0)):
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        left = objective(c) >= objective(d)  # the peak lies in [lo, d]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+    return max(best, float(np.max(objective(0.5 * (lo + hi)))))
 
 
 def fundamental_function(space: SpaceSpec, t: float, tol: float = DEFAULT_TOL) -> float:
@@ -442,7 +444,7 @@ def coincidence_check(
         ratio_min, ratio_max = float(ratio.min()), float(ratio.max())
 
         def integrand(t):
-            return fn(eps / weight(t))
+            return fn.apply(eps / weight.apply(t))
 
         total = 0.0
         prev_slab = None
@@ -452,7 +454,7 @@ def coincidence_check(
         hi = 1.0
         for k in range(500):
             lo = hi * 0.5
-            mid = integrand(math.sqrt(lo * hi))
+            mid = float(integrand(math.sqrt(lo * hi)))
             if not math.isfinite(mid):
                 if stalls > 0 or (prev_slab is not None and total > 1e6):
                     finite = False  # blow-up while the slabs were already growing
@@ -460,7 +462,7 @@ def coincidence_check(
                 raise NumericFailureError(
                     f"integrand is non-finite at an interior point near t={lo:g}"
                 )
-            slab, _ = integrate.quad(integrand, lo, hi, limit=100)
+            slab = _gauss_legendre(integrand, lo, hi)
             total += slab
             if prev_slab is not None:
                 if slab >= prev_slab * (1.0 - 1e-9):
@@ -495,6 +497,27 @@ def coincidence_check(
         report.add("integral_estimate", total + (tail if finite else 0.0), "info")
         report.add("integral_finite", 1.0 if finite else 0.0, "==", 1.0)
     return report
+
+
+def _gauss_legendre(f, lo, hi):
+    """integral of f over [lo, hi] by the 40-node Gauss-Legendre rule, halving
+    each piece until the 20-node rule agrees with it to _GL_RTOL of the slab."""
+    total, scale, pieces = 0.0, None, [(lo, hi, 0)]
+    while pieces:
+        a, b, depth = pieces.pop()
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        coarse, fine = (half * float(np.dot(w, f(mid + half * x))) for x, w in _GL_RULES)
+        scale = fine if scale is None else scale
+        if not math.isfinite(fine) or abs(fine - coarse) <= _GL_RTOL * scale:
+            total += fine
+        elif depth == _GL_DEPTH:
+            raise NumericFailureError(
+                f"Gauss-Legendre quadrature did not settle on the slab [{lo:g}, {hi:g}] "
+                f"after {_GL_DEPTH} halvings"
+            )
+        else:
+            pieces += [(mid, b, depth + 1), (a, mid, depth + 1)]
+    return total
 
 
 def fubini_orlicz_check(z, fn: OrliczFunction, tol: float = DEFAULT_TOL):

@@ -234,6 +234,10 @@ class TestRudAverage:
     def test_missing_coefficients(self):
         with pytest.raises(InvalidArgumentError):
             rud_average(TRIANGLE_2_3, {(2, 1): 1.0}, SpaceSpec.lp(2))
+        # a key outside A' would enter the deterministic norm but not the average
+        A = IndexSet.from_tuples([(2, 1), (3, 1)])
+        with pytest.raises(InvalidArgumentError):
+            rud_average(A, {(2, 1): 1.0, (3, 1): 2.0, (5, 4): 1.5}, SpaceSpec.lp(2))
 
 
 class TestSignConcentration:

@@ -1,9 +1,13 @@
 """Command-line surface: subcommands, exit codes, report files, manifests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chaoslab
 from chaoslab import (
     CertificateReport,
     RunManifest,
@@ -316,3 +320,14 @@ class TestManifest:
         path = tmp_path / "m.json"
         manifest.write(path)
         assert json.loads(path.read_text())["command_line"] == "chaoslab demo"
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(chaoslab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chaoslab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -171,6 +171,22 @@ class TestCoincidence:
         )
         assert report.quantity("ratio_spread") < 4.0
 
+    def test_spliced_exponential_closed_form(self):
+        # r < 1 splices a chord into M below u0, so M(eps/phi(t)) has a kink at
+        # t_k = e exp(-sqrt(u0/eps)): it is (e/t)^a - 1 with a = sqrt(eps)
+        # below t_k and slope * eps * log^2(e/t) above it
+        M, eps = OrliczFunction.exponential(0.5), 0.2
+        report = coincidence_check(M, ConcaveWeight.log_power(2), eps=eps)
+        a = math.sqrt(eps)
+        t_k = math.e * math.exp(-math.sqrt(M.u0 / eps))
+        L_k = math.log(math.e / t_k)
+        slope = math.expm1(M.u0**0.5) / M.u0
+        exact = (math.exp(a) * t_k ** (1 - a) / (1 - a) - t_k
+                 + slope * eps * (5 - t_k * (L_k**2 + 2 * L_k + 2)))
+        assert exact == pytest.approx(1.633732642138586, rel=1e-15)
+        assert report.verdict
+        assert report.quantity("integral_estimate") == pytest.approx(exact, rel=1e-12)
+
     def test_harmonic_divergence(self):
         report = coincidence_check(
             OrliczFunction.power(2),
@@ -309,7 +325,7 @@ class TestNormProperties:
         rng = np.random.default_rng(67)
         for _ in range(10):
             dist = random_distribution(rng, max_atoms=12)
-            weight = ConcaveWeight.log_power(float(rng.choice([0.3, 0.5, 1.0])))
+            weight = ConcaveWeight.log_power(float(rng.choice([0.25, 0.3, 0.5, 1.0, 2.0])))
             got = norm(dist, SpaceSpec.marcinkiewicz(weight))
             rr = decreasing_rearrangement(dist)
             ts = np.unique(np.concatenate([np.linspace(1e-9, 1, 5001), rr.breakpoints[1:]]))
@@ -321,6 +337,14 @@ class TestNormProperties:
             brute = float(np.max(weight.apply(ts) * integ / ts))
             assert got >= brute - 1e-9
             assert got == pytest.approx(brute, rel=1e-6)
+
+    def test_marcinkiewicz_interior_peak(self):
+        # phi = min(t/c, 1) peaks inside the plateau (0.1, 0.6], at t = c,
+        # where the norm is (1/c) integral_0^c x* = (0.3 + 0.2) / 0.3
+        weight = ConcaveWeight.from_callable(lambda t: min(t / 0.3, 1.0), "kink")
+        dist = StepDistribution([3.0, 1.0, 0.5], [0.1, 0.5, 0.4])
+        got = norm(dist, SpaceSpec.marcinkiewicz(weight))
+        assert got == pytest.approx(5.0 / 3.0, rel=1e-10)
 
     def test_explr_methods_agree_within_factor(self):
         rng = np.random.default_rng(61)
