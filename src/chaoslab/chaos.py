@@ -19,7 +19,6 @@ from . import kernel
 from .combdim import BlockChoice, gen_triangle
 from .distribution import StepDistribution
 from .errors import InvalidArgumentError, NumericFailureError, ResourceLimitError
-from .parallel import map_chunks
 from .report import CertificateReport, timed_report
 from .symspace import SpaceSpec, fundamental_function, norm
 from .walsh import (
@@ -35,7 +34,8 @@ from .walsh import (
 KHINTCHINE_MAX_COEFFS = 20
 RUD_EXACT_MAX = 20
 _PATTERN_CHUNK = 1 << 14
-_SWEEP_BITS_CAP = 28  # pattern bits + configuration bits of one sweep
+_SWEEP_BITS_CAP = 28  # pattern bits + configuration bits, see sign_concentration_check
+_SWEEP_CELL_BITS = 16  # log2 of the pattern x codeword cells per block of the coset sweep
 _SUP_BLOCK_ENTRIES = 1 << 21  # float32 entries per configuration block of the sup sweep
 CLT_PAIR_BUDGET = 10_000_000
 
@@ -164,6 +164,77 @@ def blei_bound_check(
 
 
 # ---------------------------------------------------------------------------
+# Sign patterns modulo configuration shifts
+# ---------------------------------------------------------------------------
+
+
+def _shift_code(term_masks, s, extra=()):
+    """Reduced basis {pivot bit: word} of the shift code H = {chi(c)}.
+
+    Bit t of chi(c) is set where monomial t (mask ``term_masks[t]`` over s
+    support bits) is -1 at configuration c, so shifting the configuration
+    by c multiplies sign pattern u by chi(c).  H is spanned by the s
+    coordinate rows (bit t set where term t contains coordinate j), and
+    the words ``extra`` join the span.  Every basis word is zero on the
+    other pivot bits, so the words zero on every pivot bit are one
+    representative per coset of H.
+    """
+    rows = [sum(((mask >> j) & 1) << t for t, mask in enumerate(term_masks)) for j in range(s)]
+    basis = {}
+    for w in [*rows, *extra]:
+        for p, b in basis.items():
+            if (w >> p) & 1:
+                w ^= b
+        if w:
+            p = w.bit_length() - 1
+            for q, b in basis.items():
+                if (b >> p) & 1:
+                    basis[q] = b ^ w
+            basis[p] = w
+    return basis
+
+
+def _span(gens, low_bits):
+    """(low, offsets): the XOR combinations of ``gens`` in counter order,
+    where bit i of the counter picks gens[i], are ``low ^ off`` for each
+    ``off`` in ``offsets``; ``low`` is the uint64 span of the first
+    ``low_bits`` generators."""
+    low = np.zeros(1, dtype=np.uint64)
+    for g in gens[:low_bits]:
+        low = np.concatenate([low, low ^ np.uint64(g)])
+    offsets = [0]
+    for g in gens[low_bits:]:
+        offsets += [o ^ g for o in offsets]
+    return low, offsets
+
+
+def _exceeding_patterns(basis, m, lam):
+    """Number of sign patterns u over m unit terms with sup_c |sum_t u_t chi_t(c)| > lam.
+
+    The sum at c is m - 2 wt(u xor chi(c)), so u exceeds iff its coset of
+    H holds a word of weight w with |m - 2w| > lam, which happens iff the
+    coset's least or greatest weight does.  Representatives and codewords
+    are both streamed, in blocks of 2^_SWEEP_CELL_BITS cells together.
+    """
+    exceeds = np.array([abs(m - 2 * w) > lam for w in range(m + 1)])  # by weight
+    free = [t for t in range(m) if t not in basis]
+    code_bits = min(len(basis), _SWEEP_CELL_BITS)
+    code_low, code_offsets = _span(list(basis.values()), code_bits)
+    reps_low, reps_offsets = _span([1 << t for t in free], _SWEEP_CELL_BITS - code_bits)
+    count = 0
+    for r_off in reps_offsets:
+        reps = (reps_low ^ np.uint64(r_off))[:, None]
+        least = np.full(reps.shape[0], m, dtype=np.uint8)
+        most = np.zeros(reps.shape[0], dtype=np.uint8)
+        for c_off in code_offsets:
+            w = np.bitwise_count(reps ^ (code_low ^ np.uint64(c_off)))
+            np.minimum(least, w.min(axis=1), out=least)
+            np.maximum(most, w.max(axis=1), out=most)
+        count += int(np.count_nonzero(exceeds[least] | exceeds[most]))
+    return count << len(basis)
+
+
+# ---------------------------------------------------------------------------
 # Random sign averages (RUD functional)
 # ---------------------------------------------------------------------------
 
@@ -190,9 +261,19 @@ def rud_average(
 ) -> RudAverage:
     """Average over sign patterns u of || sum_j u_j a_j r_j ||_X.
 
-    Exact mode (samples=None) enumerates all 2^|A'| patterns; Monte Carlo
-    mode draws seeded patterns and reports a standard error.  The ratio
-    deterministic / average is the empirical divergence constant.
+    Exact mode (samples=None) averages over all 2^|A'| patterns; Monte
+    Carlo mode draws seeded patterns and reports a standard error.  The
+    ratio deterministic / average is the empirical divergence constant.
+
+    Exact mode runs one law per coset of the shift code H (see
+    ``_shift_code``), 2^(|keep| - rank) laws for the |keep| nonzero
+    coefficients.  Shifting the configuration by c turns pattern u into
+    u chi(c); in the transform this only negates and permutes butterfly
+    inputs, which IEEE arithmetic does exactly, so every pattern of a
+    coset has a bit-identical law and norm.  The norms are summed in
+    pattern order, as a per-pattern loop would.  The global flip u -> -u
+    is not folded in: it reorders the atoms, and the norm sums them in
+    another order, so the flipped norm may differ in the last bits.
     """
     if space is None:
         raise InvalidArgumentError("a SpaceSpec is required")
@@ -219,36 +300,52 @@ def rud_average(
     support = sorted({j for i in keep for j in elements[i]})
     term_masks, k = kernel.masks([elements[i] for i in keep], support), len(support)
 
-    if samples is None:
-        if m > RUD_EXACT_MAX:
-            raise ResourceLimitError(
-                f"exact sign average over 2^{m} patterns exceeds the cap "
-                f"2^{RUD_EXACT_MAX}; pass samples= for Monte Carlo",
-                required=m,
-                budget=RUD_EXACT_MAX,
-            )
-        unit_masks = [1 << t for t in range(m)]
-        blocks = (
-            kernel.sign_matrix(unit_masks, start, min(start + _PATTERN_CHUNK, 1 << m))
-            for start in range(0, 1 << m, _PATTERN_CHUNK)
-        )
-    else:
-        samples = int(samples)
-        if samples < 1:
-            raise InvalidArgumentError("sample count must be >= 1")
-        blocks = [kernel.random_signs(seed, 0, samples, m)]
-
     def pattern_norm(c):
         values, counts = kernel.law(term_masks, c, k)
         return norm(StepDistribution(values, counts / (1 << k)), space, tol)
 
-    vals = np.fromiter((pattern_norm(c) for U in blocks for c in U[:, keep] * base[keep]), float)
-    if samples is None:
-        avg = float(np.cumsum(vals)[-1]) / vals.size  # running sum in pattern order
-        return RudAverage(avg, det, det / avg, None, "exact")
-    avg = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-    return RudAverage(avg, det, det / avg, se, "mc")
+    if samples is not None:
+        samples = int(samples)
+        if samples < 1:
+            raise InvalidArgumentError("sample count must be >= 1")
+        U = kernel.random_signs(seed, 0, samples, m)
+        vals = np.fromiter((pattern_norm(c) for c in U[:, keep] * base[keep]), float)
+        avg = float(vals.mean())
+        se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
+        return RudAverage(avg, det, det / avg, se, "mc")
+
+    if m > RUD_EXACT_MAX:
+        raise ResourceLimitError(
+            f"exact sign average over 2^{m} patterns exceeds the cap "
+            f"2^{RUD_EXACT_MAX}; pass samples= for Monte Carlo",
+            required=m,
+            budget=RUD_EXACT_MAX,
+        )
+    # one law per coset of the shift code; a zero-coefficient term's sign
+    # changes no law, so its unit word joins the code
+    pattern_masks = dict(zip(keep.tolist(), term_masks))
+    dropped = [1 << t for t in range(m) if t not in pattern_masks]
+    basis = _shift_code([pattern_masks.get(t, 0) for t in range(m)], k, dropped)
+    free = [t for t in range(m) if t not in basis]
+    reps = _span([1 << t for t in free], len(free))[0].tolist()
+    coset_norms = np.array(
+        [pattern_norm(np.where((rep >> keep) & 1, -base[keep], base[keep])) for rep in reps]
+    )
+    # pattern p reduces to its representative p xor (the basis words of its
+    # pivot bits), a linear map: bit t of p flips bits index[t] of the
+    # representative's rank, its free bits read as a counter
+    index = []
+    for t in range(m):
+        word = (1 << t) ^ basis.get(t, 0)
+        index.append(sum(((word >> f) & 1) << i for i, f in enumerate(free)))
+    low, offsets = _span(index, _PATTERN_CHUNK.bit_length() - 1)
+    total = 0.0
+    for off in offsets:  # running sum in pattern order, one block of patterns at a time
+        vals = coset_norms[low ^ np.uint64(off)]
+        vals[0] += total
+        total = float(np.cumsum(vals)[-1])
+    avg = total / (1 << m)
+    return RudAverage(avg, det, det / avg, None, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +361,14 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None
     in sup-norm (delta the realized density exponent), and checks both
     q <= 2 (e/2)^(-dn) and the pointwise tail bound 2 exp(-lambda^2 / 2|A∩B|)
     at every configuration.  ``threshold`` overrides the default lambda.
+
+    Shifting the configuration by c multiplies pattern u by the word chi(c)
+    of the shift code H (see ``_shift_code``), so the sup over
+    configurations is a max over the coset u H: q counts the cosets that
+    hold a word of weight w with |m - 2w| > lambda, one representative
+    each, times |H|.  The sweep visits 2^m pattern x codeword cells.  At
+    any fixed configuration u -> u chi(c) is a bijection, so the pointwise
+    tail is the binomial tail P(|sum of m signs| > lambda) everywhere.
     """
     if not isinstance(B, BlockChoice):
         B = BlockChoice(B)
@@ -281,10 +386,13 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None
     elements = list(AB.tuples())
     support = sorted({j for t in elements for j in t})
     s = len(support)
+    # the coset sweep needs only m <= 24; the support terms keep the refusal
+    # of the former pattern x configuration sweep, which bench/reference.json pins
     if m > 24 or s > 24 or m + s > _SWEEP_BITS_CAP:
         raise ResourceLimitError(
-            f"double enumeration needs {m} pattern bits + {s} configuration bits; "
-            f"cap is 24 each and {_SWEEP_BITS_CAP} combined — use smaller blocks",
+            f"the coset sweep over {m} pattern bits is capped at 24 pattern bits, "
+            f"24 configuration bits ({s} here) and {_SWEEP_BITS_CAP} combined "
+            f"({m + s} here) — use smaller blocks",
             required=m + s,
             budget=_SWEEP_BITS_CAP,
         )
@@ -295,38 +403,18 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None
         "sign-concentration",
         {"d": d, "n": n, "intersection": m, "support_bits": s, "threshold": lam},
     ) as report:
-        n_cfg = 1 << s
-        S = kernel.sign_matrix(kernel.masks(elements, support), 0, n_cfg)  # (2^s, m)
-        # keep each chunk's pattern x configuration block around 64 MB
-        chunk = max(1, min(_PATTERN_CHUNK, (1 << 24) // n_cfg))
-        starts = list(range(0, 1 << m, chunk))
-
-        def sweep(start):
-            stop = min(start + chunk, 1 << m)
-            # pattern p puts sign -1 on term t when bit t of p is set
-            U = kernel.sign_matrix([1 << t for t in range(m)], start, stop)
-            G = U @ S.T
-            exceed = np.abs(G, out=G) > lam
-            return int(np.count_nonzero(exceed.any(axis=1))), exceed.sum(axis=0, dtype=np.int64)
-
-        sup_count = 0
-        col_counts = np.zeros(n_cfg, dtype=np.int64)
-        for cnt, cols in map_chunks(sweep, starts):
-            sup_count += cnt
-            col_counts += cols
-
+        basis = _shift_code(kernel.masks(elements, support), s)
         patterns = float(1 << m)
-        q = sup_count / patterns
+        q = _exceeding_patterns(basis, m, lam) / patterns
+        tail = sum(math.comb(m, w) for w in range(m + 1) if abs(m - 2 * w) > lam) / patterns
         point_bound = 2.0 * math.exp(-(lam**2) / (2.0 * m))
         # union over the at most 2^{dn} sign vectors of the monomial family;
         # at the default threshold this is exactly 2 (e/2)^{-dn}
         q_bound = 2.0 ** (d * n) * point_bound
         report.add("delta", delta, "info")
         report.add("sup_exceedance_fraction", q, "<=", q_bound)
-        report.add(
-            "pointwise_tail_max", float(col_counts.max()) / patterns, "<=", point_bound
-        )
-        report.add("pointwise_tail_min", float(col_counts.min()) / patterns, "info")
+        report.add("pointwise_tail_max", tail, "<=", point_bound)
+        report.add("pointwise_tail_min", tail, "info")
     return report
 
 

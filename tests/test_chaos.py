@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     BlockChoice,
@@ -61,6 +63,30 @@ def rud_reference(A, coeffs, space, samples=None, seed=0):
     draws = 1.0 - 2.0 * rng.integers(0, 2, size=(samples, m)).astype(float)
     vals = np.array([pattern_norm(signs) for signs in draws])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+def concentration_reference(elements, lam):
+    """(q, pointwise tail max, pointwise tail min) of the double enumeration:
+    every sign pattern against every configuration in a float32 matmul."""
+    m = len(elements)
+    support = sorted({j for t in elements for j in t})
+    S = kernel.sign_matrix(kernel.masks(elements, support), 0, 1 << len(support))
+    sup_count, cols = 0, np.zeros(S.shape[0], dtype=np.int64)
+    for start in range(0, 1 << m, 1 << 12):
+        U = kernel.sign_matrix([1 << t for t in range(m)], start, min(start + (1 << 12), 1 << m))
+        exceed = np.abs(U @ S.T) > lam
+        sup_count += int(np.count_nonzero(exceed.any(axis=1)))
+        cols += exceed.sum(axis=0)
+    patterns = float(1 << m)
+    return sup_count / patterns, float(cols.max()) / patterns, float(cols.min()) / patterns
+
+
+def shift_code(elements):
+    """Reduced basis of the shift code of ``elements`` and its 2^r codewords."""
+    support = sorted({j for t in elements for j in t})
+    basis = chaos_module._shift_code(kernel.masks(elements, support), len(support))
+    words = chaos_module._span(list(basis.values()), len(basis))[0]
+    return basis, words
 
 
 RUD_SPACES = {
@@ -226,6 +252,25 @@ class TestRudAverage:
         monkeypatch.setattr(chaos_module, "_PATTERN_CHUNK", 4)
         assert rud_average(A, coeffs, RUD_SPACES["lp4"]) == whole
 
+    def test_one_law_per_coset(self, monkeypatch):
+        calls = []
+        law = kernel.law
+
+        def counting_law(*args):
+            calls.append(args)
+            return law(*args)
+
+        monkeypatch.setattr(kernel, "law", counting_law)
+        # unit triangle(2, 6): m = 15 terms, shift code of rank 5 (K6 is connected)
+        rud_average(gen_triangle(2, 6), None, SpaceSpec.lp(2))
+        assert len(calls) == 2**10 + 1  # one per coset, one for the deterministic norm
+        # zero-coefficient terms join the code: |keep| = 3 edges of a path, rank 3
+        calls.clear()
+        A = IndexSet.from_tuples([(2, 1), (3, 2), (4, 3), (4, 1), (6, 5)])
+        coeffs = {(2, 1): 1.0, (3, 2): 2.0, (4, 3): -1.0, (4, 1): 0.0, (6, 5): 0.0}
+        rud_average(A, coeffs, SpaceSpec.lp(2))
+        assert len(calls) == 2 ** (3 - 3) + 1
+
     def test_exact_cap(self):
         A = gen_triangle(2, 8)  # 28 elements
         with pytest.raises(ResourceLimitError):
@@ -280,6 +325,68 @@ class TestSignConcentration:
         with pytest.raises(ResourceLimitError):
             sign_concentration_check(gen_triangle(2, 10), BlockChoice.identity(2, 10))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_double_enumeration(self, d):
+        # triangle(2, 7) has rank 6 < s = 7; every order-3 code holds the all-ones word
+        rng = np.random.default_rng(d)
+        elements = list(gen_triangle(d, 7).tuples())
+        B = BlockChoice.identity(d, 7)
+        for m in (4, 9, 13, 16):
+            chosen = [elements[i] for i in sorted(rng.choice(len(elements), size=m, replace=False))]
+            A = IndexSet.from_tuples(chosen)
+            lam = float(rng.uniform(0, m))
+            report = sign_concentration_check(A, B, threshold=lam)
+            got = tuple(
+                report.quantity(q)
+                for q in ("sup_exceedance_fraction", "pointwise_tail_max", "pointwise_tail_min")
+            )
+            assert got == concentration_reference(list(A.block_elements(B).tuples()), lam)
+
+    @pytest.mark.parametrize("lam", [4.0, 10.0, None])
+    def test_all_ones_in_code(self, lam):
+        A, B = gen_triangle(3, 6), BlockChoice.identity(3, 6)
+        elements = list(A.block_elements(B).tuples())
+        basis, words = shift_code(elements)
+        assert (1 << len(elements)) - 1 in words.tolist()
+        report = sign_concentration_check(A, B, threshold=lam)
+        lam = report.inputs["threshold"]
+        assert (
+            report.quantity("sup_exceedance_fraction"),
+            report.quantity("pointwise_tail_max"),
+            report.quantity("pointwise_tail_min"),
+        ) == concentration_reference(elements, lam)
+
+    def test_threshold_compared_exactly(self):
+        # every sum of 3 unit terms has |value| >= 1 > lambda
+        A, B = gen_triangle(2, 3), BlockChoice.identity(2, 3)
+        report = sign_concentration_check(A, B, threshold=1.0 - 1e-9)
+        assert report.quantity("pointwise_tail_max") == 1.0
+        assert report.quantity("sup_exceedance_fraction") == 1.0
+
+    @pytest.mark.parametrize(
+        "elements, lam",
+        [
+            ([(2 * i, 2 * i - 1) for i in range(1, 14)], 7.0),  # m = 13, s = 26
+            ([(j,) for j in range(1, 23)], 15.5),  # triangle(1, 22): m = s = 22
+        ],
+        ids=["disjoint-pairs", "triangle-1-22"],
+    )
+    def test_full_rank_sweep(self, elements, lam):
+        # H is all of F_2^m: every coset holds the zero word, of sum m > lambda.
+        # sign_concentration_check still refuses these by its support terms
+        m = len(elements)
+        support = sorted({j for t in elements for j in t})
+        basis = chaos_module._shift_code(kernel.masks(elements, support), len(support))
+        assert len(basis) == m
+        tracemalloc.start()
+        try:
+            count = chaos_module._exceeding_patterns(basis, m, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2**m
+        assert peak < 16 * 2**20
+
     def test_worker_count_invariance(self, monkeypatch):
         A, B = gen_triangle(2, 5), BlockChoice.identity(2, 5)
         monkeypatch.setenv("CHAOSLAB_THREADS", "1")
@@ -293,6 +400,47 @@ class TestSignConcentration:
     def test_order_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             sign_concentration_check(gen_triangle(2, 4), BlockChoice.identity(3, 4))
+
+
+@st.composite
+def shifted_pattern(draw):
+    """Seeded terms of triangle(3, 6), coefficients, a pattern and a codeword."""
+    elements = list(gen_triangle(3, 6).tuples())
+    idx = draw(st.lists(st.integers(0, len(elements) - 1), min_size=1, max_size=10, unique=True))
+    chosen = [elements[i] for i in sorted(idx)]
+    coeff = st.integers(-5, 5).filter(bool).map(float) if draw(st.booleans()) else (
+        st.floats(-4, 4, allow_nan=False).filter(bool)
+    )
+    a = np.array(draw(st.lists(coeff, min_size=len(chosen), max_size=len(chosen))))
+    pattern = draw(st.integers(0, (1 << len(chosen)) - 1))
+    word = draw(st.integers(0, (1 << len(chosen)) - 1))
+    return chosen, a, pattern, word
+
+
+class TestShiftCode:
+    @settings(max_examples=60, deadline=None)
+    @given(shifted_pattern())
+    def test_law_constant_on_cosets(self, case):
+        elements, a, pattern, word = case
+        support = sorted({j for t in elements for j in t})
+        masks, k = kernel.masks(elements, support), len(support)
+        _, code = shift_code(elements)
+        h = int(code[word % code.size])
+        bits = (pattern >> np.arange(len(elements))) & 1
+        shifted = (pattern ^ h) >> np.arange(len(elements)) & 1
+        base = kernel.law(masks, np.where(bits, -a, a), k)
+        other = kernel.law(masks, np.where(shifted, -a, a), k)
+        assert np.array_equal(base[0], other[0]) and np.array_equal(base[1], other[1])
+
+    def test_codewords_are_configuration_signs(self):
+        elements = list(gen_triangle(2, 5).tuples())
+        basis, words = shift_code(elements)
+        assert len(basis) == 4  # a connected graph on 5 vertices
+        S = kernel.sign_matrix(kernel.masks(elements, range(1, 6)), 0, 1 << 5)
+        chi = {sum(1 << t for t in np.flatnonzero(row < 0)) for row in S}
+        assert chi == set(words.tolist())
+        for p, b in basis.items():
+            assert (b >> p) & 1 and all(not (b >> q) & 1 for q in basis if q != p)
 
 
 class TestAveragedSupGrowth:

@@ -162,6 +162,8 @@ class TestOtherCommands:
 
     def test_concentration(self):
         assert run(["concentration", "--order", "2", "--n", "4"]) == 0
+        # triangle(3, 7) has m = 35 pattern bits, over the sweep cap
+        assert run(["concentration", "--order", "3", "--n", "7"]) == 3
 
     def test_coincidence(self):
         assert run(["coincidence", "--orlicz", "exp:2:0", "--weight", "log:0.5",
