@@ -19,18 +19,24 @@ Every exact law goes through :func:`law`, the one place that picks a route:
 * Other coefficients get one float64 transform of all 2^k configurations
   whose stage order (lowest bit first) and butterflies (a + b, a - b) are
   fixed, so equal inputs give bit-identical atoms.
-* Monte Carlo draws the Philox stream ``rng.integers(0, 2, size=(m, k))``
-  in counter blocks of ``MC_CHUNK`` rows, packs each row into uint64
-  words and adds the terms by parity: exactly in int64 for integer
-  coefficients, in float64 and in term order otherwise.
+* Monte Carlo reads the Philox stream ``rng.integers(0, 2, size=(m, k))``
+  in counter blocks of ``MC_CHUNK`` rows straight from the raw words: each
+  sign is bit 31 of one 32-bit half of a raw 64-bit word, low half first,
+  which is the bit ``integers(0, 2)`` returns.  The signs are stored as
+  contiguous columns, a term's parity is the XOR of its columns, and the
+  terms add exactly in int64 for integer coefficients, in float64 and in
+  term order otherwise.
 * Sign patterns over m terms share the convention: :func:`sign_matrix` of
   the masks 1 << t lists them in order, :func:`random_signs` draws them.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
+from .errors import InvalidArgumentError
 from .parallel import map_chunks
 
 SLICE_BITS = 16  # low configuration bits transformed per slice
@@ -39,7 +45,6 @@ _INT_MAX = 2**31 - 1  # largest sum |c| whose transform fits int32
 _DENSE_RANGE = 1 << 17  # widest value range histogrammed by bincount
 _TRANSPOSE_BITS = 10  # transforms of at least 2^10 entries run on a transposed copy
 _BLOCK_BITS = 16  # longer transforms run their low stages block by block
-_WORD = (1 << 64) - 1
 
 
 def masks(keys, support):
@@ -159,65 +164,92 @@ def int_law(term_masks, coeffs, k):
     return _merge(map_chunks(run_slice, range(1 << (k - SLICE_BITS))))
 
 
+def _philox_bits(seed, counter, rows, k):
+    """(k, rows) uint8 matrix of the seeded bits
+    ``Generator(Philox(key=seed, counter=counter)).integers(0, 2, size=(rows, k)).T``.
+
+    That draw returns bit 31 of one 32-bit Philox output per entry, and
+    Philox hands out its 32-bit outputs as the low, then the high half of
+    each raw 64-bit word.  So entry i of the row-major draw is bit 31 of
+    half i of ``random_raw(ceil(rows * k / 2))``, low half first; the halves
+    are read through little-endian views, whatever the byte order.
+    """
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        key = None
+    if key is None or not 0 <= key < 1 << 128:  # the Philox key range
+        raise InvalidArgumentError(f"seed {seed!r} must be an integer in [0, 2**128)")
+    n = rows * k
+    raw = np.random.Philox(key=key, counter=counter).random_raw((n + 1) // 2)
+    top = (raw.astype("<u8", copy=False).view("<u4")[:n] >= np.uint32(1 << 31)).view(np.uint8)
+    del raw  # free the raw words before the transposed copy
+    return np.ascontiguousarray(top.reshape(rows, k).T)
+
+
+def _xor_columns(bits, cols):
+    """Parity (uint8) of the rows ``cols`` of ``bits``: 0 for no rows."""
+    if not cols:
+        return np.zeros(bits.shape[1], dtype=np.uint8)
+    if len(cols) == 1:
+        return bits[cols[0]]
+    out = bits[cols[0]] ^ bits[cols[1]]
+    for col in cols[2:]:
+        out ^= bits[col]
+    return out
+
+
 def random_signs(seed, counter, rows, m):
-    """float32 (rows, m) matrix of seeded +-1 signs: -1 where the Philox
-    stream with key ``seed`` at ``counter`` draws 1 from ``integers(0, 2)``."""
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=counter))
-    return 1.0 - 2.0 * rng.integers(0, 2, size=(rows, m)).astype(np.float32)
+    """float32 (rows, m) matrix of seeded +-1 signs: 1 - 2 * bit for the bits
+    of :func:`_philox_bits`, so -1 where the Philox stream with key ``seed``
+    at ``counter`` draws 1 from ``integers(0, 2, size=(rows, m))``."""
+    signs = np.empty((rows, m), dtype=np.float32)
+    np.multiply(_philox_bits(seed, counter, rows, m).T, -2.0, out=signs)
+    signs += 1.0
+    return signs
 
 
 def sample_law(term_masks, coeffs, k, samples, seed):
     """Seeded Monte Carlo (values, counts) of ``samples`` configurations.
 
-    Integer coefficients are grouped by value: each group counts its odd
-    terms in a narrow unsigned array and adds c * (size - 2 * odd) in
-    int64, which is exact.  Other coefficients add +c or -c per term in
-    term order, the float64 arithmetic of the column products.
+    Chunk j holds rows j * MC_CHUNK.. of the sample and reads its signs
+    with :func:`_philox_bits` at counter j << 64, so the law depends on
+    neither the worker count nor the chunk schedule.  A term is -1 where
+    the XOR of its sign columns is 1.  Integer coefficients are grouped by
+    value: each group counts its odd terms in a narrow unsigned array and
+    adds c * (size - 2 * odd) in int64, which is exact.  Other coefficients
+    add +c or -c per term in term order, the float64 arithmetic of the
+    column products.
     """
-    n_words = (k + 63) // 64
-    split = [[np.uint64((m >> 64 * w) & _WORD) for w in range(n_words)] for m in term_masks]
+    term_cols = [[b for b in range(k) if mask >> b & 1] for mask in term_masks]
     dtype, bound = int_dtype(coeffs)
     exact = dtype is not None
     if exact:
         groups = {}
-        for mask, c in zip(split, coeffs):
-            groups.setdefault(int(c), []).append(mask)
-    else:
-        # indexed by the xor-folded popcount: +c when even, -c when odd
-        tables = [np.where(np.arange(128) & 1, -c, c) for c in coeffs]
+        for columns, c in zip(term_cols, coeffs):
+            groups.setdefault(int(c), []).append(columns)
 
     def run_chunk(start):
         m = min(MC_CHUNK, samples - start)
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=(start // MC_CHUNK) << 64))
-        bits = rng.integers(0, 2, size=(m, k))
-        packed = np.zeros((m, 8 * n_words), dtype=np.uint8)
-        packed[:, : (k + 7) // 8] = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-        words = packed.view("<u8")
+        bits = _philox_bits(seed, (start // MC_CHUNK) << 64, m, k)
         if not exact:
-            acc = np.zeros(m)
-            for mask, table in zip(split, tables):
-                acc += table.take(_popcount(words, mask))
+            acc, term = np.zeros(m), np.empty(m)
+            for columns, c in zip(term_cols, coeffs):
+                np.multiply(_xor_columns(bits, columns), -2.0, out=term)
+                term += 1.0
+                term *= c  # +c or -c exactly
+                acc += term
             return np.unique(acc, return_counts=True)
         acc = np.zeros(m, dtype=np.int64)
         for c, group in groups.items():
             odd = np.zeros(m, dtype=np.min_scalar_type(len(group)))
-            for mask in group:
-                odd += _popcount(words, mask) & 1
+            for columns in group:
+                odd += _xor_columns(bits, columns)
             acc += c * len(group)
             acc -= np.multiply(odd, 2 * c, dtype=np.int64)
         return _histogram(acc, bound)
 
     return _merge(map_chunks(run_chunk, range(0, samples, MC_CHUNK)))
-
-
-def _popcount(words, mask):
-    """Popcounts of ``words & mask`` xor-folded over the words (parity in bit 0)."""
-    counts = [np.bitwise_count(words[:, w] & mw) for w, mw in enumerate(mask) if mw]
-    if not counts:
-        return np.zeros(words.shape[0], dtype=np.uint8)
-    for pc in counts[1:]:
-        counts[0] ^= pc
-    return counts[0]
 
 
 def _histogram(vals, bound):

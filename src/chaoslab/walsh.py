@@ -464,7 +464,8 @@ def distribution_mc(f, samples, seed=0):
 
     Sampling uses the counter-based Philox generator, one fixed-size chunk
     per counter block, so the result depends only on (samples, seed) and
-    not on the worker count.
+    not on the worker count.  ``seed`` is the Philox key, an integer in
+    [0, 2^128).
     """
     samples = int(samples)
     if samples < 1:

@@ -108,6 +108,15 @@ class TestOtherCommands:
         assert run(argv) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_rud_seed_out_of_range(self, sum_file, capsys, seed):
+        argv = ["rud", "--set", str(sum_file), "--space", "lp:4",
+                "--mc-samples", "10", "--seed", seed]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"seed {seed} must be an integer in [0, 2**128)" in err
+
     def test_dimension(self, tmp_path, capsys):
         path = tmp_path / "s.idx"
         run(["gen-set", "--kind", "sum", "--max", "60", "--out", str(path)])

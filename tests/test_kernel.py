@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
+    InvalidArgumentError,
     ResourceLimitError,
     SignFunction,
     chaos_sum,
@@ -152,6 +153,32 @@ class TestRouteAgreement:
         got = kernel.random_signs(seed, counter, 30, 11)
         assert got.dtype == np.float32 and np.array_equal(got, expect)
 
+    @pytest.mark.parametrize("counter", [0, 5 << 64, 2 << 96])
+    @pytest.mark.parametrize(
+        "rows, k", [(1, 1), (3, 5), (1001, 7), (65536, 30), (13, 64), (5, 65), (7, 80)]
+    )
+    def test_bit_reader_reads_the_integers_stream(self, rows, k, counter):
+        rng = np.random.Generator(np.random.Philox(key=11, counter=counter))
+        expect = rng.integers(0, 2, size=(rows, k)).T
+        got = kernel._philox_bits(11, counter, rows, k)
+        assert got.dtype == np.uint8 and got.shape == (k, rows) and got.flags.c_contiguous
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**130, 1.0, "3", None])
+    def test_seed_outside_the_philox_key_range(self, seed):
+        f = SignFunction({(2, 1): 1.0, (3,): 0.5})
+        for call in (lambda: distribution_mc(f, 100, seed=seed),
+                     lambda: kernel.random_signs(seed, 0, 4, 3)):
+            with pytest.raises(InvalidArgumentError) as err:
+                call()
+            assert f"seed {seed!r}" in str(err.value) and "[0, 2**128)" in str(err.value)
+
+    @pytest.mark.parametrize("seed", [2**128 - 1, np.int64(5)])
+    def test_integer_seeds_in_range_are_keys(self, seed):
+        rng = np.random.Generator(np.random.Philox(key=int(seed)))
+        expect = 1.0 - 2.0 * rng.integers(0, 2, size=(9, 4))
+        assert np.array_equal(kernel.random_signs(seed, 0, 9, 4), expect)
+
     def test_config_matrix_matches_popcount(self):
         elements = list(gen_triangle(2, 7).tuples())
         support = list(range(1, 8))
@@ -191,6 +218,24 @@ class TestMonteCarlo:
         assert len(f.support) == 80
         law = distribution_mc(f, 3000, seed=2)
         values, weights = mc_reference(f, 3000, seed=2)
+        assert law.values.tolist() == values
+        assert law.weights.tolist() == weights
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.one_of(functions(int_coeff), functions(dyadic_coeff)),
+        st.sampled_from([None, 3.0, -0.375]),
+    )
+    def test_odd_bit_count_in_last_chunk(self, f, constant):
+        terms = {key: c for key, c in f.terms.items() if key}
+        if constant is not None:
+            terms[()] = constant
+        if len(SignFunction(terms).support) % 2 == 0:
+            terms[(10,)] = 1.0  # a fresh coordinate makes the support odd
+        g = SignFunction(terms)
+        samples = kernel.MC_CHUNK + 1001  # last chunk reads 1001 * k bits, k odd
+        law = distribution_mc(g, samples, seed=6)
+        values, weights = mc_reference(g, samples, seed=6)
         assert law.values.tolist() == values
         assert law.weights.tolist() == weights
 
@@ -250,6 +295,18 @@ class TestMemoryAndCaps:
             tracemalloc.stop()
         assert abs(law.weights.sum() - 1.0) < 1e-12
         assert peak < 8 * 2**20
+
+    def test_sum_set_n30_sample_law_memory(self, monkeypatch):
+        monkeypatch.setenv("CHAOSLAB_THREADS", "1")
+        f = chaos_sum(unit_coefficients(gen_sum_set(30)))
+        tracemalloc.start()
+        try:
+            law = distribution_mc(f, 200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(law.weights.sum() - 1.0) < 1e-12
+        assert peak < 15 * 2**20
 
     def test_exact_law_keeps_hard_cap(self):
         f = chaos_sum(unit_coefficients(gen_sum_set(27)))
