@@ -36,7 +36,6 @@ RUD_EXACT_MAX = 20
 _PATTERN_CHUNK = 1 << 14
 _SWEEP_BITS_CAP = 28  # pattern bits + configuration bits, see sign_concentration_check
 _SWEEP_CELL_BITS = 16  # log2 of the pattern x codeword cells per block of the coset sweep
-_SUP_BLOCK_ENTRIES = 1 << 21  # float32 entries per configuration block of the sup sweep
 CLT_PAIR_BUDGET = 10_000_000
 
 
@@ -194,18 +193,44 @@ def _shift_code(term_masks, s, extra=()):
     return basis
 
 
-def _span(gens, low_bits):
-    """(low, offsets): the XOR combinations of ``gens`` in counter order,
-    where bit i of the counter picks gens[i], are ``low ^ off`` for each
-    ``off`` in ``offsets``; ``low`` is the uint64 span of the first
-    ``low_bits`` generators."""
-    low = np.zeros(1, dtype=np.uint64)
-    for g in gens[:low_bits]:
-        low = np.concatenate([low, low ^ np.uint64(g)])
-    offsets = [0]
-    for g in gens[low_bits:]:
-        offsets += [o ^ g for o in offsets]
-    return low, offsets
+def _span(gens):
+    """The 2^g XOR combinations of the g rows of the uint64 array ``gens``
+    in counter order: bit i of the index picks gens[i].  A row is one word
+    or a row of words, the bits 64j..64j + 63 of a wider word in word j."""
+    span = np.zeros((1, *gens.shape[1:]), dtype=np.uint64)
+    for g in gens:
+        span = np.concatenate([span, span ^ g])
+    return span
+
+
+def _weight_range(patterns, basis):
+    """(least, most) weight of u xor h over the codewords h of the shift code
+    with basis ``basis``, for each row u of the (N, width) uint64 words
+    ``patterns`` (bits as in :func:`_span`).  Patterns and codewords are
+    streamed in blocks of 2^_SWEEP_CELL_BITS pattern x codeword cells, and
+    a block holds fewer than 2^(_SWEEP_CELL_BITS + 1) codeword words."""
+    width = patterns.shape[1]
+    gens = b"".join(w.to_bytes(8 * width, "little") for w in basis.values())
+    gens = np.frombuffer(gens, dtype="<u8").astype(np.uint64).reshape(-1, width)
+    dtype = np.min_scalar_type(64 * width)
+    code_bits = min(len(gens), max(0, _SWEEP_CELL_BITS - (width - 1).bit_length()))
+    low = _span(gens[:code_bits]).T.copy()  # word-major: row j holds word j of each codeword
+    offsets = _span(gens[code_bits:])
+    rows = 1 << (_SWEEP_CELL_BITS - code_bits)
+    words = np.ascontiguousarray(patterns.T)
+    least = np.full(patterns.shape[0], 64 * width, dtype=dtype)
+    most = np.zeros(patterns.shape[0], dtype=dtype)
+    for start in range(0, patterns.shape[0], rows):
+        block = words[:, start : start + rows, None]
+        lo, hi = least[start : start + rows], most[start : start + rows]
+        for off in offsets:
+            code = low ^ off[:, None]
+            w = np.bitwise_count(block[0] ^ code[0])
+            for j in range(1, width):
+                w = np.add(w, np.bitwise_count(block[j] ^ code[j]), dtype=dtype)
+            np.minimum(lo, w.min(axis=1), out=lo)
+            np.maximum(hi, w.max(axis=1), out=hi)
+    return least, most
 
 
 def _exceeding_patterns(basis, m, lam):
@@ -213,25 +238,14 @@ def _exceeding_patterns(basis, m, lam):
 
     The sum at c is m - 2 wt(u xor chi(c)), so u exceeds iff its coset of
     H holds a word of weight w with |m - 2w| > lam, which happens iff the
-    coset's least or greatest weight does.  Representatives and codewords
-    are both streamed, in blocks of 2^_SWEEP_CELL_BITS cells together.
+    coset's least or greatest weight does: :func:`_weight_range` of one
+    representative per coset.
     """
     exceeds = np.array([abs(m - 2 * w) > lam for w in range(m + 1)])  # by weight
     free = [t for t in range(m) if t not in basis]
-    code_bits = min(len(basis), _SWEEP_CELL_BITS)
-    code_low, code_offsets = _span(list(basis.values()), code_bits)
-    reps_low, reps_offsets = _span([1 << t for t in free], _SWEEP_CELL_BITS - code_bits)
-    count = 0
-    for r_off in reps_offsets:
-        reps = (reps_low ^ np.uint64(r_off))[:, None]
-        least = np.full(reps.shape[0], m, dtype=np.uint8)
-        most = np.zeros(reps.shape[0], dtype=np.uint8)
-        for c_off in code_offsets:
-            w = np.bitwise_count(reps ^ (code_low ^ np.uint64(c_off)))
-            np.minimum(least, w.min(axis=1), out=least)
-            np.maximum(most, w.max(axis=1), out=most)
-        count += int(np.count_nonzero(exceeds[least] | exceeds[most]))
-    return count << len(basis)
+    reps = _span(np.array([1 << t for t in free], dtype=np.uint64))
+    least, most = _weight_range(reps[:, None], basis)
+    return int(np.count_nonzero(exceeds[least] | exceeds[most])) << len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +322,8 @@ def rud_average(
         samples = int(samples)
         if samples < 1:
             raise InvalidArgumentError("sample count must be >= 1")
-        U = kernel.random_signs(seed, 0, samples, m)
-        vals = np.fromiter((pattern_norm(c) for c in U[:, keep] * base[keep]), float)
+        signed = np.where(kernel.random_bits(seed, 0, samples, m)[keep].T, -base[keep], base[keep])
+        vals = np.fromiter(map(pattern_norm, signed), float)
         avg = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
         return RudAverage(avg, det, det / avg, se, "mc")
@@ -327,7 +341,7 @@ def rud_average(
     dropped = [1 << t for t in range(m) if t not in pattern_masks]
     basis = _shift_code([pattern_masks.get(t, 0) for t in range(m)], k, dropped)
     free = [t for t in range(m) if t not in basis]
-    reps = _span([1 << t for t in free], len(free))[0].tolist()
+    reps = _span(np.array([1 << t for t in free], dtype=np.uint64)).tolist()
     coset_norms = np.array(
         [pattern_norm(np.where((rep >> keep) & 1, -base[keep], base[keep])) for rep in reps]
     )
@@ -338,10 +352,11 @@ def rud_average(
     for t in range(m):
         word = (1 << t) ^ basis.get(t, 0)
         index.append(sum(((word >> f) & 1) << i for i, f in enumerate(free)))
-    low, offsets = _span(index, _PATTERN_CHUNK.bit_length() - 1)
+    index, low_bits = np.array(index, dtype=np.uint64), _PATTERN_CHUNK.bit_length() - 1
+    low = _span(index[:low_bits])
     total = 0.0
-    for off in offsets:  # running sum in pattern order, one block of patterns at a time
-        vals = coset_norms[low ^ np.uint64(off)]
+    for off in _span(index[low_bits:]):  # running sum in pattern order, block by block
+        vals = coset_norms[low ^ off]
         vals[0] += total
         total = float(np.cumsum(vals)[-1])
     avg = total / (1 << m)
@@ -421,11 +436,13 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None
 def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
     """Growth of deterministic / sign-averaged sup-norm over full triangles.
 
-    For each n the chaos runs over the full triangle on {1..n}; the
-    deterministic sup-norm is the set size (all monomials are +1 near 0),
-    the averaged one is estimated from seeded sign patterns.  The report
-    checks that the ratio R(n) increases along n_list within three
-    standard errors.
+    For each n the chaos runs over the full triangle on {1..n}, m terms.
+    The deterministic sup-norm is m: every monomial is +1 at the all-plus
+    configuration.  The averaged one is estimated from seeded sign
+    patterns u, whose sup is max(m - 2 least, 2 most - m) over the weights
+    of the coset u H (see ``_exceeding_patterns``), a sweep of
+    mc_samples x 2^rank(H) cells.  The report checks that the ratio R(n)
+    increases along n_list within three standard errors.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -446,19 +463,15 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
         ratios = []
         for idx, n in enumerate(n_list):
             elements = list(gen_triangle(d, n).tuples())  # support 1..n
-            term_masks = kernel.masks(elements, range(1, n + 1))
-            U = kernel.random_signs(seed, idx << 96, mc_samples, len(elements))
-            # stream blocks of configurations so memory stays bounded at any n
-            per_cfg = len(elements) + mc_samples
-            block = 1 << min(16, max(0, (_SUP_BLOCK_ENTRIES // per_cfg).bit_length() - 1))
-            det = 0.0
-            sups = np.zeros(mc_samples, dtype=np.float32)
-            for start in range(0, 1 << n, block):
-                S = kernel.sign_matrix(term_masks, start, min(start + block, 1 << n))
-                det = max(det, float(np.abs(S.sum(axis=1)).max()))
-                G = U @ S.T
-                np.abs(G, out=G)
-                np.maximum(sups, G.max(axis=1), out=sups)
+            m, width = len(elements), -(-len(elements) // 64)
+            basis = _shift_code(kernel.masks(elements, range(1, n + 1)), n)
+            bits = np.zeros((mc_samples, 64 * width), dtype=np.uint8)
+            bits[:, :m] = kernel.random_bits(seed, idx << 96, mc_samples, m).T
+            patterns = np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+            least, most = _weight_range(patterns, basis)
+            # float32 sups: their mean and std accumulate in float32
+            sups = np.maximum(m - 2.0 * least, 2.0 * most - m).astype(np.float32)
+            det = float(m)
             avg = float(sups.mean())
             se = float(sups.std(ddof=1) / math.sqrt(mc_samples))
             R = det / avg

@@ -27,7 +27,7 @@ class StepDistribution:
 
     __slots__ = ("values", "weights")
 
-    def __init__(self, values, weights, merge_tol=MERGE_TOL):
+    def __init__(self, values, weights):
         values = np.asarray(values, dtype=float).ravel()
         weights = np.asarray(weights, dtype=float).ravel()
         if values.size == 0:
@@ -41,8 +41,8 @@ class StepDistribution:
             raise InvalidArgumentError(f"atom weights sum to {total!r}, not 1")
         order = np.argsort(values, kind="stable")
         values, weights = values[order], weights[order]
-        if merge_tol is not None and values.size > 1:
-            values, weights = _merge_close(values, weights, merge_tol)
+        if values.size > 1:
+            values, weights = _merge_close(values, weights)
         self.values = values
         self.values.setflags(write=False)
         self.weights = weights
@@ -109,13 +109,13 @@ class StepDistribution:
         return StepDistribution(np.abs(self.values), self.weights)
 
 
-def _merge_close(values, weights, tol):
-    """Merge consecutive atoms whose values differ by at most ``tol``.
+def _merge_close(values, weights):
+    """Merge consecutive atoms whose values differ by at most ``MERGE_TOL``.
 
     The merged value is the weight-averaged representative, which keeps
-    moments of the merged law within tol of the original.
+    moments of the merged law within MERGE_TOL of the original.
     """
-    brk = np.nonzero(np.diff(values) > tol)[0] + 1
+    brk = np.nonzero(np.diff(values) > MERGE_TOL)[0] + 1
     starts = np.concatenate([[0], brk])
     if starts.size == values.size:
         return values, weights

@@ -26,8 +26,8 @@ Every exact law goes through :func:`law`, the one place that picks a route:
   contiguous columns, a term's parity is the XOR of its columns, and the
   terms add exactly in int64 for integer coefficients, in float64 and in
   term order otherwise.
-* Sign patterns over m terms share the convention: :func:`sign_matrix` of
-  the masks 1 << t lists them in order, :func:`random_signs` draws them.
+* Sign patterns over m terms are bit words in the same convention, bit t
+  set where the sign of term t is -1; :func:`random_bits` draws them.
 """
 
 from __future__ import annotations
@@ -56,18 +56,6 @@ def masks(keys, support):
 def parity(words, mask):
     """1 where monomial ``mask`` is -1 at configuration ``words``, else 0 (uint8)."""
     return np.bitwise_count(words & mask) & 1
-
-
-def sign_matrix(term_masks, start, stop):
-    """float32 matrix of +-1 monomial values: one row per configuration in
-    start..stop-1, one column per mask."""
-    cfg = np.arange(start, stop, dtype=np.uint64)
-    out = np.empty((cfg.size, len(term_masks)), dtype=np.float32)
-    for i, mask in enumerate(term_masks):
-        out[:, i] = parity(cfg, np.uint64(mask))
-    out *= -2.0
-    out += 1.0
-    return out
 
 
 def int_dtype(coeffs):
@@ -164,9 +152,21 @@ def int_law(term_masks, coeffs, k):
     return _merge(map_chunks(run_slice, range(1 << (k - SLICE_BITS))))
 
 
-def _philox_bits(seed, counter, rows, k):
+def philox_key(seed):
+    """``seed`` as a Philox key, an integer in [0, 2^128); else InvalidArgumentError."""
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        key = None
+    if key is None or not 0 <= key < 1 << 128:
+        raise InvalidArgumentError(f"seed {seed!r} must be an integer in [0, 2**128)")
+    return key
+
+
+def random_bits(seed, counter, rows, k):
     """(k, rows) uint8 matrix of the seeded bits
-    ``Generator(Philox(key=seed, counter=counter)).integers(0, 2, size=(rows, k)).T``.
+    ``Generator(Philox(key=seed, counter=counter)).integers(0, 2, size=(rows, k)).T``:
+    column r is the r-th sign pattern over k terms, 1 where a sign is -1.
 
     That draw returns bit 31 of one 32-bit Philox output per entry, and
     Philox hands out its 32-bit outputs as the low, then the high half of
@@ -174,14 +174,8 @@ def _philox_bits(seed, counter, rows, k):
     half i of ``random_raw(ceil(rows * k / 2))``, low half first; the halves
     are read through little-endian views, whatever the byte order.
     """
-    try:
-        key = operator.index(seed)
-    except TypeError:
-        key = None
-    if key is None or not 0 <= key < 1 << 128:  # the Philox key range
-        raise InvalidArgumentError(f"seed {seed!r} must be an integer in [0, 2**128)")
     n = rows * k
-    raw = np.random.Philox(key=key, counter=counter).random_raw((n + 1) // 2)
+    raw = np.random.Philox(key=philox_key(seed), counter=counter).random_raw((n + 1) // 2)
     top = (raw.astype("<u8", copy=False).view("<u4")[:n] >= np.uint32(1 << 31)).view(np.uint8)
     del raw  # free the raw words before the transposed copy
     return np.ascontiguousarray(top.reshape(rows, k).T)
@@ -199,21 +193,11 @@ def _xor_columns(bits, cols):
     return out
 
 
-def random_signs(seed, counter, rows, m):
-    """float32 (rows, m) matrix of seeded +-1 signs: 1 - 2 * bit for the bits
-    of :func:`_philox_bits`, so -1 where the Philox stream with key ``seed``
-    at ``counter`` draws 1 from ``integers(0, 2, size=(rows, m))``."""
-    signs = np.empty((rows, m), dtype=np.float32)
-    np.multiply(_philox_bits(seed, counter, rows, m).T, -2.0, out=signs)
-    signs += 1.0
-    return signs
-
-
 def sample_law(term_masks, coeffs, k, samples, seed):
     """Seeded Monte Carlo (values, counts) of ``samples`` configurations.
 
     Chunk j holds rows j * MC_CHUNK.. of the sample and reads its signs
-    with :func:`_philox_bits` at counter j << 64, so the law depends on
+    with :func:`random_bits` at counter j << 64, so the law depends on
     neither the worker count nor the chunk schedule.  A term is -1 where
     the XOR of its sign columns is 1.  Integer coefficients are grouped by
     value: each group counts its odd terms in a narrow unsigned array and
@@ -231,7 +215,7 @@ def sample_law(term_masks, coeffs, k, samples, seed):
 
     def run_chunk(start):
         m = min(MC_CHUNK, samples - start)
-        bits = _philox_bits(seed, (start // MC_CHUNK) << 64, m, k)
+        bits = random_bits(seed, (start // MC_CHUNK) << 64, m, k)
         if not exact:
             acc, term = np.zeros(m), np.empty(m)
             for columns, c in zip(term_cols, coeffs):

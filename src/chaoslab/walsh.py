@@ -470,6 +470,7 @@ def distribution_mc(f, samples, seed=0):
     samples = int(samples)
     if samples < 1:
         raise InvalidArgumentError("sample count must be >= 1")
+    kernel.philox_key(seed)
     k = len(f.support)
     if k == 0:
         return StepDistribution.point_mass(f.terms.get((), 0.0))

@@ -65,15 +65,23 @@ def rud_reference(A, coeffs, space, samples=None, seed=0):
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
+def sign_rows(term_masks, start, stop):
+    """float32 +-1 monomial values: one row per configuration in start..stop-1,
+    one column per mask, -1 where the configuration meets the mask in an odd count."""
+    cfg = np.arange(start, stop, dtype=np.uint64)[:, None]
+    odd = np.bitwise_count(cfg & np.array(term_masks, dtype=np.uint64)) & 1
+    return (1.0 - 2.0 * odd).astype(np.float32)
+
+
 def concentration_reference(elements, lam):
     """(q, pointwise tail max, pointwise tail min) of the double enumeration:
     every sign pattern against every configuration in a float32 matmul."""
     m = len(elements)
     support = sorted({j for t in elements for j in t})
-    S = kernel.sign_matrix(kernel.masks(elements, support), 0, 1 << len(support))
+    S = sign_rows(kernel.masks(elements, support), 0, 1 << len(support))
     sup_count, cols = 0, np.zeros(S.shape[0], dtype=np.int64)
     for start in range(0, 1 << m, 1 << 12):
-        U = kernel.sign_matrix([1 << t for t in range(m)], start, min(start + (1 << 12), 1 << m))
+        U = sign_rows([1 << t for t in range(m)], start, min(start + (1 << 12), 1 << m))
         exceed = np.abs(U @ S.T) > lam
         sup_count += int(np.count_nonzero(exceed.any(axis=1)))
         cols += exceed.sum(axis=0)
@@ -85,7 +93,7 @@ def shift_code(elements):
     """Reduced basis of the shift code of ``elements`` and its 2^r codewords."""
     support = sorted({j for t in elements for j in t})
     basis = chaos_module._shift_code(kernel.masks(elements, support), len(support))
-    words = chaos_module._span(list(basis.values()), len(basis))[0]
+    words = chaos_module._span(np.array(list(basis.values()), dtype=np.uint64))
     return basis, words
 
 
@@ -436,7 +444,7 @@ class TestShiftCode:
         elements = list(gen_triangle(2, 5).tuples())
         basis, words = shift_code(elements)
         assert len(basis) == 4  # a connected graph on 5 vertices
-        S = kernel.sign_matrix(kernel.masks(elements, range(1, 6)), 0, 1 << 5)
+        S = sign_rows(kernel.masks(elements, range(1, 6)), 0, 1 << 5)
         chi = {sum(1 << t for t in np.flatnonzero(row < 0)) for row in S}
         assert chi == set(words.tolist())
         for p, b in basis.items():
@@ -481,17 +489,20 @@ class TestAveragedSupGrowth:
         assert peak < 16 * 2**20
 
     def test_blocks_match_one_matrix(self, monkeypatch):
-        # the sweep streams configuration blocks; sups equal the one-matrix sweep
-        d, n_list, samples, seed = 2, [5, 7], 40, 9
-        monkeypatch.setattr(chaos_module, "_SUP_BLOCK_ENTRIES", 64)
-        report = averaged_sup_growth(d, n_list, mc_samples=samples, seed=seed)
-        for idx, n in enumerate(n_list):
-            elements = list(gen_triangle(d, n).tuples())
-            S = kernel.sign_matrix(kernel.masks(elements, list(range(1, n + 1))), 0, 1 << n)
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=idx << 96))
-            U = (1.0 - 2.0 * rng.integers(0, 2, size=(samples, len(elements)))).astype(np.float32)
-            sups = np.abs(U @ S.T).max(axis=1)
-            assert report.quantity(f"averaged_sup_n{n}") == float(sups.mean())
+        # the coset sweep streams small blocks of patterns and codewords, over
+        # patterns of one to three words; sups equal the one-matrix sweep
+        samples, seed = 40, 9
+        monkeypatch.setattr(chaos_module, "_SWEEP_CELL_BITS", 3)
+        for d, n_list in ((3, [8, 11]), (2, [5, 12]), (1, [4, 9])):  # m = 56, 165; 10, 66
+            report = averaged_sup_growth(d, n_list, mc_samples=samples, seed=seed)
+            for idx, n in enumerate(n_list):
+                elements = list(gen_triangle(d, n).tuples())
+                S = sign_rows(kernel.masks(elements, list(range(1, n + 1))), 0, 1 << n)
+                rng = np.random.Generator(np.random.Philox(key=seed, counter=idx << 96))
+                U = (1.0 - 2.0 * rng.integers(0, 2, size=(samples, len(elements)))).astype(np.float32)
+                sups = np.abs(U @ S.T).max(axis=1)
+                assert report.quantity(f"deterministic_sup_n{n}") == float(np.abs(S.sum(axis=1)).max())
+                assert report.quantity(f"averaged_sup_n{n}") == float(sups.mean())
 
 
 class TestLowerBound:

@@ -16,7 +16,6 @@ from chaoslab import (
     distribution_mc,
     evaluate_dyadic,
     gen_sum_set,
-    gen_triangle,
     unit_coefficients,
 )
 from chaoslab import kernel
@@ -146,13 +145,6 @@ class TestRouteAgreement:
             expect = [bin(c & mask).count("1") & 1 for c in range(1 << 10)]
             assert kernel.parity(cfg, np.uint64(mask)).tolist() == expect
 
-    @pytest.mark.parametrize("seed, counter", [(0, 0), (5, 0), (9, 2 << 96)])
-    def test_random_signs_read_the_philox_stream(self, seed, counter):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=counter))
-        expect = 1.0 - 2.0 * rng.integers(0, 2, size=(30, 11))
-        got = kernel.random_signs(seed, counter, 30, 11)
-        assert got.dtype == np.float32 and np.array_equal(got, expect)
-
     @pytest.mark.parametrize("counter", [0, 5 << 64, 2 << 96])
     @pytest.mark.parametrize(
         "rows, k", [(1, 1), (3, 5), (1001, 7), (65536, 30), (13, 64), (5, 65), (7, 80)]
@@ -160,15 +152,17 @@ class TestRouteAgreement:
     def test_bit_reader_reads_the_integers_stream(self, rows, k, counter):
         rng = np.random.Generator(np.random.Philox(key=11, counter=counter))
         expect = rng.integers(0, 2, size=(rows, k)).T
-        got = kernel._philox_bits(11, counter, rows, k)
+        got = kernel.random_bits(11, counter, rows, k)
         assert got.dtype == np.uint8 and got.shape == (k, rows) and got.flags.c_contiguous
         assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**130, 1.0, "3", None])
     def test_seed_outside_the_philox_key_range(self, seed):
         f = SignFunction({(2, 1): 1.0, (3,): 0.5})
+        constant = SignFunction({(): 1.0})  # empty support: a point mass, no draws
         for call in (lambda: distribution_mc(f, 100, seed=seed),
-                     lambda: kernel.random_signs(seed, 0, 4, 3)):
+                     lambda: distribution_mc(constant, 10, seed=seed),
+                     lambda: kernel.random_bits(seed, 0, 4, 3)):
             with pytest.raises(InvalidArgumentError) as err:
                 call()
             assert f"seed {seed!r}" in str(err.value) and "[0, 2**128)" in str(err.value)
@@ -176,20 +170,8 @@ class TestRouteAgreement:
     @pytest.mark.parametrize("seed", [2**128 - 1, np.int64(5)])
     def test_integer_seeds_in_range_are_keys(self, seed):
         rng = np.random.Generator(np.random.Philox(key=int(seed)))
-        expect = 1.0 - 2.0 * rng.integers(0, 2, size=(9, 4))
-        assert np.array_equal(kernel.random_signs(seed, 0, 9, 4), expect)
-
-    def test_config_matrix_matches_popcount(self):
-        elements = list(gen_triangle(2, 7).tuples())
-        support = list(range(1, 8))
-        masks = kernel.masks(elements, support)
-        S = kernel.sign_matrix(masks, 0, 1 << 7)
-        assert S.dtype == np.float32 and S.shape == (1 << 7, len(elements))
-        for i, t in enumerate(elements):
-            mask = sum(1 << (j - 1) for j in t)
-            expect = [1.0 - 2.0 * (bin(c & mask).count("1") & 1) for c in range(1 << 7)]
-            assert S[:, i].tolist() == expect
-        assert np.array_equal(kernel.sign_matrix(masks, 40, 90), S[40:90])
+        expect = rng.integers(0, 2, size=(9, 4)).T
+        assert np.array_equal(kernel.random_bits(seed, 0, 9, 4), expect)
 
 
 class TestMonteCarlo:
