@@ -18,7 +18,7 @@ import numpy as np
 from . import kernel
 from .combdim import BlockChoice, gen_triangle
 from .distribution import StepDistribution
-from .errors import InvalidArgumentError, NumericFailureError, ResourceLimitError
+from .errors import InvalidArgumentError, NumericFailureError, cap_error, check_cap
 from .report import CertificateReport, timed_report
 from .symspace import SpaceSpec, fundamental_function, norm
 from .walsh import (
@@ -88,13 +88,8 @@ def khintchine_check(a, p) -> CertificateReport:
     a = [float(x) for x in a]
     if not a:
         raise InvalidArgumentError("coefficient list is empty")
-    if len(a) > KHINTCHINE_MAX_COEFFS:
-        raise ResourceLimitError(
-            f"{len(a)} coefficients exceed the exact enumeration cap of "
-            f"{KHINTCHINE_MAX_COEFFS}",
-            required=len(a),
-            budget=KHINTCHINE_MAX_COEFFS,
-        )
+    check_cap(len(a), KHINTCHINE_MAX_COEFFS, "coefficients of an exact Khintchine check",
+              "sample the law of chaos_sum with distribution_mc and take its lp_norm")
     p = float(p)
     if p < 1:
         raise InvalidArgumentError(f"need p >= 1, got {p}")
@@ -328,13 +323,8 @@ def rud_average(
         se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
         return RudAverage(avg, det, det / avg, se, "mc")
 
-    if m > RUD_EXACT_MAX:
-        raise ResourceLimitError(
-            f"exact sign average over 2^{m} patterns exceeds the cap "
-            f"2^{RUD_EXACT_MAX}; pass samples= for Monte Carlo",
-            required=m,
-            budget=RUD_EXACT_MAX,
-        )
+    check_cap(m, RUD_EXACT_MAX, "pattern bits of an exact sign average",
+              "pass samples= for a Monte Carlo average")
     # one law per coset of the shift code; a zero-coefficient term's sign
     # changes no law, so its unit word joins the code
     pattern_masks = dict(zip(keep.tolist(), term_masks))
@@ -404,13 +394,9 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None
     # the coset sweep needs only m <= 24; the support terms keep the refusal
     # of the former pattern x configuration sweep, which bench/reference.json pins
     if m > 24 or s > 24 or m + s > _SWEEP_BITS_CAP:
-        raise ResourceLimitError(
-            f"the coset sweep over {m} pattern bits is capped at 24 pattern bits, "
-            f"24 configuration bits ({s} here) and {_SWEEP_BITS_CAP} combined "
-            f"({m + s} here) — use smaller blocks",
-            required=m + s,
-            budget=_SWEEP_BITS_CAP,
-        )
+        raise cap_error(m + s, _SWEEP_BITS_CAP,
+                        f"pattern + configuration bits of the coset sweep ({m} + {s}, "
+                        f"each part capped at 24)", "use smaller blocks")
     delta = math.log(m) / math.log(n) if n > 1 else 0.0
     lam = math.sqrt(2.0 * d * n * m) if threshold is None else float(threshold)
 
@@ -447,12 +433,8 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidArgumentError("n_list must be strictly increasing with >= 2 entries")
-    if n_list[-1] > 20:
-        raise ResourceLimitError(
-            f"2^{n_list[-1]} configurations exceed the sweep cap 2^20",
-            required=n_list[-1],
-            budget=20,
-        )
+    check_cap(n_list[-1], 20, "triangle size n of the sup-growth sweep",
+              "end n_list at n <= 20; each n sweeps mc_samples x 2^rank(H) cells")
     mc_samples = int(mc_samples)
     if mc_samples < 2:
         raise InvalidArgumentError("need at least 2 samples")
@@ -561,21 +543,16 @@ def clt_sharp(A: IndexSet, N, budget=CLT_PAIR_BUDGET):
         raise InvalidArgumentError("sharp pairs need order >= 2")
     arr = A.restrict(N).to_array()
     size = arr.shape[0]
-    if size * size > budget:
-        raise ResourceLimitError(
-            f"{size}^2 element pairs exceed the budget of {budget}",
-            required=size * size,
-            budget=budget,
-        )
+    check_cap(size * size, budget, f"element pairs ({size}^2) of the sharp-pair search",
+              "use clt_star, which counts incidences without pairs, or a smaller N")
     elems = [tuple(int(v) for v in row) for row in arr]
-    supports = [frozenset(t) for t in elems]
-    groups = {}
-    for i in range(size):
-        si = supports[i]
+    masks = [sum(1 << v for v in t) for t in elems]  # entry set as a bitmask
+    groups = {}  # entry union -> disjoint pairs
+    for i, mi in enumerate(masks):
         for j in range(i + 1, size):
-            if si.isdisjoint(supports[j]):
-                key = tuple(sorted(si | supports[j]))
-                groups.setdefault(key, []).append((i, j))
+            mj = masks[j]
+            if not mi & mj:
+                groups.setdefault(mi | mj, []).append((i, j))
     out = []
     for pairs in groups.values():
         if len(pairs) < 2:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, InvalidArgumentError, ResourceLimitError
+from .errors import DegenerateFitError, InvalidArgumentError, check_cap
 from .report import timed_report
 from .walsh import IndexSet, MultiIndex
 
@@ -149,13 +149,9 @@ def max_density(A: IndexSet, n, universe, strategy="exhaustive"):
         return density_count(A, blocks), blocks
 
     per_coord = math.comb(universe, n)
-    if strategy == "exhaustive" and per_coord**d > EXHAUSTIVE_BUDGET:
-        raise ResourceLimitError(
-            f"exhaustive search over {per_coord**d} block choices exceeds the budget "
-            f"of {EXHAUSTIVE_BUDGET}",
-            required=per_coord**d,
-            budget=EXHAUSTIVE_BUDGET,
-        )
+    if strategy == "exhaustive":
+        check_cap(per_coord**d, EXHAUSTIVE_BUDGET, "block choices of an exhaustive search",
+                  "use strategy 'greedy-swap' for a local maximum")
     # rows of A inside the universe (no other element meets a block choice) as bits:
     # a block's rows are the OR of its values' masks, a block choice's the AND
     value_masks = [{} for _ in range(d)]
@@ -286,8 +282,8 @@ def estimate_dimension(A: IndexSet, n_list, universe, strategy="identity-blocks"
 def dump_index_set(A: IndexSet, path):
     """Write one element per line, entries space-separated decreasing."""
     with open(path, "w", encoding="ascii") as fh:
-        for t in A.tuples():
-            fh.write(" ".join(str(v) for v in t) + "\n")
+        for row in A.to_array().tolist():
+            fh.write(" ".join(map(str, row)) + "\n")
 
 
 def load_index_set(path):

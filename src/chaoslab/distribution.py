@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-MERGE_TOL = 1e-12
+MERGE_TOL = 1e-12  # relative: atoms closer than MERGE_TOL * max |value| merge
 WEIGHT_TOL = 1e-12
 
 
@@ -110,12 +110,16 @@ class StepDistribution:
 
 
 def _merge_close(values, weights):
-    """Merge consecutive atoms whose values differ by at most ``MERGE_TOL``.
+    """Merge consecutive atoms whose values differ by at most
+    ``MERGE_TOL * max(|v_first|, |v_last|)``, the largest |value| of the sorted atoms.
 
+    The tolerance scales with the law, so merging commutes with scaling.
     The merged value is the weight-averaged representative, which keeps
-    moments of the merged law within MERGE_TOL of the original.
+    moments of the merged law within relative MERGE_TOL of the original.
     """
-    brk = np.nonzero(np.diff(values) > MERGE_TOL)[0] + 1
+    top = max(abs(values[0]), abs(values[-1]))  # the atoms are sorted
+    tol = MERGE_TOL * top if top < np.inf else MERGE_TOL  # absolute beside an infinite atom
+    brk = np.nonzero(np.diff(values) > tol)[0] + 1
     starts = np.concatenate([[0], brk])
     if starts.size == values.size:
         return values, weights

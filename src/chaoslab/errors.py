@@ -30,6 +30,25 @@ class ResourceLimitError(ChaosLabError):
         self.budget = budget
 
 
+def cap_error(required, budget, what, instead):
+    """ResourceLimitError for ``what`` needing ``required`` over the cap ``budget``.
+
+    ``instead`` names the cheaper route, so every refusal reads
+    "<what>: <required> required, cap <budget>; <instead>".
+    """
+    return ResourceLimitError(
+        f"{what}: {required} required, cap {budget}; {instead}",
+        required=required,
+        budget=budget,
+    )
+
+
+def check_cap(required, budget, what, instead):
+    """Raise :func:`cap_error` when ``required`` > ``budget``."""
+    if required > budget:
+        raise cap_error(required, budget, what, instead)
+
+
 class NumericFailureError(ChaosLabError):
     """A numeric procedure failed to converge or met a non-finite value."""
 

@@ -6,7 +6,9 @@ configuration exactly when bit b of its word is set; a monomial is the
 mask of its coordinates, and its value at a configuration is
 (-1)^parity(word & mask), with parity taken by ``np.bitwise_count``.
 
-Every exact law goes through :func:`law`, the one place that picks a route:
+Every exact law goes through :func:`law`, the one place that picks a route
+and that refuses a support wider than ``HARD_CAP_BITS`` (2^26
+configurations), on either route:
 
 * Integer coefficients whose absolute sum S is at most 2^31 - 1 get an
   exact law from an int32 fast Walsh-Hadamard transform (FWHT).  Every
@@ -14,11 +16,14 @@ Every exact law goes through :func:`law`, the one place that picks a route:
   transform is streamed over slices of the high configuration bits: in
   the slice with high bits h the low coefficient vector is the sparse sum
   of c * chi_high(h), its transform gives the slice's 2^L values, and the
-  slice histograms merge by integer addition.  Memory is O(2^L) and the
-  law depends neither on the slice width nor on the worker count.
+  slice histograms merge by integer addition.  The law depends neither on
+  the slice width nor on the worker count.  Memory is O(2^L) only while
+  2S + 1 <= ``_DENSE_RANGE``: a wider value range can hold up to 2^k
+  distinct atoms, so the hard cap guards memory on this route too.
 * Other coefficients get one float64 transform of all 2^k configurations
-  whose stage order (lowest bit first) and butterflies (a + b, a - b) are
-  fixed, so equal inputs give bit-identical atoms.
+  from :func:`values`, the one 2^k allocation, whose stage order (lowest
+  bit first) and butterflies (a + b, a - b) are fixed, so equal inputs
+  give bit-identical atoms.
 * Monte Carlo reads the Philox stream ``rng.integers(0, 2, size=(m, k))``
   in counter blocks of ``MC_CHUNK`` rows straight from the raw words: each
   sign is bit 31 of one 32-bit half of a raw 64-bit word, low half first,
@@ -36,9 +41,10 @@ import operator
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_cap
 from .parallel import map_chunks
 
+HARD_CAP_BITS = 26  # widest support any exact route enumerates: 2^26 configurations
 SLICE_BITS = 16  # low configuration bits transformed per slice
 MC_CHUNK = 1 << 16  # Monte Carlo rows per counter block
 _INT_MAX = 2**31 - 1  # largest sum |c| whose transform fits int32
@@ -114,28 +120,26 @@ def _stages(a, rows):
 
 def values(term_masks, coeffs, k):
     """float64 values of the polynomial at all 2^k configurations."""
+    check_cap(k, HARD_CAP_BITS, "configuration bits of a float64 value array",
+              "sample the law with distribution_mc")
     a = np.zeros(1 << k)
     a[np.array(term_masks, dtype=np.int64)] = coeffs
     return fwht(a)
 
 
 def law(term_masks, coeffs, k):
-    """Exact (values, counts) over the 2^k configurations: the sliced integer
-    transform when ``int_dtype`` allows it, else ``np.unique`` of :func:`values`."""
-    out = int_law(term_masks, coeffs, k)
-    return np.unique(values(term_masks, coeffs, k), return_counts=True) if out is None else out
+    """Exact (values, counts) over the 2^k configurations.
 
-
-def int_law(term_masks, coeffs, k):
-    """Exact (values, counts) over the 2^k configurations by a sliced integer FWHT.
-
-    Returns None when ``int_dtype`` finds no exact integer dtype for the
-    coefficients.  Supports of at most ``SLICE_BITS`` bits run inline as
-    one slice; wider ones map their slices through ``map_chunks``.
+    Coefficients that ``int_dtype`` transforms exactly in int32 run a
+    sliced integer FWHT: supports of at most ``SLICE_BITS`` bits inline as
+    one slice, wider ones map their slices through ``map_chunks``.  Other
+    coefficients take ``np.unique`` of :func:`values`.
     """
     dtype, bound = int_dtype(coeffs)
     if dtype is None:
-        return None
+        return np.unique(values(term_masks, coeffs, k), return_counts=True)
+    check_cap(k, HARD_CAP_BITS, "configuration bits of an exact integer law",
+              "sample the law with distribution_mc")
     if k <= SLICE_BITS:
         v = np.zeros(1 << k, dtype)
         v[term_masks] = coeffs

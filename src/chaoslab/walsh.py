@@ -13,7 +13,10 @@ are uint64 words and a monomial's sign is the parity of their AND.
 Integer coefficients with absolute sum at most 2^31 - 1 get their exact
 law from an int32 Walsh-Hadamard transform streamed over slices of
 the high configuration bits, with no 2^k array; other coefficients take
-one float64 transform over all 2^k configurations.
+one float64 transform over all 2^k configurations.  The hard cap of
+2^``kernel.HARD_CAP_BITS`` configurations lives in :mod:`kernel`; this
+module checks only the caller's ``bits_cap``, and the dyadic cell count,
+which may exceed the support width, against the kernel's cap.
 """
 
 from __future__ import annotations
@@ -24,16 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import StepDistribution
-from .errors import (
-    EmptyInputError,
-    InvalidArgumentError,
-    ResolutionError,
-    ResourceLimitError,
-)
+from .errors import EmptyInputError, InvalidArgumentError, ResolutionError, check_cap
 from . import kernel
 
 DEFAULT_BITS_CAP = 24
-_DYADIC_CAP = 26  # hard guard on 2^m cell arrays and enumerated configurations
 _MATERIALIZE_CAP = 5_000_000  # rows when materializing an implicit set
 
 
@@ -159,13 +156,8 @@ class IndexSet:
         if not self.is_triangle:
             return self._array
         size = len(self)
-        if size > _MATERIALIZE_CAP:
-            raise ResourceLimitError(
-                f"materializing {size} triangle elements exceeds the cap "
-                f"of {_MATERIALIZE_CAP}; work with counts instead",
-                required=size,
-                budget=_MATERIALIZE_CAP,
-            )
+        check_cap(size, _MATERIALIZE_CAP, "triangle elements to materialize",
+                  "count them with count_leq or count_block instead")
         import itertools
 
         rows = list(itertools.combinations(range(self._triangle_max, 0, -1), self.order))
@@ -197,29 +189,13 @@ class IndexSet:
 
     def count_block(self, blocks):
         """Exact |A ∩ (B_1 × ... × B_d)| for per-coordinate blocks."""
-        blocks = [frozenset(int(v) for v in b) for b in blocks]
-        if len(blocks) != self.order:
-            raise InvalidArgumentError(
-                f"block choice has {len(blocks)} coordinates, set has order {self.order}"
-            )
-        if self.is_triangle:
-            return _triangle_block_count(self.order, self._triangle_max, blocks)
-        if self._array.shape[0] == 0:
-            return 0
-        mask = np.ones(self._array.shape[0], dtype=bool)
-        for i, b in enumerate(blocks):
-            mask &= np.isin(self._array[:, i], sorted(b))
-            if not mask.any():
-                return 0
-        return int(mask.sum())
+        if not self.is_triangle:
+            return len(self.block_elements(blocks))
+        return _triangle_block_count(self.order, self._triangle_max, self._blocks(blocks))
 
     def block_elements(self, blocks):
         """Explicit IndexSet of the elements counted by :meth:`count_block`."""
-        blocks = [frozenset(int(v) for v in b) for b in blocks]
-        if len(blocks) != self.order:
-            raise InvalidArgumentError(
-                f"block choice has {len(blocks)} coordinates, set has order {self.order}"
-            )
+        blocks = self._blocks(blocks)
         if self.is_triangle:
             top = min(self._triangle_max, max((max(b) for b in blocks if b), default=0))
             universe = [sorted(v for v in b if 1 <= v <= top) for b in blocks]
@@ -235,6 +211,15 @@ class IndexSet:
         for i, b in enumerate(blocks):
             mask &= np.isin(self._array[:, i], sorted(b))
         return IndexSet(self.order, array=self._array[mask])
+
+    def _blocks(self, blocks):
+        """``blocks`` as one frozenset of ints per coordinate of the set."""
+        blocks = [frozenset(int(v) for v in b) for b in blocks]
+        if len(blocks) != self.order:
+            raise InvalidArgumentError(
+                f"block choice has {len(blocks)} coordinates, set has order {self.order}"
+            )
+        return blocks
 
 
 def _triangle_block_count(d, top, blocks):
@@ -355,26 +340,14 @@ class SignFunction:
 
         Configuration c assigns eps_{support[b]} = -1 iff bit b of c is set.
         Computed by a fast Walsh-Hadamard transform of the coefficient
-        vector, O(k 2^k).
+        vector, O(k 2^k), and refused past ``kernel.HARD_CAP_BITS`` bits.
         """
         k = len(self.support)
-        _check_values_cap(k)
         return kernel.values(kernel.masks(self.terms, self.support), list(self.terms.values()), k)
 
     def second_moment(self):
         """E f^2 = sum of squared Walsh coefficients (orthonormality)."""
         return float(sum(c * c for c in self.terms.values()))
-
-
-def _check_values_cap(k):
-    if k > _DYADIC_CAP:
-        raise ResourceLimitError(
-            f"materializing 2^{k} configuration values exceeds the hard cap 2^{_DYADIC_CAP}; "
-            f"distribution_exact streams the law of integer coefficients without this "
-            f"array, and distribution_mc samples the law beyond the cap",
-            required=k,
-            budget=_DYADIC_CAP,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +411,13 @@ def distribution_exact(f, bits_cap=DEFAULT_BITS_CAP):
     """Exact law of a sign function under the uniform hypercube measure.
 
     The law comes from :func:`kernel.law`: a streamed integer transform
-    for small integer coefficients, float64 values otherwise.
+    for small integer coefficients, float64 values otherwise.  Supports
+    wider than ``bits_cap`` are refused here, wider than
+    ``kernel.HARD_CAP_BITS`` by the kernel.
     """
     k = len(f.support)
-    if k > bits_cap:
-        raise ResourceLimitError(
-            f"exact enumeration needs {k} support bits but the cap is {bits_cap}; "
-            f"raise bits_cap to at least {k} or sample with distribution_mc",
-            required=k,
-            budget=bits_cap,
-        )
-    if k > _DYADIC_CAP:
-        raise ResourceLimitError(
-            f"exact enumeration of 2^{k} configurations exceeds the hard cap "
-            f"2^{_DYADIC_CAP}; sample the law with distribution_mc",
-            required=k,
-            budget=_DYADIC_CAP,
-        )
+    check_cap(k, bits_cap, "support bits of an exact law (bits_cap)",
+              f"raise bits_cap to at least {k} or sample the law with distribution_mc")
     values, counts = kernel.law(kernel.masks(f.terms, f.support), list(f.terms.values()), k)
     return StepDistribution(values, counts / (1 << k))
 
@@ -505,12 +468,9 @@ def evaluate_dyadic(f, m):
         raise ResolutionError(
             f"resolution {m} is below the largest Rademacher index {top}"
         )
-    if m > _DYADIC_CAP:
-        raise ResourceLimitError(
-            f"2^{m} dyadic cells exceed the hard cap 2^{_DYADIC_CAP}",
-            required=m,
-            budget=_DYADIC_CAP,
-        )
+    check_cap(m, kernel.HARD_CAP_BITS, "dyadic resolution bits",
+              f"the law needs only resolution {top}, the largest index; "
+              f"past the cap sample it with distribution_mc")
     cells = np.arange(1 << m, dtype=np.int64)
     if not f.support:
         return DyadicStep(m, np.full(1 << m, f.terms.get((), 0.0)))

@@ -16,6 +16,7 @@ from chaoslab import (
     distribution_mc,
     evaluate_dyadic,
     gen_sum_set,
+    gen_triangle,
     unit_coefficients,
 )
 from chaoslab import kernel
@@ -94,9 +95,7 @@ class TestRouteAgreement:
     def test_integer_routes(self, f):
         k = len(f.support)
         masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
-        vals, counts = kernel.int_law(masks, coeffs, k)
-        law = kernel.law(masks, coeffs, k)
-        assert np.array_equal(law[0], vals) and np.array_equal(law[1], counts)
+        vals, counts = kernel.law(masks, coeffs, k)
         sliced = dict(zip(vals.tolist(), counts.tolist()))
         fvals, fcounts = np.unique(f.values(), return_counts=True)
         assert dict(zip(fvals.tolist(), fcounts.tolist())) == sliced
@@ -113,7 +112,6 @@ class TestRouteAgreement:
         coeffs = list(f.terms.values())
         assert kernel.int_dtype(coeffs) == (None, None)
         masks = kernel.masks(f.terms, f.support)
-        assert kernel.int_law(masks, coeffs, k) is None
         unique = np.unique(f.values(), return_counts=True)
         assert all(np.array_equal(a, b) for a, b in zip(kernel.law(masks, coeffs, k), unique))
         exact = distribution_exact(f)
@@ -127,9 +125,9 @@ class TestRouteAgreement:
         masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "SLICE_BITS", k)
-            whole = kernel.int_law(masks, coeffs, k)
+            whole = kernel.law(masks, coeffs, k)
             mp.setattr(kernel, "SLICE_BITS", slice_bits)
-            sliced = kernel.int_law(masks, coeffs, k)
+            sliced = kernel.law(masks, coeffs, k)
         assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
 
     @pytest.mark.parametrize("k", [1, 2, 5, 9, 10, 11, 14, 16, 17, 19])
@@ -222,6 +220,25 @@ class TestMonteCarlo:
         assert law.weights.tolist() == weights
 
 
+class TestHomogeneity:
+    @settings(max_examples=60, deadline=None)
+    @given(functions(int_coeff), st.sampled_from([1e-14, 1e14]))
+    def test_scaled_law(self, f, scale):
+        law, scaled = distribution_exact(f), distribution_exact(f * scale)
+        assert len(scaled) == len(law)
+        assert scaled.weights.tolist() == law.weights.tolist()
+        tol = 1e-12 * scale * law.max_abs()
+        np.testing.assert_allclose(scaled.values, law.values * scale, rtol=1e-12, atol=tol)
+
+    @pytest.mark.parametrize("scale", [1e-14, 0.1, 3.7, 1e14])
+    def test_triangle_l4_norm(self, scale):
+        elements = list(gen_triangle(3, 8).tuples())[:40]
+        c = np.random.default_rng(0).integers(1, 4, size=40)
+        law = distribution_exact(chaos_sum(dict(zip(elements, c * scale))))
+        assert len(law) == 32
+        assert law.lp_norm(4) / scale == pytest.approx(25.9891403306, rel=1e-10)
+
+
 class TestWorkerCount:
     def test_exact_and_mc_laws(self, monkeypatch):
         f = chaos_sum(unit_coefficients(gen_sum_set(12)))
@@ -231,7 +248,7 @@ class TestWorkerCount:
         monkeypatch.setattr(kernel, "SLICE_BITS", 4)
 
         def laws():
-            sliced = kernel.int_law(masks, coeffs, k)
+            sliced = kernel.law(masks, coeffs, k)
             return (
                 [a.tolist() for a in sliced],
                 distribution_exact(f).atoms(),
@@ -302,5 +319,6 @@ class TestMemoryAndCaps:
         with pytest.raises(ResourceLimitError) as err:
             f.values()
         assert (err.value.required, err.value.budget) == (27, 26)
-        assert "distribution_exact" in str(err.value)
+        # distribution_exact refuses the same support, so only sampling is named
+        assert "distribution_exact" not in str(err.value)
         assert "distribution_mc" in str(err.value)
