@@ -21,15 +21,7 @@ from .distribution import StepDistribution
 from .errors import InvalidArgumentError, NumericFailureError, cap_error, check_cap
 from .report import CertificateReport, timed_report
 from .symspace import SpaceSpec, fundamental_function, norm
-from .walsh import (
-    DEFAULT_BITS_CAP,
-    IndexSet,
-    MultiIndex,
-    SignFunction,
-    chaos_sum,
-    distribution_exact,
-    unit_coefficients,
-)
+from .walsh import DEFAULT_BITS_CAP, IndexSet, MultiIndex, distribution_exact, index_terms, law_of
 
 KHINTCHINE_MAX_COEFFS = 20
 RUD_EXACT_MAX = 20
@@ -94,8 +86,7 @@ def khintchine_check(a, p) -> CertificateReport:
     if p < 1:
         raise InvalidArgumentError(f"need p >= 1, got {p}")
     with timed_report("khintchine", {"k": len(a), "p": p}) as report:
-        f = chaos_sum({(j,): c for j, c in enumerate(a, start=1)})
-        value = distribution_exact(f, bits_cap=len(a)).lp_norm(p)
+        value = law_of(IndexSet.triangle(1, len(a)), a, bits_cap=len(a)).lp_norm(p)
         l2 = math.sqrt(sum(c * c for c in a))
         report.add("norm_l2_coeffs", l2, "info")
         report.add("moment", value, ">=", l2 / math.sqrt(2.0), tol=1e-12)
@@ -111,11 +102,12 @@ class MomentTable:
     theta: float
 
 
-def moment_table(f: SignFunction, p_list, bits_cap=DEFAULT_BITS_CAP) -> MomentTable:
+def moment_table(f, p_list, bits_cap=DEFAULT_BITS_CAP) -> MomentTable:
+    """Exact p-norms of the SignFunction ``f``, or of ``f`` itself when it is a law."""
     p_list = [float(p) for p in p_list]
     if not p_list or any(p < 1 for p in p_list):
         raise InvalidArgumentError("p_list must be nonempty with all p >= 1")
-    dist = distribution_exact(f, bits_cap)
+    dist = f if isinstance(f, StepDistribution) else distribution_exact(f, bits_cap)
     rows = tuple((p, dist.lp_norm(p)) for p in p_list)
     norms = np.array([r[1] for r in rows])
     if len(rows) < 2 or np.any(norms <= 0):
@@ -132,18 +124,17 @@ def blei_bound_check(
 
     The sharp constant in the p^(beta/2) moment bound is not pinned down,
     so the certificate only records the ratios and asserts that their
-    maximum is finite and attained at a recorded p.
+    maximum is finite and attained at a recorded p.  ``coeffs`` as in
+    :func:`index_terms`.
     """
     if beta is None:
         beta = float(A.order)
-    if coeffs is None:
-        coeffs = unit_coefficients(A)
     with timed_report(
-        "blei-moment-bound", {"size": len(coeffs), "beta": beta, "p_list": tuple(p_list)}
+        "blei-moment-bound", {"size": len(A), "beta": beta, "p_list": tuple(p_list)}
     ) as report:
-        f = chaos_sum(coeffs)
-        dist = distribution_exact(f, bits_cap)
-        l2 = math.sqrt(sum(c * c for c in coeffs.values()))
+        c = index_terms(A, coeffs)[0]
+        dist = law_of(A, c, bits_cap)
+        l2 = math.sqrt(sum(x * x for x in c.tolist()))
         best, best_p = -math.inf, None
         for p in p_list:
             p = float(p)
@@ -270,9 +261,10 @@ def rud_average(
 ) -> RudAverage:
     """Average over sign patterns u of || sum_j u_j a_j r_j ||_X.
 
-    Exact mode (samples=None) averages over all 2^|A'| patterns; Monte
-    Carlo mode draws seeded patterns and reports a standard error.  The
-    ratio deterministic / average is the empirical divergence constant.
+    ``coeffs`` as in :func:`index_terms`.  Exact mode (samples=None) averages
+    over all 2^|A'| patterns, Monte Carlo mode over seeded ones with a standard
+    error.  The ratio to the all-plus pattern's (deterministic) norm is the
+    empirical divergence constant.
 
     Exact mode runs one law per coset of the shift code H (see
     ``_shift_code``), 2^(|keep| - rank) laws for the |keep| nonzero
@@ -286,28 +278,9 @@ def rud_average(
     """
     if space is None:
         raise InvalidArgumentError("a SpaceSpec is required")
-    elements = list(Aprime.tuples())
-    if not elements:
-        raise InvalidArgumentError("index set is empty")
-    if coeffs is None:
-        coeffs = {t: 1.0 for t in elements}
-    else:
-        coeffs = {MultiIndex(k): float(v) for k, v in coeffs.items()}
-        missing = [t for t in elements if t not in coeffs]
-        if missing:
-            raise InvalidArgumentError(f"coefficients missing for {len(missing)} elements")
-        extra = set(coeffs).difference(elements)
-        if extra:
-            raise InvalidArgumentError(f"coefficients given for {len(extra)} keys outside A'")
-    base = np.array([coeffs[t] for t in elements])
-    m = len(elements)
-
-    det = norm(distribution_exact(chaos_sum(coeffs), bits_cap), space, tol)
-
     # pattern laws drop zero-coefficient terms, which then widen no support
-    keep = np.flatnonzero(base)
-    support = sorted({j for i in keep for j in elements[i]})
-    term_masks, k = kernel.masks([elements[i] for i in keep], support), len(support)
+    base, keep, term_masks, k = index_terms(Aprime, coeffs, bits_cap)
+    m = base.size
 
     def pattern_norm(c):
         values, counts = kernel.law(term_masks, c, k)
@@ -321,6 +294,7 @@ def rud_average(
         vals = np.fromiter(map(pattern_norm, signed), float)
         avg = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
+        det = pattern_norm(base[keep])
         return RudAverage(avg, det, det / avg, se, "mc")
 
     check_cap(m, RUD_EXACT_MAX, "pattern bits of an exact sign average",
@@ -350,12 +324,27 @@ def rud_average(
         vals[0] += total
         total = float(np.cumsum(vals)[-1])
     avg = total / (1 << m)
+    det = float(coset_norms[0])  # the all-plus pattern represents coset 0
     return RudAverage(avg, det, det / avg, None, "exact")
 
 
 # ---------------------------------------------------------------------------
 # Concentration of the randomized sup-norm
 # ---------------------------------------------------------------------------
+
+
+def _block_part(A, B, d):
+    """(B as a BlockChoice, A ∩ B); refuses orders other than d and an empty A ∩ B."""
+    if not isinstance(B, BlockChoice):
+        B = BlockChoice(B)
+    if d != A.order or B.order != d:
+        raise InvalidArgumentError(
+            f"order mismatch: set order {A.order}, blocks {B.order}, d={d}"
+        )
+    AB = A.block_elements(B)
+    if len(AB) == 0:
+        raise InvalidArgumentError("A does not meet the block product")
+    return B, AB
 
 
 def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None):
@@ -375,22 +364,10 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None
     any fixed configuration u -> u chi(c) is a bijection, so the pointwise
     tail is the binomial tail P(|sum of m signs| > lambda) everywhere.
     """
-    if not isinstance(B, BlockChoice):
-        B = BlockChoice(B)
-    if d is None:
-        d = A.order
-    if d != A.order or B.order != d:
-        raise InvalidArgumentError(
-            f"order mismatch: set order {A.order}, blocks {B.order}, d={d}"
-        )
-    AB = A.block_elements(B)
-    m = len(AB)
-    if m == 0:
-        raise InvalidArgumentError("A does not meet the block product")
-    n = B.n
-    elements = list(AB.tuples())
-    support = sorted({j for t in elements for j in t})
-    s = len(support)
+    d = A.order if d is None else d
+    B, AB = _block_part(A, B, d)
+    m, n = len(AB), B.n
+    _, _, term_masks, s = index_terms(AB)
     # the coset sweep needs only m <= 24; the support terms keep the refusal
     # of the former pattern x configuration sweep, which bench/reference.json pins
     if m > 24 or s > 24 or m + s > _SWEEP_BITS_CAP:
@@ -404,7 +381,7 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None
         "sign-concentration",
         {"d": d, "n": n, "intersection": m, "support_bits": s, "threshold": lam},
     ) as report:
-        basis = _shift_code(kernel.masks(elements, support), s)
+        basis = _shift_code(term_masks, s)
         patterns = float(1 << m)
         q = _exceeding_patterns(basis, m, lam) / patterns
         tail = sum(math.comb(m, w) for w in range(m + 1) if abs(m - 2 * w) > lam) / patterns
@@ -444,9 +421,9 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
     ) as report:
         ratios = []
         for idx, n in enumerate(n_list):
-            elements = list(gen_triangle(d, n).tuples())  # support 1..n
-            m, width = len(elements), -(-len(elements) // 64)
-            basis = _shift_code(kernel.masks(elements, range(1, n + 1)), n)
+            term_masks = index_terms(gen_triangle(d, n))[2]  # support 1..n
+            m, width = len(term_masks), -(-len(term_masks) // 64)
+            basis = _shift_code(term_masks, n)
             bits = np.zeros((mc_samples, 64 * width), dtype=np.uint8)
             bits[:, :m] = kernel.random_bits(seed, idx << 96, mc_samples, m).T
             patterns = np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
@@ -475,21 +452,13 @@ def lower_bound_check(A: IndexSet, B: BlockChoice, space: SpaceSpec, tol=1e-10, 
     sum takes the value |A ∩ B|, so the norm dominates the indicator bound
     through the fundamental function.
     """
-    if not isinstance(B, BlockChoice):
-        B = BlockChoice(B)
-    if B.order != A.order:
-        raise InvalidArgumentError("block order must match the set order")
-    AB = A.block_elements(B)
-    m = len(AB)
-    if m == 0:
-        raise InvalidArgumentError("A does not meet the block product")
-    d, n = A.order, B.n
+    B, AB = _block_part(A, B, A.order)
+    d, m, n = A.order, len(AB), B.n
     with timed_report(
         "fundamental-lower-bound",
         {"d": d, "n": n, "intersection": m, "space": space.describe()},
     ) as report:
-        f = chaos_sum(unit_coefficients(AB))
-        lhs = norm(distribution_exact(f, bits_cap), space, tol)
+        lhs = norm(law_of(AB, bits_cap=bits_cap), space, tol)
         rhs = m * fundamental_function(space, 2.0 ** (-d * n), tol)
         report.add("chaos_norm", lhs, ">=", rhs, tol=1e-9)
         report.add("indicator_bound", rhs, "info")
@@ -636,8 +605,7 @@ def normalized_sum_cdf(A: IndexSet, N, bits_cap=DEFAULT_BITS_CAP) -> NormalizedS
     m = len(arr)
     if m == 0:
         raise InvalidArgumentError(f"A restricted to entries <= {N} is empty")
-    f = chaos_sum(unit_coefficients(arr))  # scaled after the law: integer kernel, symmetric atoms
-    dist = distribution_exact(f, bits_cap).scaled(1.0 / math.sqrt(m))
+    dist = law_of(arr, bits_cap=bits_cap).scaled(1.0 / math.sqrt(m))  # integer law, then scaled
     l2 = dist.lp_norm(2)
     F = dist.cdf()
     ks = 0.0

@@ -34,7 +34,7 @@ from .combdim import (
 from .errors import ChaosLabError, InvalidArgumentError, ResourceLimitError
 from .report import RunManifest, csv_text, format_number as _fmt, write_report, write_text
 from .symspace import ConcaveWeight, OrliczFunction, SpaceSpec, coincidence_check, norm
-from .walsh import chaos_sum, distribution_exact, unit_coefficients
+from .walsh import law_of
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -197,17 +197,6 @@ def _build_parser():
     return top
 
 
-def _coeff_map(index_set, coeffs):
-    if coeffs is None:
-        return unit_coefficients(index_set)
-    elements = list(index_set.tuples())
-    if len(coeffs) != len(elements):
-        raise InvalidArgumentError(
-            f"{len(coeffs)} coefficients for {len(elements)} elements"
-        )
-    return dict(zip(elements, coeffs))
-
-
 def _emit(report, args, outputs):
     """Print a summary, write the report CSV if requested."""
     for c in report.checks:
@@ -319,9 +308,7 @@ def _dispatch(args, outputs) -> int:
     if cmd == "norm":
         A = load_index_set(args.set_path)
         space = parse_space(args.space)
-        coeffs = _coeff_map(A, args.coeffs)
-        dist = distribution_exact(chaos_sum(coeffs), args.max_enum_bits)
-        value = norm(dist, space, args.tol)
+        value = norm(law_of(A, args.coeffs, args.max_enum_bits), space, args.tol)
         print(f"norm[{space.describe()}] = {value:.6f}")
         return EXIT_OK
 
@@ -335,13 +322,12 @@ def _dispatch(args, outputs) -> int:
 
     if cmd == "moments":
         A = load_index_set(args.set_path)
-        coeffs = _coeff_map(A, args.coeffs)
-        table = moment_table(chaos_sum(coeffs), args.p_list, args.max_enum_bits)
+        table = moment_table(law_of(A, args.coeffs, args.max_enum_bits), args.p_list)
         for p, v in table.rows:
             print(f"  p={p:g}: {_fmt(v)}")
         print(f"growth exponent theta = {_fmt(table.theta)}")
         if args.beta is not None:
-            report = blei_bound_check(A, coeffs, args.beta, args.p_list, args.max_enum_bits)
+            report = blei_bound_check(A, args.coeffs, args.beta, args.p_list, args.max_enum_bits)
             return _emit(report, args, outputs)
         if args.out:
             _save(csv_text(("p", "norm"), table.rows, [("theta", table.theta)]), args, outputs)
@@ -350,16 +336,8 @@ def _dispatch(args, outputs) -> int:
     if cmd == "rud":
         A = load_index_set(args.set_path)
         space = parse_space(args.space)
-        coeffs = _coeff_map(A, args.coeffs)
-        result = rud_average(
-            A,
-            coeffs,
-            space,
-            samples=args.mc_samples,
-            seed=args.seed,
-            bits_cap=args.max_enum_bits,
-            tol=args.tol,
-        )
+        result = rud_average(A, args.coeffs, space, samples=args.mc_samples, seed=args.seed,
+                             bits_cap=args.max_enum_bits, tol=args.tol)
         print(f"averaged norm      = {_fmt(result.average)}")
         print(f"deterministic norm = {_fmt(result.deterministic_norm)}")
         print(f"ratio              = {_fmt(result.ratio)}")

@@ -4,10 +4,11 @@ The j-th Rademacher function is the dyadic sign function
 ``r_j(t) = (-1)^floor(2^j t)`` on [0, 1).  A chaos monomial is a product
 of distinct Rademacher functions indexed by a strictly decreasing
 multi-index, and finite linear combinations of monomials are represented
-as sparse Walsh polynomials over their joint sign configuration space.
-All distributions are computed exactly by enumerating that space, with a
-seeded counter-based Monte Carlo fallback for supports beyond the
-enumeration cap.  The enumeration and the sampling run in :mod:`kernel`:
+as sparse Walsh polynomials (:class:`SignFunction`).  A chaos over an
+index set skips them: :func:`index_terms` builds its kernel input from
+the set's rows, and :func:`law_of` gives its exact law.  Laws come from
+enumerating the sign configurations, or from seeded counter-based Monte
+Carlo past the cap.  The enumeration and the sampling run in :mod:`kernel`:
 monomials are uint64 masks over the ascending support, configurations
 are uint64 words and a monomial's sign is the parity of their AND.
 Integer coefficients with absolute sum at most 2^31 - 1 get their exact
@@ -22,6 +23,7 @@ which may exceed the support width, against the kernel's cap.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -407,6 +409,11 @@ def unit_coefficients(index_set):
     return {t: 1.0 for t in index_set.tuples()}
 
 
+def _check_bits(k, bits_cap):
+    check_cap(k, bits_cap, "support bits of an exact law (bits_cap)",
+              f"raise bits_cap to at least {k} or sample the law with distribution_mc")
+
+
 def distribution_exact(f, bits_cap=DEFAULT_BITS_CAP):
     """Exact law of a sign function under the uniform hypercube measure.
 
@@ -416,9 +423,49 @@ def distribution_exact(f, bits_cap=DEFAULT_BITS_CAP):
     ``kernel.HARD_CAP_BITS`` by the kernel.
     """
     k = len(f.support)
-    check_cap(k, bits_cap, "support bits of an exact law (bits_cap)",
-              f"raise bits_cap to at least {k} or sample the law with distribution_mc")
+    _check_bits(k, bits_cap)
     values, counts = kernel.law(kernel.masks(f.terms, f.support), list(f.terms.values()), k)
+    return StepDistribution(values, counts / (1 << k))
+
+
+def index_terms(A, coeffs=None, bits_cap=None):
+    """Kernel input (c, keep, term_masks, k) of the chaos sum of c_t r_t over
+    the index set ``A``: the float64 coefficients c in canonical row order,
+    the indices ``keep`` of the nonzero ones, their :func:`kernel.masks` over
+    the ascending support of those rows, and its width k, refused past
+    ``bits_cap`` as by :func:`distribution_exact`.  ``coeffs`` is None (all
+    1), a sequence in canonical order, or a map keyed by exactly A.
+    """
+    rows = A.to_array()
+    size = rows.shape[0]
+    if size == 0:
+        raise EmptyInputError("index set is empty")
+    if coeffs is None:
+        coeffs = np.ones(size)
+    elif isinstance(coeffs, Mapping):
+        given = {MultiIndex(t): float(v) for t, v in coeffs.items()}
+        keys = [tuple(r) for r in rows.tolist()]
+        missing = sum(t not in given for t in keys)
+        if missing or len(given) > size:
+            raise InvalidArgumentError(f"coefficient map misses {missing} elements of the set "
+                                       f"and has {len(given) - size + missing} keys outside it")
+        coeffs = [given[t] for t in keys]
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape != (size,):
+        raise InvalidArgumentError(f"{c.size} coefficients for {size} elements")
+    keep = np.flatnonzero(c)
+    support, pos = np.unique(rows[keep], return_inverse=True)
+    if bits_cap is not None:
+        _check_bits(support.size, bits_cap)
+    term_masks = (1 << pos.reshape(-1, A.order).astype(object)).sum(axis=1).tolist()
+    return c, keep, term_masks, support.size
+
+
+def law_of(A, coeffs=None, bits_cap=DEFAULT_BITS_CAP):
+    """Exact law of the chaos over the index set ``A`` with the coefficients
+    of :func:`index_terms`: ``distribution_exact`` of its :func:`chaos_sum`."""
+    c, keep, term_masks, k = index_terms(A, coeffs, bits_cap)
+    values, counts = kernel.law(term_masks, c[keep], k)
     return StepDistribution(values, counts / (1 << k))
 
 

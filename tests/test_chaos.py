@@ -28,6 +28,7 @@ from chaoslab import (
     gen_sum_set,
     gen_triangle,
     khintchine_check,
+    law_of,
     lower_bound_check,
     moment_table,
     norm,
@@ -196,6 +197,13 @@ class TestBleiBound:
         assert report.quantity("ratio_p2") == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert report.quantity("ratio_p2") <= 1.0
 
+    def test_coefficients_over_the_set(self):
+        A = gen_triangle(2, 5)
+        with pytest.raises(InvalidArgumentError):
+            blei_bound_check(A, {(9, 8): 1.0})  # a key outside A, and every key of A missing
+        with pytest.raises(InvalidArgumentError):
+            blei_bound_check(A, {**unit_coefficients(A), (9, 8): 1.0})
+
 
 class TestRudAverage:
     def test_order1_l2(self):
@@ -271,13 +279,21 @@ class TestRudAverage:
         monkeypatch.setattr(kernel, "law", counting_law)
         # unit triangle(2, 6): m = 15 terms, shift code of rank 5 (K6 is connected)
         rud_average(gen_triangle(2, 6), None, SpaceSpec.lp(2))
-        assert len(calls) == 2**10 + 1  # one per coset, one for the deterministic norm
+        assert len(calls) == 2**10  # one per coset; coset 0 gives the deterministic norm
         # zero-coefficient terms join the code: |keep| = 3 edges of a path, rank 3
         calls.clear()
         A = IndexSet.from_tuples([(2, 1), (3, 2), (4, 3), (4, 1), (6, 5)])
         coeffs = {(2, 1): 1.0, (3, 2): 2.0, (4, 3): -1.0, (4, 1): 0.0, (6, 5): 0.0}
         rud_average(A, coeffs, SpaceSpec.lp(2))
-        assert len(calls) == 2 ** (3 - 3) + 1
+        assert len(calls) == 2 ** (3 - 3)
+
+    @pytest.mark.parametrize("kind", ["int", "gauss"])
+    def test_deterministic_norm_is_the_law_of_the_set(self, kind):
+        A, coeffs = rud_instance(kind, 3)
+        for spec in RUD_SPACES.values():
+            det = norm(law_of(A, coeffs), spec, 1e-10)
+            assert rud_average(A, coeffs, spec).deterministic_norm == det
+            assert rud_average(A, coeffs, spec, samples=5, seed=2).deterministic_norm == det
 
     def test_exact_cap(self):
         A = gen_triangle(2, 8)  # 28 elements

@@ -169,6 +169,15 @@ class TestOtherCommands:
         assert run(["norm", "--set", str(sum_file), "--coeffs", "1,2",
                     "--space", "lp:2"]) == 2
 
+    @pytest.mark.parametrize("argv", [["rud", "--space", "lp:2"], ["moments"],
+                                      ["moments", "--beta", "2"]])
+    def test_coefficient_mismatch_one_check(self, sum_file, capsys, argv):
+        run(["norm", "--set", str(sum_file), "--coeffs", "1,2", "--space", "lp:2"])
+        message = capsys.readouterr().err
+        assert message == "error: 2 coefficients for 6 elements\n"
+        assert run([*argv, "--set", str(sum_file), "--coeffs", "1,2"]) == 2
+        assert capsys.readouterr().err == message
+
     def test_concentration(self):
         assert run(["concentration", "--order", "2", "--n", "4"]) == 0
         # triangle(3, 7) has m = 35 pattern bits, over the sweep cap

@@ -1,4 +1,5 @@
-"""The narrative demo scripts must keep running end to end."""
+"""The narrative demo scripts must keep running end to end and print
+exactly their committed output in ``golden/<demo>.txt``."""
 
 import pathlib
 import subprocess
@@ -6,7 +7,8 @@ import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("0*.py"))
+TESTS = pathlib.Path(__file__).parent
+DEMOS = sorted((TESTS.parent / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -15,4 +17,4 @@ def test_demo_runs(script):
         [sys.executable, str(script)], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == (TESTS / "golden" / f"{script.stem}.txt").read_text()

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     EmptyInputError,
+    IndexSet,
     InvalidArgumentError,
     MultiIndex,
     ResolutionError,
@@ -19,10 +22,13 @@ from chaoslab import (
     distribution_mc,
     evaluate_dyadic,
     gen_triangle,
+    law_of,
     rademacher,
     randomize_signs,
     unit_coefficients,
 )
+from chaoslab import kernel
+from chaoslab.walsh import index_terms
 
 
 def brute_force_law(coeffs):
@@ -287,3 +293,78 @@ class TestSignFunctionInternals:
         for cfg in range(8):
             signs = {j: (1 if not (cfg >> b) & 1 else -1) for b, j in enumerate(f.support)}
             assert vals[cfg] == pytest.approx(f.value(signs), abs=1e-12)
+
+
+@st.composite
+def index_set_chaos(draw, kind):
+    """(A, coefficients in canonical order) over a random explicit set of
+    order 1..3 on indices 1..12; about a fifth of the coefficients are 0."""
+    d = draw(st.integers(1, 3))
+    element = st.lists(st.integers(1, 12), min_size=d, max_size=d, unique=True)
+    rows = draw(st.lists(element.map(lambda t: sorted(t, reverse=True)), min_size=1,
+                         max_size=14, unique_by=tuple))
+    A = IndexSet.from_tuples(rows)
+    if kind == "gauss":
+        values = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(len(A))
+    else:
+        scale = 1 if kind == "int" else 8
+        values = np.array(draw(st.lists(st.integers(-40, 40), min_size=len(A),
+                                        max_size=len(A)))) / scale
+    zero = draw(st.lists(st.integers(0, 4), min_size=len(A), max_size=len(A)))
+    return A, np.where(np.array(zero) == 0, 0.0, values).tolist()
+
+
+def same_law(a, b):
+    return np.array_equal(a.values, b.values) and np.array_equal(a.weights, b.weights)
+
+
+class TestLawOf:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["int", "dyadic", "gauss"]).flatmap(index_set_chaos), st.randoms())
+    def test_matches_the_sign_function_route(self, case, random):
+        A, c = case
+        elements = list(A.tuples())
+        reference = distribution_exact(chaos_sum(dict(zip(elements, c))))
+        assert same_law(law_of(A, c), reference)
+        order = list(range(len(c)))
+        random.shuffle(order)
+        assert same_law(law_of(A, {elements[i]: c[i] for i in order}), reference)
+        _, keep, term_masks, k = index_terms(A, c)
+        support = sorted({j for i in keep for j in elements[i]})
+        assert term_masks == kernel.masks([elements[i] for i in keep], support)
+        assert k == len(support)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["int", "dyadic"]).flatmap(index_set_chaos),
+           st.permutations(range(1, 31)))
+    def test_relabeling_invariance(self, case, image):
+        A, c = case
+        relabeled = {tuple(sorted((image[j - 1] for j in t), reverse=True)): x
+                     for t, x in zip(A.tuples(), c)}
+        assert same_law(law_of(IndexSet.from_tuples(relabeled), relabeled), law_of(A, c))
+
+    def test_unit_coefficients_by_default(self):
+        A = gen_triangle(2, 6)
+        assert same_law(law_of(A), distribution_exact(chaos_sum(unit_coefficients(A))))
+
+    @pytest.mark.parametrize("coeffs", [
+        [1.0, 2.0],  # wrong length
+        {(2, 1): 1.0, (3, 1): 1.0},  # a key missing
+        {(2, 1): 1.0, (3, 1): 1.0, (3, 2): 1.0, (4, 1): 1.0},  # a key outside the set
+    ])
+    def test_coefficients_must_cover_the_set(self, coeffs):
+        with pytest.raises(InvalidArgumentError):
+            law_of(gen_triangle(2, 3), coeffs)
+
+    def test_empty_set(self):
+        with pytest.raises(EmptyInputError):
+            law_of(IndexSet.from_tuples([], order=2))
+
+    def test_bits_cap_refusal_of_distribution_exact(self):
+        A = gen_triangle(1, 25)
+        with pytest.raises(ResourceLimitError) as ours:
+            law_of(A, bits_cap=24)
+        with pytest.raises(ResourceLimitError) as theirs:
+            distribution_exact(chaos_sum(unit_coefficients(A)), bits_cap=24)
+        assert str(ours.value) == str(theirs.value)
+        assert (ours.value.required, ours.value.budget) == (25, 24)
