@@ -217,6 +217,11 @@ def _save(text, args, outputs):
     outputs.append(args.out)
 
 
+def _refuse_out(args, what):
+    if args.out:
+        raise InvalidArgumentError(f"{what} writes no file, so --out is not accepted")
+
+
 def run(argv=None) -> int:
     """Execute one subcommand; returns the process exit code."""
     parser = _build_parser()
@@ -286,6 +291,7 @@ def _dispatch(args, outputs) -> int:
             return _emit(report, args, outputs)
         if args.n is None:
             raise InvalidArgumentError("need --n (or --alpha/--beta/--n-list)")
+        _refuse_out(args, "density --n")
         count, witness = max_density(A, args.n, args.universe, args.strategy)
         print(f"best count: {count}")
         for i, b in enumerate(witness.blocks, 1):
@@ -306,6 +312,7 @@ def _dispatch(args, outputs) -> int:
         return EXIT_OK
 
     if cmd == "norm":
+        _refuse_out(args, "norm")
         A = load_index_set(args.set_path)
         space = parse_space(args.space)
         value = norm(law_of(A, args.coeffs, args.max_enum_bits), space, args.tol)
@@ -334,6 +341,7 @@ def _dispatch(args, outputs) -> int:
         return EXIT_OK
 
     if cmd == "rud":
+        _refuse_out(args, "rud")
         A = load_index_set(args.set_path)
         space = parse_space(args.space)
         result = rud_average(A, args.coeffs, space, samples=args.mc_samples, seed=args.seed,

@@ -5,6 +5,10 @@ norm, Lorentz and Marcinkiewicz spaces built from a concave weight, and
 exponential Orlicz spaces ExpL^r (either as an Orlicz norm or through the
 extrapolation sup_p ||x||_p / p^(1/r)).  Everything is computed from the
 exact distribution, via the decreasing rearrangement where needed.
+
+Each Orlicz function and each weight has one evaluator, the vectorized
+``apply``; a scalar call ``M(u)`` or ``phi(t)`` is ``apply`` on a one-point
+array, so it equals the matching entry of any vectorized call.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ _GL_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (20, 40))
 _GL_RTOL = 1e-13
 _GL_DEPTH = 50
 DEFAULT_P_GRID = tuple(float(2**i) for i in range(11))  # 1, 2, 4, ..., 1024
+_RATIO_T_MIN = 1e-8  # left end of the coincidence ratio grid
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +46,7 @@ class OrliczFunction:
       chord through the origin below u0.  For r >= 1 the default is
       u0 = 0 (no splice needed).  For r < 1 the raw function is concave
       near 0; the default u0 is the tangency point of the chord, the
-      smallest splice that keeps M convex.
+      smallest splice that keeps M convex, and a smaller u0 is refused.
     """
 
     __slots__ = ("kind", "param", "u0", "_slope", "_m_u0")
@@ -50,12 +55,8 @@ class OrliczFunction:
         self.kind = kind
         self.param = float(param)
         self.u0 = float(u0)
-        if self.u0 > 0:
-            self._m_u0 = math.expm1(self.u0**self.param)
-            self._slope = self._m_u0 / self.u0
-        else:
-            self._m_u0 = 0.0
-            self._slope = 0.0
+        self._m_u0 = math.expm1(self.u0**self.param) if self.u0 > 0 else 0.0
+        self._slope = self._m_u0 / self.u0 if self.u0 > 0 else 0.0
 
     @classmethod
     def power(cls, p):
@@ -67,22 +68,14 @@ class OrliczFunction:
     def exponential(cls, r, u0=None):
         if r <= 0:
             raise InvalidArgumentError(f"exponential Orlicz function needs r > 0, got {r}")
-        if u0 is None:
-            u0 = 0.0 if r >= 1 else _tangency_point(r) ** (1.0 / r)
-        if u0 < 0:
-            raise InvalidArgumentError("splice point u0 must be >= 0")
+        u_min = 0.0 if r >= 1 else _tangency_point(r) ** (1.0 / r)
+        u0 = u_min if u0 is None else u0
+        if u0 < u_min:
+            raise InvalidArgumentError(f"u0 must be >= {u_min:.6g} to keep M convex, got {u0}")
         return cls("exponential", r, u0)
 
     def __call__(self, u):
-        u = abs(float(u))
-        if self.kind == "power":
-            return u**self.param
-        if u < self.u0:
-            return self._slope * u
-        try:
-            return math.expm1(u**self.param)
-        except OverflowError:
-            return math.inf
+        return float(self.apply([u])[0])
 
     def apply(self, u):
         """Vectorized evaluation on a non-negative array."""
@@ -167,19 +160,16 @@ class ConcaveWeight:
         return cls("custom", fn=fn, label=label)
 
     def __call__(self, t):
-        t = float(t)
-        if t <= 0.0:
-            return 0.0
-        if self.kind == "log_power":
-            return math.log(math.e / t) ** (-self.gamma)
-        return float(self._fn(t))
+        return float(self.apply([t])[0])
 
     def apply(self, t):
+        """Vectorized evaluation; phi(t) = 0 for t <= 0."""
         t = np.asarray(t, dtype=float)
         if self.kind == "log_power":
-            out = np.where(t > 0, np.log(math.e / np.maximum(t, 1e-300)) ** (-self.gamma), 0.0)
-            return out
-        return np.array([self(x) for x in t.ravel()]).reshape(t.shape)
+            with np.errstate(all="ignore"):  # t <= 0 is masked; e/t = inf gives phi = 0
+                return np.where(t > 0, np.log(math.e / t) ** (-self.gamma), 0.0)
+        out = [float(self._fn(x)) if x > 0.0 else 0.0 for x in t.ravel().tolist()]
+        return np.array(out, dtype=float).reshape(t.shape)
 
     def validate(self, grid=None):
         """Spot-check monotonicity and quasiconcavity (phi(t)/t decreasing)."""
@@ -209,7 +199,6 @@ class SpaceSpec:
     weight: ConcaveWeight | None = None
     r: float | None = None
     method: str = "orlicz-bisection"
-    p_grid: tuple = DEFAULT_P_GRID
 
     @classmethod
     def lp(cls, p):
@@ -234,12 +223,12 @@ class SpaceSpec:
         return cls("marcinkiewicz", weight=weight)
 
     @classmethod
-    def exp_lr(cls, r, method="orlicz-bisection", p_grid=DEFAULT_P_GRID):
+    def exp_lr(cls, r, method="orlicz-bisection"):
         if r <= 0:
             raise InvalidArgumentError(f"ExpL^r needs r > 0, got {r}")
         if method not in ("orlicz-bisection", "extrapolation"):
             raise InvalidArgumentError(f"unknown ExpL^r method {method!r}")
-        return cls("explr", r=float(r), method=method, p_grid=tuple(float(p) for p in p_grid))
+        return cls("explr", r=float(r), method=method)
 
     def describe(self):
         if self.kind == "lp":
@@ -301,7 +290,7 @@ def norm(dist: StepDistribution, space: SpaceSpec, tol: float = DEFAULT_TOL) -> 
         return _marcinkiewicz_norm(dist, space.weight, tol)
     if space.kind == "explr":
         if space.method == "extrapolation":
-            return max(dist.lp_norm(p) / p ** (1.0 / space.r) for p in space.p_grid)
+            return max(dist.lp_norm(p) / p ** (1.0 / space.r) for p in DEFAULT_P_GRID)
         return luxemburg_norm(dist, OrliczFunction.exponential(space.r), tol)
     raise InvalidArgumentError(f"unknown space kind {space.kind!r}")
 
@@ -310,7 +299,7 @@ def luxemburg_norm(dist: StepDistribution, fn: OrliczFunction, tol: float = DEFA
     """inf { lam > 0 : sum M(|v_i| / lam) w_i <= 1 } by bracketing + bisection.
 
     The modular is strictly decreasing in lam for a non-zero distribution,
-    so the bracket is found by doubling (or halving) from ||x||_1.
+    so the bracket is found by halving (or doubling) from ||x||_1.
     """
     vals = np.abs(dist.values)
     wts = dist.weights
@@ -323,28 +312,16 @@ def luxemburg_norm(dist: StepDistribution, fn: OrliczFunction, tol: float = DEFA
     lam = float(np.sum(vals * wts))
     if lam == 0.0:
         lam = float(vals.max())
-    if modular(lam) <= 1.0:
-        hi = lam
-        lo = lam
-        for _ in range(_BRACKET_STEPS):
-            lo *= 0.5
-            if modular(lo) > 1.0:
-                break
-            hi = lo
-        else:
-            raise NumericFailureError("Luxemburg bracketing failed: modular stuck below 1")
+    feasible = modular(lam) <= 1.0
+    step = 0.5 if feasible else 2.0
+    for _ in range(_BRACKET_STEPS):
+        nxt = lam * step
+        if (modular(nxt) <= 1.0) != feasible:
+            break
+        lam = nxt
     else:
-        lo = lam
-        hi = lam
-        for _ in range(_BRACKET_STEPS):
-            hi *= 2.0
-            if modular(hi) <= 1.0:
-                break
-            lo = hi
-        else:
-            raise NumericFailureError(
-                f"Luxemburg bracketing failed after {_BRACKET_STEPS} doublings"
-            )
+        raise NumericFailureError(f"Luxemburg bracketing failed after {_BRACKET_STEPS} steps")
+    lo, hi = (nxt, lam) if feasible else (lam, nxt)
     while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
         if modular(mid) <= 1.0:
@@ -413,12 +390,7 @@ def fundamental_function(space: SpaceSpec, t: float, tol: float = DEFAULT_TOL) -
 
 
 def coincidence_check(
-    fn: OrliczFunction,
-    weight: ConcaveWeight,
-    eps: float,
-    grid: int = 64,
-    tol: float = DEFAULT_TOL,
-    t_min: float = 1e-8,
+    fn: OrliczFunction, weight: ConcaveWeight, eps: float, grid: int = 64, tol: float = DEFAULT_TOL
 ):
     """Certificate for the Orlicz/Marcinkiewicz coincidence conditions.
 
@@ -435,9 +407,9 @@ def coincidence_check(
 
     with timed_report(
         "orlicz-marcinkiewicz-coincidence",
-        {"eps": eps, "grid": grid, "tol": tol, "t_min": t_min, "weight": weight.label},
+        {"eps": eps, "grid": grid, "tol": tol, "t_min": _RATIO_T_MIN, "weight": weight.label},
     ) as report:
-        ts = np.geomspace(t_min, 1.0, grid)
+        ts = np.geomspace(_RATIO_T_MIN, 1.0, grid)
         ratio = np.array([weight(t) * fn.inverse(1.0 / t) for t in ts])
         if not np.all(np.isfinite(ratio)):
             raise NumericFailureError("fundamental-function ratio is non-finite on the grid")

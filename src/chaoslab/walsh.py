@@ -265,9 +265,12 @@ class SignFunction:
             coeff = float(coeff)
             if coeff == 0.0:
                 continue
-            key = tuple(sorted({int(j) for j in key}, reverse=True))
+            raw = key
+            key = tuple(sorted({int(j) for j in raw}, reverse=True))
             if key and key[-1] < 1:
                 raise InvalidArgumentError(f"Rademacher indices must be >= 1: {key}")
+            if len(key) < len(raw):  # eps_j^2 = 1: an index repeated evenly often cancels
+                key = tuple(j for j in key if sum(int(i) == j for i in raw) % 2)
             clean[key] = clean.get(key, 0.0) + coeff
         self.terms = {k: c for k, c in clean.items() if c != 0.0}
         self.support = tuple(sorted({j for k in self.terms for j in k}))

@@ -211,6 +211,56 @@ class TestOtherCommands:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+# one invocation per subcommand and mode; "SET" stands for a sum-set file
+OUT_CASES = {
+    "gen-set": ["gen-set", "--kind", "sum", "--max", "6"],
+    "density --n": ["density", "--set", "SET", "--n", "2", "--universe", "6"],
+    "density certificates": ["density", "--set", "SET", "--universe", "6", "--alpha", "1",
+                             "--beta", "2", "--n-list", "2,3"],
+    "dimension": ["dimension", "--set", "SET", "--n-list", "4,5,6"],
+    "norm": ["norm", "--set", "SET", "--space", "lp:2"],
+    "khintchine": ["khintchine", "--coeffs", "1,2", "--p", "3"],
+    "moments": ["moments", "--set", "SET"],
+    "moments --beta": ["moments", "--set", "SET", "--beta", "2"],
+    "rud": ["rud", "--set", "SET", "--space", "lp:2"],
+    "concentration": ["concentration", "--order", "2", "--n", "4"],
+    "clt": ["clt", "--set", "SET", "--n-list", "3,6"],
+    "coincidence": ["coincidence", "--orlicz", "exp:2", "--weight", "log:0.5", "--eps", "0.5"],
+}
+WRITES_NO_FILE = {"density --n", "norm", "rud"}
+
+
+def test_out_cases_cover_every_subcommand():
+    from chaoslab.cli import _build_parser
+
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in OUT_CASES.values()} == set(sub.choices)
+
+
+@pytest.mark.parametrize("case", sorted(OUT_CASES))
+def test_out_is_written_or_refused(case, sum_file, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    argv = [str(sum_file) if a == "SET" else a for a in OUT_CASES[case]]
+    code = run([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    if case in WRITES_NO_FILE:
+        assert code == 2 and not out.exists()
+        assert "--out" in err
+    else:
+        assert code in (0, 1), err
+        assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--set", "SET", "--space", "orlicz-exp:0.5:0.01"],
+    ["coincidence", "--orlicz", "exp:0.5:1", "--weight", "log:0.5", "--eps", "0.5"],
+])
+def test_nonconvex_orlicz_splice_is_a_usage_error(argv, sum_file, capsys):
+    argv = [str(sum_file) if a == "SET" else a for a in argv]
+    assert run(argv) == 2
+    assert "convex" in capsys.readouterr().err
+
+
 class TestOutputBytes:
     """Exact bytes of the tables the CLI writes, on small fixed inputs."""
 

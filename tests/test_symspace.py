@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     ConcaveWeight,
@@ -154,10 +156,109 @@ class TestOrliczFunction:
         assert OrliczFunction.exponential(2).u0 == 0.0
         assert OrliczFunction.exponential(2).validate()
 
+    @pytest.mark.parametrize("u0", [0.0, 0.01, 0.5, 1.0, 2.5])
+    def test_nonconvex_splice_refused(self, u0):
+        # for r = 0.5 the chord through the origin is tangent at u0 = 2.5396...
+        with pytest.raises(InvalidArgumentError, match="convex"):
+            OrliczFunction.exponential(0.5, u0)
+
+    def test_splice_at_or_above_tangency_accepted(self):
+        u_min = OrliczFunction.exponential(0.5).u0
+        assert u_min == pytest.approx(2.5396, abs=1e-4)
+        for u0 in (u_min, 2 * u_min):
+            assert OrliczFunction.exponential(0.5, u0).validate()
+        assert OrliczFunction.exponential(2, 0.5).validate()
+        with pytest.raises(InvalidArgumentError):
+            OrliczFunction.exponential(2, -0.1)
+
     def test_weight_validation(self):
         assert LOG_HALF.validate()
         with pytest.raises(InvalidArgumentError):
             ConcaveWeight.from_callable(lambda t: t * t, "convex").validate()
+
+
+def _orlicz_reference(M, u):
+    """M(u) by the textbook formula in scalar math."""
+    u = abs(u)
+    if M.kind == "power":
+        return u**M.param
+    if u < M.u0:
+        return math.expm1(M.u0**M.param) / M.u0 * u
+    return math.expm1(u**M.param)
+
+
+ORLICZ_FUNCTIONS = st.one_of(
+    st.floats(1.0, 8.0).map(OrliczFunction.power),
+    st.floats(1.0, 3.0).map(OrliczFunction.exponential),  # no splice
+    st.floats(0.2, 0.95).map(OrliczFunction.exponential),  # tangency splice
+    st.tuples(st.floats(1.0, 3.0), st.floats(0.01, 2.0)).map(
+        lambda ru: OrliczFunction.exponential(*ru)  # chord below a chosen u0
+    ),
+)
+WEIGHTS = st.one_of(
+    st.floats(0.0, 1.0).map(ConcaveWeight.log_power),
+    st.sampled_from([
+        ConcaveWeight.from_callable(math.sqrt, "sqrt"),  # math.sqrt raises below 0
+        ConcaveWeight.from_callable(lambda t: min(t / 0.3, 1.0), "kink"),
+    ]),
+)
+
+
+class TestOneEvaluator:
+    @settings(max_examples=200, deadline=None)
+    @given(M=ORLICZ_FUNCTIONS, u=st.floats(-5.0, 5.0))
+    def test_orlicz_scalar_is_apply(self, M, u):
+        assert M(u) == float(M.apply([u])[0])
+        assert M(u) == pytest.approx(_orlicz_reference(M, u), rel=1e-13, abs=1e-300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(phi=WEIGHTS, t=st.floats(-1.0, 1.0))
+    def test_weight_scalar_is_apply(self, phi, t):
+        assert phi(t) == float(phi.apply([t])[0])
+        assert phi.apply(np.array([[t, -t]])).shape == (1, 2)
+        if t <= 0.0:
+            assert phi(t) == 0.0
+        elif phi.kind == "log_power":
+            assert phi(t) == pytest.approx(math.log(math.e / t) ** -phi.gamma, rel=1e-13)
+
+
+class TestLuxemburgBracket:
+    """Both bracketing directions of luxemburg_norm against closed forms."""
+
+    @staticmethod
+    def first_guess_feasible(dist, M):
+        l1 = float(np.sum(np.abs(dist.values) * dist.weights))
+        return float(np.sum(M.apply(np.abs(dist.values) / l1) * dist.weights)) <= 1.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("c", [0.75, 3.0, 1e6])
+    def test_first_guess_at_the_norm(self, p, c):
+        # |x| = c a.e. makes ||x||_1 = c feasible, so the bracket halves from it
+        dist = StepDistribution([-c, c], [0.25, 0.75])
+        M = OrliczFunction.power(p)
+        assert self.first_guess_feasible(dist, M)
+        assert luxemburg_norm(dist, M) == c
+
+    @pytest.mark.parametrize("t", [0.9, 0.25, math.exp(-3), 1e-6])
+    def test_first_guess_below_the_norm(self, t):
+        # M(1) > 1, so by Jensen ||x||_1 is infeasible and the bracket doubles;
+        # the indicator of a set of measure t has norm 1 / M^{-1}(1/t)
+        M = OrliczFunction.exponential(2, 0.0)
+        dist = StepDistribution.indicator(t)
+        assert not self.first_guess_feasible(dist, M)
+        expect = 1.0 / math.sqrt(math.log1p(1.0 / t))
+        assert luxemburg_norm(dist, M) == pytest.approx(expect, rel=1e-9)
+
+    def test_l1_either_side(self):
+        # M(u) = u: the modular at ||x||_1 is 1 up to rounding, on either side
+        rng = np.random.default_rng(71)
+        M = OrliczFunction.power(1)
+        sides = set()
+        for _ in range(40):
+            dist = random_distribution(rng)
+            sides.add(self.first_guess_feasible(dist, M))
+            assert luxemburg_norm(dist, M) == pytest.approx(dist.lp_norm(1), rel=1e-9)
+        assert sides == {True, False}
 
 
 class TestCoincidence:

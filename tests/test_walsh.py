@@ -279,6 +279,22 @@ class TestAlgebra:
         assert f.support == ()
         assert distribution_exact(f).atoms() == [(1.0, 1.0)]
 
+    def test_repeated_key_index_cancels(self):
+        # r_3 r_3 r_1 = r_1, so a key with a repeated index agrees with the product
+        f = SignFunction({(3, 3, 1): 1.0})
+        assert f.terms == (rademacher(3) * rademacher(3) * rademacher(1)).terms == {(1,): 1.0}
+        assert f.value({1: 1}) == 1.0
+        assert f.value({1: -1}) == -1.0
+        g = SignFunction({(2, 2): 1.0})
+        assert g.terms == {(): 1.0} and g.support == ()
+        assert distribution_exact(g).atoms() == [(1.0, 1.0)]
+        # the odd count survives and merges with an equal monomial
+        assert SignFunction({(1, 1, 1): 2.0, (1,): 0.5}).terms == {(1,): 2.5}
+
+    def test_repeated_key_index_checked_before_cancelling(self):
+        with pytest.raises(InvalidArgumentError):
+            SignFunction({(0, 0): 1.0})
+
     def test_value_sequence_form(self):
         f = chaos_sum({(2, 1): 1.0})
         assert f.value([1, -1]) == -1.0
