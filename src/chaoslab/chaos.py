@@ -18,7 +18,7 @@ import numpy as np
 from . import kernel
 from .combdim import BlockChoice, gen_triangle
 from .distribution import StepDistribution
-from .errors import InvalidArgumentError, NumericFailureError, cap_error, check_cap
+from .errors import InvalidArgumentError, cap_error, check_cap
 from .report import CertificateReport, timed_report
 from .symspace import SpaceSpec, fundamental_function, norm
 from .walsh import DEFAULT_BITS_CAP, IndexSet, MultiIndex, distribution_exact, index_terms, law_of
@@ -36,8 +36,7 @@ class VerificationParams:
     """Density and unconditionality parameters of one verification setup.
 
     alpha/beta are the super/sub density exponents, b the exponent of the
-    target exponential space, delta the realized exponent log_n |A ∩ B|,
-    and rud_constant a candidate for the random-divergence constant.
+    target exponential space and delta the realized exponent log_n |A ∩ B|.
     """
 
     d: int
@@ -45,7 +44,6 @@ class VerificationParams:
     beta: float
     b: float
     delta: float = 0.0
-    rud_constant: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.alpha <= self.beta <= self.d:
@@ -102,12 +100,12 @@ class MomentTable:
     theta: float
 
 
-def moment_table(f, p_list, bits_cap=DEFAULT_BITS_CAP) -> MomentTable:
-    """Exact p-norms of the SignFunction ``f``, or of ``f`` itself when it is a law."""
+def moment_table(f, p_list) -> MomentTable:
+    """Exact p-norms of the law ``f``, or of the SignFunction ``f`` at the default bits cap."""
     p_list = [float(p) for p in p_list]
     if not p_list or any(p < 1 for p in p_list):
         raise InvalidArgumentError("p_list must be nonempty with all p >= 1")
-    dist = f if isinstance(f, StepDistribution) else distribution_exact(f, bits_cap)
+    dist = f if isinstance(f, StepDistribution) else distribution_exact(f)
     rows = tuple((p, dist.lp_norm(p)) for p in p_list)
     norms = np.array([r[1] for r in rows])
     if len(rows) < 2 or np.any(norms <= 0):
@@ -133,8 +131,11 @@ def blei_bound_check(
         "blei-moment-bound", {"size": len(A), "beta": beta, "p_list": tuple(p_list)}
     ) as report:
         c = index_terms(A, coeffs)[0]
-        dist = law_of(A, c, bits_cap)
         l2 = math.sqrt(sum(x * x for x in c.tolist()))
+        if l2 == 0.0:
+            raise InvalidArgumentError("all coefficients are zero, so the ratios to ||a||_2 "
+                                       "are undefined")
+        dist = law_of(A, c, bits_cap)
         best, best_p = -math.inf, None
         for p in p_list:
             p = float(p)
@@ -281,6 +282,9 @@ def rud_average(
     # pattern laws drop zero-coefficient terms, which then widen no support
     base, keep, term_masks, k = index_terms(Aprime, coeffs, bits_cap)
     m = base.size
+    if keep.size == 0:
+        raise InvalidArgumentError("all coefficients are zero, so the ratio to the "
+                                   "deterministic norm is undefined")
 
     def pattern_norm(c):
         values, counts = kernel.law(term_masks, c, k)
@@ -333,25 +337,23 @@ def rud_average(
 # ---------------------------------------------------------------------------
 
 
-def _block_part(A, B, d):
-    """(B as a BlockChoice, A ∩ B); refuses orders other than d and an empty A ∩ B."""
+def _block_part(A, B):
+    """(B as a BlockChoice, A ∩ B); refuses blocks not of A's order and an empty A ∩ B."""
     if not isinstance(B, BlockChoice):
         B = BlockChoice(B)
-    if d != A.order or B.order != d:
-        raise InvalidArgumentError(
-            f"order mismatch: set order {A.order}, blocks {B.order}, d={d}"
-        )
+    if B.order != A.order:
+        raise InvalidArgumentError(f"order mismatch: set order {A.order}, blocks {B.order}")
     AB = A.block_elements(B)
     if len(AB) == 0:
         raise InvalidArgumentError("A does not meet the block product")
     return B, AB
 
 
-def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None):
+def sign_concentration_check(A: IndexSet, B: BlockChoice, threshold=None):
     """Exact exceedance of the randomized sup-norm against Bernstein tails.
 
-    For the chaos over A ∩ B with blocks of size n, computes the fraction
-    q of sign patterns whose randomized sum exceeds sqrt(2d) n^((delta+1)/2)
+    For the chaos over A ∩ B with d = A.order blocks of size n, computes the
+    fraction q of sign patterns whose randomized sum exceeds sqrt(2d) n^((delta+1)/2)
     in sup-norm (delta the realized density exponent), and checks both
     q <= 2 (e/2)^(-dn) and the pointwise tail bound 2 exp(-lambda^2 / 2|A∩B|)
     at every configuration.  ``threshold`` overrides the default lambda.
@@ -364,9 +366,8 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, d=None, threshold=None
     any fixed configuration u -> u chi(c) is a bijection, so the pointwise
     tail is the binomial tail P(|sum of m signs| > lambda) everywhere.
     """
-    d = A.order if d is None else d
-    B, AB = _block_part(A, B, d)
-    m, n = len(AB), B.n
+    B, AB = _block_part(A, B)
+    d, m, n = A.order, len(AB), B.n
     _, _, term_masks, s = index_terms(AB)
     # the coset sweep needs only m <= 24; the support terms keep the refusal
     # of the former pattern x configuration sweep, which bench/reference.json pins
@@ -452,7 +453,7 @@ def lower_bound_check(A: IndexSet, B: BlockChoice, space: SpaceSpec, tol=1e-10, 
     sum takes the value |A ∩ B|, so the norm dominates the indicator bound
     through the fundamental function.
     """
-    B, AB = _block_part(A, B, A.order)
+    B, AB = _block_part(A, B)
     d, m, n = A.order, len(AB), B.n
     with timed_report(
         "fundamental-lower-bound",
@@ -492,10 +493,6 @@ def clt_star(A: IndexSet, N) -> StarCounts:
     max_count = int(counts.max())
     argmax_k = int(np.argmax(counts) + 1)
     ratio = max_count / arr.shape[0]
-    if A.structure == "sum-set" and max_count > 3 * N:
-        raise NumericFailureError(
-            f"sum-set incidence bound violated: {max_count} > 3N={3 * N}"
-        )  # pragma: no cover - impossible unless the generator is broken
     return StarCounts(counts, max_count, argmax_k, ratio)
 
 

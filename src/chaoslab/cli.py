@@ -22,6 +22,7 @@ from .chaos import (
     sign_concentration_check,
 )
 from .combdim import (
+    STRATEGIES,
     BlockChoice,
     density_certificates,
     dump_index_set,
@@ -33,8 +34,8 @@ from .combdim import (
 )
 from .errors import ChaosLabError, InvalidArgumentError, ResourceLimitError
 from .report import RunManifest, csv_text, format_number as _fmt, write_report, write_text
-from .symspace import ConcaveWeight, OrliczFunction, SpaceSpec, coincidence_check, norm
-from .walsh import law_of
+from .symspace import DEFAULT_TOL, ConcaveWeight, OrliczFunction, SpaceSpec, coincidence_check, norm
+from .walsh import DEFAULT_BITS_CAP, law_of
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -115,84 +116,82 @@ def _build_parser():
     top.add_argument("--version", action="version", version=f"chaoslab {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
-        p.add_argument("--max-enum-bits", type=int, default=24, help="exact enumeration cap")
-        p.add_argument("--tol", type=float, default=1e-10, help="root-finding tolerance")
+    def common(p):
+        p.add_argument("--max-enum-bits", type=int, default=DEFAULT_BITS_CAP,
+                       help="exact enumeration cap")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="root-finding tolerance")
         p.add_argument("--out", help="output file (report CSV unless noted)")
         p.add_argument("--manifest", help="write a JSON run manifest here")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--mc-samples", type=int, default=None)
 
     p = sub.add_parser("gen-set", help="generate an index set file")
     p.add_argument("--kind", choices=("sum", "triangle"), required=True)
     p.add_argument("--max", type=int, required=True, help="largest allowed entry")
     p.add_argument("--order", type=int, default=3, help="order d for triangle sets")
-    common(p, seed=False)
+    common(p)
 
     p = sub.add_parser("density", help="max block density or density certificates")
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--n", type=int, help="block size (single max-density run)")
     p.add_argument("--universe", type=int, required=True)
-    p.add_argument("--strategy", default="exhaustive",
-                   choices=("exhaustive", "greedy-swap", "identity-blocks"))
+    p.add_argument("--strategy", default="exhaustive", choices=STRATEGIES)
     p.add_argument("--alpha", type=float, help="super exponent (certificate mode)")
     p.add_argument("--beta", type=float, help="sub exponent (certificate mode)")
     p.add_argument("--n-list", type=_csv_ints, help="block sizes (certificate mode)")
-    common(p, seed=False)
+    common(p)
 
     p = sub.add_parser("dimension", help="least-squares combinatorial dimension")
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--n-list", type=_csv_ints, required=True)
     p.add_argument("--universe", type=int, default=None)
-    p.add_argument("--strategy", default="identity-blocks",
-                   choices=("exhaustive", "greedy-swap", "identity-blocks"))
-    common(p, seed=False)
+    p.add_argument("--strategy", default="identity-blocks", choices=STRATEGIES)
+    common(p)
 
     p = sub.add_parser("norm", help="norm of the chaos sum over a set")
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--coeffs", type=_csv_floats, help="per-element coefficients "
                    "(canonical element order; default all 1)")
     p.add_argument("--space", required=True)
-    common(p, seed=False)
+    common(p)
 
     p = sub.add_parser("khintchine", help="two-sided Khintchine bound check")
     p.add_argument("--coeffs", type=_csv_floats, required=True)
     p.add_argument("--p", type=float, required=True)
-    common(p, seed=False)
+    common(p)
 
     p = sub.add_parser("moments", help="exact moment table with growth exponent")
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--coeffs", type=_csv_floats)
     p.add_argument("--p-list", type=_csv_floats, default=[1, 2, 4, 8, 16])
     p.add_argument("--beta", type=float, help="also record Blei ratios at this exponent")
-    common(p, seed=False)
+    common(p)
 
     p = sub.add_parser("rud", help="sign-averaged norm vs deterministic norm")
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--coeffs", type=_csv_floats)
     p.add_argument("--space", required=True)
     common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mc-samples", type=int, default=None)
 
     p = sub.add_parser("concentration", help="randomized sup-norm concentration")
     p.add_argument("--set", dest="set_path")
     p.add_argument("--order", type=int, help="generate a full triangle of this order instead")
     p.add_argument("--n", type=int, required=True, help="block size (identity blocks)")
-    common(p, seed=False)
+    common(p)
 
     p = sub.add_parser("clt", help="sum-set normality criteria table")
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--n-list", dest="N_list", type=_csv_ints, required=True)
     p.add_argument("--star-threshold", type=float, default=0.15)
     p.add_argument("--sharp-threshold", type=float, default=1e-12)
-    common(p, seed=False)
+    common(p)
 
     p = sub.add_parser("coincidence", help="Orlicz/Marcinkiewicz coincidence check")
     p.add_argument("--orlicz", required=True, help="power:P or exp:R[:U0]")
     p.add_argument("--weight", required=True, help="log:GAMMA")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--grid", type=int, default=64)
-    common(p, seed=False)
+    common(p)
 
     return top
 
@@ -267,12 +266,12 @@ def _dispatch(args, outputs) -> int:
     cmd = args.command
 
     if cmd == "gen-set":
+        if not args.out:
+            raise InvalidArgumentError("gen-set requires --out")
         if args.kind == "sum":
             A = gen_sum_set(args.max)
         else:
             A = gen_triangle(args.order, args.max)
-        if not args.out:
-            raise InvalidArgumentError("gen-set requires --out")
         dump_index_set(A, args.out)
         outputs.append(args.out)
         print(f"wrote {len(A)} elements of order {A.order} to {args.out}")

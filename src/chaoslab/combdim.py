@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InvalidArgumentError, check_cap
 from .report import timed_report
-from .walsh import IndexSet, MultiIndex
+from .walsh import _MATERIALIZE_CAP, IndexSet, MultiIndex
 
 EXHAUSTIVE_BUDGET = 1_000_000
 STRATEGIES = ("exhaustive", "greedy-swap", "identity-blocks")
@@ -100,11 +100,15 @@ def gen_sum_set(max_entry):
     N = int(max_entry)
     if N < 3:
         raise InvalidArgumentError(f"sum set needs max entry >= 3, got {N}")
+    # (N - 1)^2 // 4 rows, checked before the two (N - 1)^2 meshgrids
+    largest = 1 + math.isqrt(4 * _MATERIALIZE_CAP + 3)  # largest N within the cap
+    check_cap((N - 1) ** 2 // 4, _MATERIALIZE_CAP, "rows of the sum set",
+              f"use a smaller max entry (CLI --max), at most {largest}")
     i, j = np.meshgrid(np.arange(1, N), np.arange(1, N), indexing="ij")
     keep = (i < j) & (i + j <= N)
     ii, jj = i[keep], j[keep]
     rows = np.stack([ii + jj, jj, ii], axis=1)
-    return IndexSet(3, array=rows, structure="sum-set")
+    return IndexSet(3, array=rows)
 
 
 # ---------------------------------------------------------------------------

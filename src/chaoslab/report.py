@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from .errors import InvalidArgumentError
@@ -27,24 +28,6 @@ class Check:
     passed: bool
 
 
-def make_check(quantity, value, comparison, bound=None, tol=0.0):
-    value = float(value)
-    if comparison == "info":
-        return Check(quantity, value, "info", None if bound is None else float(bound), True)
-    if bound is None:
-        raise InvalidArgumentError(f"check {quantity!r}: comparison {comparison!r} needs a bound")
-    bound = float(bound)
-    if comparison == "<=":
-        ok = value <= bound + tol
-    elif comparison == ">=":
-        ok = value >= bound - tol
-    elif comparison == "==":
-        ok = abs(value - bound) <= tol
-    else:
-        raise InvalidArgumentError(f"unknown comparison {comparison!r}")
-    return Check(quantity, value, comparison, bound, bool(ok))
-
-
 @dataclass
 class CertificateReport:
     """Named verification outcome: inputs, measured quantities, verdict."""
@@ -59,7 +42,24 @@ class CertificateReport:
         return all(c.passed for c in self.checks)
 
     def add(self, quantity, value, comparison="info", bound=None, tol=0.0):
-        self.checks.append(make_check(quantity, value, comparison, bound, tol))
+        """Append and return the row ``value comparison bound`` (within ``tol``)."""
+        if comparison != "info" and bound is None:
+            raise InvalidArgumentError(
+                f"check {quantity!r}: comparison {comparison!r} needs a bound"
+            )
+        value = float(value)
+        bound = None if bound is None else float(bound)
+        if comparison == "info":
+            ok = True
+        elif comparison == "<=":
+            ok = value <= bound + tol
+        elif comparison == ">=":
+            ok = value >= bound - tol
+        elif comparison == "==":
+            ok = abs(value - bound) <= tol
+        else:
+            raise InvalidArgumentError(f"unknown comparison {comparison!r}")
+        self.checks.append(Check(quantity, value, comparison, bound, bool(ok)))
         return self.checks[-1]
 
     def quantity(self, name):
@@ -68,27 +68,20 @@ class CertificateReport:
                 return c.value
         raise KeyError(name)
 
-    def __getitem__(self, name):
-        return self.quantity(name)
-
     def summary(self):
         state = "pass" if self.verdict else "FAIL"
         return f"{self.name}: {state} ({len(self.checks)} checks, {self.runtime:.3f}s)"
 
 
-class timed_report:
-    """Context manager filling in a report's runtime."""
-
-    def __init__(self, name, inputs=None):
-        self.report = CertificateReport(name, dict(inputs or {}))
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self.report
-
-    def __exit__(self, exc_type, exc, tb):
-        self.report.runtime = time.perf_counter() - self._t0
-        return False
+@contextmanager
+def timed_report(name, inputs=None):
+    """A new report whose runtime is the time spent in the ``with`` block."""
+    report = CertificateReport(name, dict(inputs or {}))
+    t0 = time.perf_counter()
+    try:
+        yield report
+    finally:
+        report.runtime = time.perf_counter() - t0
 
 
 @dataclass

@@ -100,12 +100,11 @@ class OrliczFunction:
             return v / self._slope
         return math.log1p(v) ** (1.0 / self.param)
 
-    def validate(self, grid=None):
+    def validate(self):
         """Spot-check convexity, positivity and M(0) = 0 on a grid."""
         if self(0.0) != 0.0:
             raise InvalidArgumentError("Orlicz function must vanish at 0")
-        if grid is None:
-            grid = np.concatenate([[0.0], np.geomspace(1e-6, 50.0, 200)])
+        grid = np.concatenate([[0.0], np.geomspace(1e-6, 50.0, 200)])
         vals = self.apply(grid)
         if np.any(vals < 0) or not np.any(vals > 0):
             raise InvalidArgumentError("Orlicz function must be non-negative and not identically 0")
@@ -171,10 +170,9 @@ class ConcaveWeight:
         out = [float(self._fn(x)) if x > 0.0 else 0.0 for x in t.ravel().tolist()]
         return np.array(out, dtype=float).reshape(t.shape)
 
-    def validate(self, grid=None):
+    def validate(self):
         """Spot-check monotonicity and quasiconcavity (phi(t)/t decreasing)."""
-        if grid is None:
-            grid = np.geomspace(1e-8, 1.0, 200)
+        grid = np.geomspace(1e-8, 1.0, 200)
         vals = self.apply(grid)
         if np.any(np.diff(vals) < -1e-12):
             raise InvalidArgumentError("weight fails the monotonicity spot-check")

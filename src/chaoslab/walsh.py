@@ -65,19 +65,17 @@ class IndexSet:
     too big to materialize but still supports exact counting.
     """
 
-    __slots__ = ("order", "_array", "_triangle_max", "structure")
+    __slots__ = ("order", "_array", "_triangle_max")
 
-    def __init__(self, order, array=None, triangle_max=None, structure=None):
+    def __init__(self, order, array=None, triangle_max=None):
         if order < 1:
             raise InvalidArgumentError("order must be >= 1")
         self.order = int(order)
-        self.structure = structure
         if triangle_max is not None:
             if triangle_max < order:
                 raise InvalidArgumentError("triangle max index must be >= order")
             self._triangle_max = int(triangle_max)
             self._array = None
-            self.structure = structure or "triangle"
             return
         self._triangle_max = None
         arr = np.asarray(array, dtype=np.int64)
@@ -93,18 +91,18 @@ class IndexSet:
         self._array.setflags(write=False)
 
     @classmethod
-    def from_tuples(cls, tuples, order=None, structure=None):
+    def from_tuples(cls, tuples, order=None):
         elems = [MultiIndex(t) for t in tuples]
         if not elems:
             if order is None:
                 raise InvalidArgumentError("order required for an empty index set")
-            return cls(order, array=np.empty((0, order), dtype=np.int64), structure=structure)
+            return cls(order, array=np.empty((0, order), dtype=np.int64))
         d = elems[0].order
         if any(e.order != d for e in elems):
             raise InvalidArgumentError("all elements must share one order")
         if order is not None and order != d:
             raise InvalidArgumentError(f"declared order {order} != element order {d}")
-        return cls(d, array=np.array(elems, dtype=np.int64), structure=structure)
+        return cls(d, array=np.array(elems, dtype=np.int64))
 
     @classmethod
     def triangle(cls, order, max_index):
@@ -150,8 +148,7 @@ class IndexSet:
         return bool(np.array_equal(self.to_array(), other.to_array()))
 
     def __repr__(self):
-        tag = f" {self.structure}" if self.structure else ""
-        return f"IndexSet(order={self.order}, size={len(self)}{tag})"
+        return f"IndexSet(order={self.order}, size={len(self)})"
 
     def to_array(self):
         """Explicit (size, d) row array; materializes an implicit triangle."""
@@ -180,7 +177,7 @@ class IndexSet:
                 return IndexSet(self.order, array=np.empty((0, self.order), dtype=np.int64))
             return IndexSet.triangle(self.order, m)
         keep = self._array[:, 0] <= max_entry  # leading entry is the max
-        return IndexSet(self.order, array=self._array[keep], structure=self.structure)
+        return IndexSet(self.order, array=self._array[keep])
 
     def count_leq(self, n):
         """|A restricted to entries <= n| without materializing."""
@@ -265,6 +262,8 @@ class SignFunction:
             coeff = float(coeff)
             if coeff == 0.0:
                 continue
+            if not math.isfinite(coeff):
+                raise InvalidArgumentError(f"coefficient of {key} is {coeff}; it must be finite")
             raw = key
             key = tuple(sorted({int(j) for j in raw}, reverse=True))
             if key and key[-1] < 1:
@@ -349,10 +348,6 @@ class SignFunction:
         """
         k = len(self.support)
         return kernel.values(kernel.masks(self.terms, self.support), list(self.terms.values()), k)
-
-    def second_moment(self):
-        """E f^2 = sum of squared Walsh coefficients (orthonormality)."""
-        return float(sum(c * c for c in self.terms.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +451,9 @@ def index_terms(A, coeffs=None, bits_cap=None):
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (size,):
         raise InvalidArgumentError(f"{c.size} coefficients for {size} elements")
+    if not np.isfinite(c).all():
+        bad = int(np.flatnonzero(~np.isfinite(c))[0])
+        raise InvalidArgumentError(f"coefficient {bad} is {c[bad]}; coefficients must be finite")
     keep = np.flatnonzero(c)
     support, pos = np.unique(rows[keep], return_inverse=True)
     if bits_cap is not None:

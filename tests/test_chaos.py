@@ -691,3 +691,55 @@ class TestVerificationParams:
             VerificationParams(d=2, alpha=1.0, beta=2.0, b=3.0)
         with pytest.raises(InvalidArgumentError):
             VerificationParams(d=2, alpha=1.0, beta=2.0, b=1.0, delta=2.5)
+
+
+class TestDegenerateCoefficients:
+    """Coefficients for which a certificate is undefined are a usage error."""
+
+    A = gen_triangle(2, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        coeffs = [1.0] * 5 + [bad]
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            khintchine_check([bad, 1.0], 2)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            blei_bound_check(self.A, coeffs)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            rud_average(self.A, coeffs, SpaceSpec.lp(2))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            rud_average(self.A, coeffs, SpaceSpec.lp(2), samples=5)
+
+    def test_all_zero_refused_where_a_ratio_is_undefined(self):
+        zero = [0.0] * len(self.A)
+        with pytest.raises(InvalidArgumentError, match="all coefficients are zero"):
+            blei_bound_check(self.A, zero)
+        with pytest.raises(InvalidArgumentError, match="all coefficients are zero"):
+            rud_average(self.A, zero, SpaceSpec.lp(2))
+        with pytest.raises(InvalidArgumentError, match="all coefficients are zero"):
+            rud_average(self.A, zero, SpaceSpec.lp(2), samples=5)
+
+    def test_zero_chaos_keeps_its_defined_values(self):
+        law = law_of(self.A, [0.0] * len(self.A))
+        assert law.values.tolist() == [0.0]
+        assert norm(law, SpaceSpec.lp(2)) == 0.0
+        assert moment_table(law, [1, 2, 4]).rows == ((1.0, 0.0), (2.0, 0.0), (4.0, 0.0))
+        report = khintchine_check([0.0, 0.0], 2)
+        assert report.quantity("moment") == 0.0 and report.verdict
+
+    def test_one_nonzero_coefficient_suffices(self):
+        coeffs = [0.0] * (len(self.A) - 1) + [2.0]
+        assert blei_bound_check(self.A, coeffs).quantity("ratio_p2") == pytest.approx(0.5)
+        result = rud_average(self.A, coeffs, SpaceSpec.lp(2))
+        assert result.ratio == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda A, B: sign_concentration_check(A, B),
+    lambda A, B: lower_bound_check(A, B, SpaceSpec.lp(2)),
+], ids=["sign_concentration_check", "lower_bound_check"])
+def test_block_order_must_match_set_order(check):
+    with pytest.raises(InvalidArgumentError, match="order mismatch"):
+        check(gen_triangle(2, 4), BlockChoice.identity(3, 4))
+    with pytest.raises(InvalidArgumentError, match="order mismatch"):
+        check(gen_triangle(3, 4), BlockChoice.identity(2, 4))

@@ -401,3 +401,64 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["norm", "--set", "TRI", "--coeffs", "nan,1,1,1,1,1", "--space", "lp:2"], "finite"),
+    (["norm", "--set", "TRI", "--coeffs", "inf,1,1,1,1,1", "--space", "lp:2"], "finite"),
+    (["moments", "--set", "TRI", "--coeffs", "1,1,1,1,1,nan"], "finite"),
+    (["moments", "--set", "TRI", "--coeffs", "1,1,1,1,1,-inf", "--beta", "2"], "finite"),
+    (["rud", "--set", "TRI", "--coeffs", "1,1,1,1,1,inf", "--space", "lp:2"], "finite"),
+    (["rud", "--set", "TRI", "--coeffs", "1,1,1,1,1,nan", "--space", "lp:2",
+      "--mc-samples", "5"], "finite"),
+    (["khintchine", "--coeffs", "nan,1", "--p", "2"], "finite"),
+    (["moments", "--set", "TRI", "--coeffs", "0,0,0,0,0,0", "--beta", "2"], "zero"),
+    (["rud", "--set", "TRI", "--coeffs", "0,0,0,0,0,0", "--space", "lp:2"], "zero"),
+    (["rud", "--set", "TRI", "--coeffs", "0,0,0,0,0,0", "--space", "lp:2",
+      "--mc-samples", "5"], "zero"),
+])
+def test_undefined_coefficients_are_a_usage_error(argv, cause, tmp_path, capsys):
+    tri = tmp_path / "tri.txt"
+    assert run(["gen-set", "--kind", "triangle", "--order", "2", "--max", "4",
+                "--out", str(tri)]) == 0
+    capsys.readouterr()
+    assert run([str(tri) if a == "TRI" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and cause in err
+    assert "nan" not in out and "verdict" not in out
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["norm", "--set", "TRI", "--coeffs", "0,0,0,0,0,0", "--space", "lp:2"],
+     "norm[L_2] = 0.000000\n"),
+    (["khintchine", "--coeffs", "0,0", "--p", "2"], "verdict: pass\n"),
+    (["moments", "--set", "TRI", "--coeffs", "0,0,0,0,0,0"], "growth exponent theta = 0\n"),
+])
+def test_zero_chaos_is_defined(argv, expected, tmp_path, capsys):
+    tri = tmp_path / "tri.txt"
+    assert run(["gen-set", "--kind", "triangle", "--order", "2", "--max", "4",
+                "--out", str(tri)]) == 0
+    capsys.readouterr()
+    assert run([str(tri) if a == "TRI" else a for a in argv]) == 0
+    assert capsys.readouterr().out.endswith(expected)
+
+
+def test_gen_set_checks_out_before_generating(monkeypatch, capsys):
+    import chaoslab.cli as cli
+
+    def generate(*args):
+        raise AssertionError("generated a set before checking --out")
+
+    monkeypatch.setattr(cli, "gen_sum_set", generate)
+    monkeypatch.setattr(cli, "gen_triangle", generate)
+    assert run(["gen-set", "--kind", "sum", "--max", "30000"]) == 2
+    assert run(["gen-set", "--kind", "triangle", "--order", "3", "--max", "30000"]) == 2
+    assert "requires --out" in capsys.readouterr().err
+
+
+def test_gen_set_sum_cap_names_a_smaller_max(tmp_path, capsys):
+    out = tmp_path / "big.txt"
+    assert run(["gen-set", "--kind", "sum", "--max", "30000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "224985000 required, cap 5000000" in err and "--max" in err and "4473" in err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Every cap refusal names its cap, the required value and a cheaper route."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -54,6 +55,7 @@ SITES = [
     ("sign_concentration_check",
      lambda: sign_concentration_check(gen_triangle(3, 7), BlockChoice.identity(3, 7)),
      (42, 28), "smaller blocks"),
+    ("gen_sum_set", lambda: gen_sum_set(10**6), ((10**6 - 1) ** 2 // 4, 5_000_000), "--max"),
 ]
 
 
@@ -65,3 +67,14 @@ def test_refusal_names_cap_and_route(call, pair, route):
     message = str(err.value)
     assert f"{pair[0]} required, cap {pair[1]}" in message
     assert route in message
+
+
+def test_sum_set_refusal_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            gen_sum_set(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

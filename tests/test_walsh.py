@@ -384,3 +384,41 @@ class TestLawOf:
             distribution_exact(chaos_sum(unit_coefficients(A)), bits_cap=24)
         assert str(ours.value) == str(theirs.value)
         assert (ours.value.required, ours.value.budget) == (25, 24)
+
+
+class TestNonFiniteCoefficients:
+    """NaN and +-inf are refused where coefficients enter, not carried into laws."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sign_function_refuses(self, bad):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            SignFunction({(1,): bad, (2,): 1.0})
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            chaos_sum({(1,): bad, (2,): 1.0})
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            randomize_signs({(1,): bad, (2,): 1.0}, {(1,): -1, (2,): 1})
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            rademacher(1) * bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            rademacher(1) + bad
+
+    def test_product_overflow_refused(self):
+        big = chaos_sum({(1,): 1e200})
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            big * big
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_index_terms_refuses(self, bad):
+        A = gen_triangle(2, 4)
+        coeffs = [1.0, 2.0, bad, 1.0, 1.0, 1.0]
+        for given_coeffs in (coeffs, np.array(coeffs), dict(zip(A.tuples(), coeffs))):
+            with pytest.raises(InvalidArgumentError, match="coefficient 2 is"):
+                index_terms(A, given_coeffs)
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                law_of(A, given_coeffs)
+
+    def test_finite_extremes_accepted(self):
+        A = gen_triangle(1, 2)
+        law = law_of(A, [1e300, -5e-324])
+        assert np.all(np.isfinite(law.values))
+        assert distribution_exact(chaos_sum({(1,): 1e300})).values.tolist() == [-1e300, 1e300]
