@@ -21,7 +21,8 @@ from .distribution import StepDistribution
 from .errors import InvalidArgumentError, cap_error, check_cap
 from .report import CertificateReport, timed_report
 from .symspace import SpaceSpec, fundamental_function, norm
-from .walsh import DEFAULT_BITS_CAP, IndexSet, MultiIndex, distribution_exact, index_terms, law_of
+from .walsh import (DEFAULT_BITS_CAP, IndexSet, MultiIndex, distribution_exact, index_terms,
+                    law_of, terms_law)
 
 KHINTCHINE_MAX_COEFFS = 20
 RUD_EXACT_MAX = 20
@@ -130,12 +131,12 @@ def blei_bound_check(
     with timed_report(
         "blei-moment-bound", {"size": len(A), "beta": beta, "p_list": tuple(p_list)}
     ) as report:
-        c = index_terms(A, coeffs)[0]
+        c, keep, term_masks, k = index_terms(A, coeffs, bits_cap)
         l2 = math.sqrt(sum(x * x for x in c.tolist()))
         if l2 == 0.0:
             raise InvalidArgumentError("all coefficients are zero, so the ratios to ||a||_2 "
                                        "are undefined")
-        dist = law_of(A, c, bits_cap)
+        dist = terms_law(term_masks, c[keep], k)
         best, best_p = -math.inf, None
         for p in p_list:
             p = float(p)
@@ -190,10 +191,12 @@ def _span(gens):
     return span
 
 
-def _weight_range(patterns, basis):
-    """(least, most) weight of u xor h over the codewords h of the shift code
-    with basis ``basis``, for each row u of the (N, width) uint64 words
-    ``patterns`` (bits as in :func:`_span`).  Patterns and codewords are
+def _coset_sup(patterns, basis, m):
+    """sup of |m - 2 wt(u xor h)| over the codewords h of the shift code with
+    basis ``basis``, as int64, for each row u of the (N, width) uint64 words
+    ``patterns`` of m-bit sign patterns (bits as in :func:`_span`).  |m - 2w|
+    is convex in w, so the sup is max(m - 2 least, 2 most - m) over the least
+    and the greatest weight of the coset u H.  Patterns and codewords are
     streamed in blocks of 2^_SWEEP_CELL_BITS pattern x codeword cells, and
     a block holds fewer than 2^(_SWEEP_CELL_BITS + 1) codeword words."""
     width = patterns.shape[1]
@@ -217,22 +220,25 @@ def _weight_range(patterns, basis):
                 w = np.add(w, np.bitwise_count(block[j] ^ code[j]), dtype=dtype)
             np.minimum(lo, w.min(axis=1), out=lo)
             np.maximum(hi, w.max(axis=1), out=hi)
-    return least, most
+    return np.maximum(m - 2 * least.astype(np.int64), 2 * most.astype(np.int64) - m)
+
+
+def _coset_reps(basis, m):
+    """The free (non-pivot) bits of m-bit patterns and the 2^len(free) coset
+    representatives of the shift code with basis ``basis``, as uint64 words
+    in counter order over the free bits."""
+    free = [t for t in range(m) if t not in basis]
+    return free, _span(np.array([1 << t for t in free], dtype=np.uint64))
 
 
 def _exceeding_patterns(basis, m, lam):
     """Number of sign patterns u over m unit terms with sup_c |sum_t u_t chi_t(c)| > lam.
 
-    The sum at c is m - 2 wt(u xor chi(c)), so u exceeds iff its coset of
-    H holds a word of weight w with |m - 2w| > lam, which happens iff the
-    coset's least or greatest weight does: :func:`_weight_range` of one
-    representative per coset.
+    The sum at c is m - 2 wt(u xor chi(c)), so u exceeds iff the
+    :func:`_coset_sup` of its coset, one representative each, does.
     """
-    exceeds = np.array([abs(m - 2 * w) > lam for w in range(m + 1)])  # by weight
-    free = [t for t in range(m) if t not in basis]
-    reps = _span(np.array([1 << t for t in free], dtype=np.uint64))
-    least, most = _weight_range(reps[:, None], basis)
-    return int(np.count_nonzero(exceeds[least] | exceeds[most])) << len(basis)
+    reps = _coset_reps(basis, m)[1]
+    return int(np.count_nonzero(_coset_sup(reps[:, None], basis, m) > lam)) << len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +293,7 @@ def rud_average(
                                    "deterministic norm is undefined")
 
     def pattern_norm(c):
-        values, counts = kernel.law(term_masks, c, k)
-        return norm(StepDistribution(values, counts / (1 << k)), space, tol)
+        return norm(terms_law(term_masks, c, k), space, tol)
 
     if samples is not None:
         samples = int(samples)
@@ -308,11 +313,9 @@ def rud_average(
     pattern_masks = dict(zip(keep.tolist(), term_masks))
     dropped = [1 << t for t in range(m) if t not in pattern_masks]
     basis = _shift_code([pattern_masks.get(t, 0) for t in range(m)], k, dropped)
-    free = [t for t in range(m) if t not in basis]
-    reps = _span(np.array([1 << t for t in free], dtype=np.uint64)).tolist()
-    coset_norms = np.array(
-        [pattern_norm(np.where((rep >> keep) & 1, -base[keep], base[keep])) for rep in reps]
-    )
+    free, reps = _coset_reps(basis, m)
+    coset_norms = np.array([pattern_norm(np.where((rep >> keep) & 1, -base[keep], base[keep]))
+                            for rep in reps.tolist()])
     # pattern p reduces to its representative p xor (the basis words of its
     # pivot bits), a linear map: bit t of p flips bits index[t] of the
     # representative's rank, its free bits read as a counter
@@ -403,9 +406,8 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
     For each n the chaos runs over the full triangle on {1..n}, m terms.
     The deterministic sup-norm is m: every monomial is +1 at the all-plus
     configuration.  The averaged one is estimated from seeded sign
-    patterns u, whose sup is max(m - 2 least, 2 most - m) over the weights
-    of the coset u H (see ``_exceeding_patterns``), a sweep of
-    mc_samples x 2^rank(H) cells.  The report checks that the ratio R(n)
+    patterns u, whose sup is the :func:`_coset_sup` of the coset u H, a
+    sweep of mc_samples x 2^rank(H) cells.  The report checks that the ratio R(n)
     increases along n_list within three standard errors.
     """
     n_list = [int(n) for n in n_list]
@@ -428,9 +430,8 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
             bits = np.zeros((mc_samples, 64 * width), dtype=np.uint8)
             bits[:, :m] = kernel.random_bits(seed, idx << 96, mc_samples, m).T
             patterns = np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
-            least, most = _weight_range(patterns, basis)
             # float32 sups: their mean and std accumulate in float32
-            sups = np.maximum(m - 2.0 * least, 2.0 * most - m).astype(np.float32)
+            sups = _coset_sup(patterns, basis, m).astype(np.float32)
             det = float(m)
             avg = float(sups.mean())
             se = float(sups.std(ddof=1) / math.sqrt(mc_samples))

@@ -196,7 +196,7 @@ def _build_parser():
     return top
 
 
-def _emit(report, args, outputs):
+def _emit(report, args):
     """Print a summary, write the report CSV if requested."""
     for c in report.checks:
         if c.comparison == "info":
@@ -207,13 +207,7 @@ def _emit(report, args, outputs):
     print(f"verdict: {'pass' if report.verdict else 'fail'}")
     if args.out:
         write_report(report, args.out)
-        outputs.append(args.out)
     return EXIT_OK if report.verdict else EXIT_CERT_FAIL
-
-
-def _save(text, args, outputs):
-    write_text(args.out, text)
-    outputs.append(args.out)
 
 
 def _refuse_out(args, what):
@@ -230,9 +224,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
     t0 = time.perf_counter()
-    outputs = []
     try:
-        code = _dispatch(args, outputs)
+        code = _dispatch(args)
         if args.manifest:
             RunManifest(
                 command_line="chaoslab " + " ".join(argv if argv is not None else sys.argv[1:]),
@@ -245,7 +238,7 @@ def run(argv=None) -> int:
                 tolerances={"tol": args.tol, "max_enum_bits": args.max_enum_bits},
                 version=__version__,
                 wall_time_s=time.perf_counter() - t0,
-                outputs=outputs,
+                outputs=[args.out] if args.out else [],  # every --out is written or refused
             ).write(args.manifest)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
@@ -262,7 +255,7 @@ def run(argv=None) -> int:
     return code
 
 
-def _dispatch(args, outputs) -> int:
+def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "gen-set":
@@ -273,7 +266,6 @@ def _dispatch(args, outputs) -> int:
         else:
             A = gen_triangle(args.order, args.max)
         dump_index_set(A, args.out)
-        outputs.append(args.out)
         print(f"wrote {len(A)} elements of order {A.order} to {args.out}")
         return EXIT_OK
 
@@ -287,7 +279,7 @@ def _dispatch(args, outputs) -> int:
             report = density_certificates(
                 A, args.alpha, args.beta, args.n_list, args.universe, args.strategy
             )
-            return _emit(report, args, outputs)
+            return _emit(report, args)
         if args.n is None:
             raise InvalidArgumentError("need --n (or --alpha/--beta/--n-list)")
         _refuse_out(args, "density --n")
@@ -307,7 +299,7 @@ def _dispatch(args, outputs) -> int:
         if args.out:
             rows = [(row.n, row.best_count) for row in profile.rows]
             notes = [("alpha_hat", profile.alpha_hat)]
-            _save(csv_text(("n", "best_count"), rows, notes), args, outputs)
+            write_text(args.out, csv_text(("n", "best_count"), rows, notes))
         return EXIT_OK
 
     if cmd == "norm":
@@ -324,19 +316,21 @@ def _dispatch(args, outputs) -> int:
         low = report.checks[1].bound
         high = report.checks[2].bound
         print(f"||sum a_j r_j||_{args.p:g} = {value:.6f}  (bounds [{low:.6f}, {high:.6f}])")
-        return _emit(report, args, outputs)
+        return _emit(report, args)
 
     if cmd == "moments":
         A = load_index_set(args.set_path)
         table = moment_table(law_of(A, args.coeffs, args.max_enum_bits), args.p_list)
+        report = None  # the Blei check may refuse the coefficients, so it runs before any output
+        if args.beta is not None:
+            report = blei_bound_check(A, args.coeffs, args.beta, args.p_list, args.max_enum_bits)
         for p, v in table.rows:
             print(f"  p={p:g}: {_fmt(v)}")
         print(f"growth exponent theta = {_fmt(table.theta)}")
-        if args.beta is not None:
-            report = blei_bound_check(A, args.coeffs, args.beta, args.p_list, args.max_enum_bits)
-            return _emit(report, args, outputs)
+        if report is not None:
+            return _emit(report, args)
         if args.out:
-            _save(csv_text(("p", "norm"), table.rows, [("theta", table.theta)]), args, outputs)
+            write_text(args.out, csv_text(("p", "norm"), table.rows, [("theta", table.theta)]))
         return EXIT_OK
 
     if cmd == "rud":
@@ -361,7 +355,7 @@ def _dispatch(args, outputs) -> int:
             raise InvalidArgumentError("need --set or --order")
         blocks = BlockChoice.identity(A.order, args.n)
         report = sign_concentration_check(A, blocks)
-        return _emit(report, args, outputs)
+        return _emit(report, args)
 
     if cmd == "clt":
         A = load_index_set(args.set_path)
@@ -370,7 +364,7 @@ def _dispatch(args, outputs) -> int:
         rows = [[N] + [report.quantity(f"{c}_N{N}") for c in columns] for N in args.N_list]
         text = csv_text(("N", "cardinality", "star_ratio", "sharp_ratio"), rows)
         if args.out:
-            _save(text, args, outputs)
+            write_text(args.out, text)
         else:
             print(text, end="")
         print(f"verdict: {'pass' if report.verdict else 'fail'}")
@@ -384,7 +378,7 @@ def _dispatch(args, outputs) -> int:
             grid=args.grid,
             tol=args.tol,
         )
-        return _emit(report, args, outputs)
+        return _emit(report, args)
 
     raise InvalidArgumentError(f"unknown command {cmd!r}")  # pragma: no cover
 

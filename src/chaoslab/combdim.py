@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError, InvalidArgumentError, check_cap
-from .report import timed_report
-from .walsh import _MATERIALIZE_CAP, IndexSet, MultiIndex
+from .report import timed_report, write_text
+from .walsh import _MATERIALIZE_CAP, IndexSet
 
 EXHAUSTIVE_BUDGET = 1_000_000
 STRATEGIES = ("exhaustive", "greedy-swap", "identity-blocks")
@@ -89,10 +89,7 @@ def gen_triangle(d, max_index):
     Held implicitly, so huge triangles stay cheap; materialization happens
     only on demand and only when affordably small.
     """
-    d, max_index = int(d), int(max_index)
-    if d < 1 or max_index < d:
-        raise InvalidArgumentError(f"need max_index >= order >= 1, got order={d}, max={max_index}")
-    return IndexSet.triangle(d, max_index)
+    return IndexSet.triangle(int(d), int(max_index))
 
 
 def gen_sum_set(max_entry):
@@ -100,14 +97,16 @@ def gen_sum_set(max_entry):
     N = int(max_entry)
     if N < 3:
         raise InvalidArgumentError(f"sum set needs max entry >= 3, got {N}")
-    # (N - 1)^2 // 4 rows, checked before the two (N - 1)^2 meshgrids
+    # (N - 1)^2 // 4 rows, checked before they are allocated
     largest = 1 + math.isqrt(4 * _MATERIALIZE_CAP + 3)  # largest N within the cap
     check_cap((N - 1) ** 2 // 4, _MATERIALIZE_CAP, "rows of the sum set",
               f"use a smaller max entry (CLI --max), at most {largest}")
-    i, j = np.meshgrid(np.arange(1, N), np.arange(1, N), indexing="ij")
-    keep = (i < j) & (i + j <= N)
-    ii, jj = i[keep], j[keep]
-    rows = np.stack([ii + jj, jj, ii], axis=1)
+    j = np.arange(2, N)
+    per_j = np.minimum(j - 1, N - j)  # i runs over 1..per_j
+    rows = np.empty((per_j.sum(), 3), dtype=np.int64)  # columns i + j, j, i
+    rows[:, 1] = np.repeat(j, per_j)
+    rows[:, 2] = np.arange(1, len(rows) + 1) - np.repeat(np.cumsum(per_j) - per_j, per_j)
+    rows[:, 0] = rows[:, 1] + rows[:, 2]
     return IndexSet(3, array=rows)
 
 
@@ -118,8 +117,6 @@ def gen_sum_set(max_entry):
 
 def density_count(A: IndexSet, blocks) -> int:
     """Exact |A ∩ (B_1 × ... × B_d)|."""
-    if isinstance(blocks, BlockChoice):
-        blocks = blocks.blocks
     return A.count_block(blocks)
 
 
@@ -285,9 +282,7 @@ def estimate_dimension(A: IndexSet, n_list, universe, strategy="identity-blocks"
 
 def dump_index_set(A: IndexSet, path):
     """Write one element per line, entries space-separated decreasing."""
-    with open(path, "w", encoding="ascii") as fh:
-        for row in A.to_array().tolist():
-            fh.write(" ".join(map(str, row)) + "\n")
+    write_text(path, "".join(" ".join(map(str, row)) + "\n" for row in A.to_array().tolist()))
 
 
 def load_index_set(path):
@@ -302,10 +297,13 @@ def load_index_set(path):
                 entries = [int(v) for v in line.split()]
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: not an integer row: {line!r}") from exc
-            try:
-                rows.append(MultiIndex(entries))
-            except InvalidArgumentError as exc:
-                raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from exc
+            if rows and len(entries) != len(rows[0]):
+                raise InvalidArgumentError(f"{path}:{lineno}: row of order {len(entries)} "
+                                           f"in a set of order {len(rows[0])}")
+            rows.append(entries)
     if not rows:
         raise InvalidArgumentError(f"{path}: no elements found")
-    return IndexSet.from_tuples(rows)
+    try:
+        return IndexSet(len(rows[0]), array=rows)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc

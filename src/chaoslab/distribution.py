@@ -95,9 +95,6 @@ class StepDistribution:
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
 
-    def mean(self):
-        return float(np.sum(self.values * self.weights))
-
     def scaled(self, c):
         return StepDistribution(self.values * c, self.weights)
 

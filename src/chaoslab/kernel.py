@@ -55,8 +55,8 @@ _BLOCK_BITS = 16  # longer transforms run their low stages block by block
 
 def masks(keys, support):
     """Mask (a Python int) of each monomial key over the ascending support."""
-    pos = {j: b for b, j in enumerate(support)}
-    return [sum(1 << pos[j] for j in key) for key in keys]
+    bit = {j: 1 << b for b, j in enumerate(support)}
+    return [sum(map(bit.__getitem__, key)) for key in keys]  # a key's indices are distinct
 
 
 def parity(words, mask):

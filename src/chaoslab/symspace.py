@@ -320,7 +320,7 @@ def luxemburg_norm(dist: StepDistribution, fn: OrliczFunction, tol: float = DEFA
     else:
         raise NumericFailureError(f"Luxemburg bracketing failed after {_BRACKET_STEPS} steps")
     lo, hi = (nxt, lam) if feasible else (lam, nxt)
-    while hi - lo > tol * hi:
+    while hi - lo > tol * hi and math.nextafter(lo, hi) < hi:  # a float lies between them
         mid = 0.5 * (lo + hi)
         if modular(mid) <= 1.0:
             hi = mid

@@ -72,8 +72,6 @@ class IndexSet:
             raise InvalidArgumentError("order must be >= 1")
         self.order = int(order)
         if triangle_max is not None:
-            if triangle_max < order:
-                raise InvalidArgumentError("triangle max index must be >= order")
             self._triangle_max = int(triangle_max)
             self._array = None
             return
@@ -83,8 +81,10 @@ class IndexSet:
             arr = arr.reshape(0, self.order)
         if arr.ndim != 2 or arr.shape[1] != self.order:
             raise InvalidArgumentError("element array must have shape (size, order)")
-        if arr.size and (np.any(arr[:, -1] < 1) or np.any(np.diff(arr, axis=1) >= 0)):
-            raise InvalidArgumentError("elements must be strictly decreasing positive tuples")
+        bad = np.flatnonzero((arr[:, -1] < 1) | np.any(np.diff(arr, axis=1) >= 0, axis=1))
+        if bad.size:
+            raise InvalidArgumentError(f"elements must be strictly decreasing positive tuples: "
+                                       f"{tuple(arr[bad[0]].tolist())}")
         # canonical order: unique rows, lexicographic over the tuples
         arr = np.unique(arr, axis=0) if arr.size else arr
         self._array = arr
@@ -106,6 +106,9 @@ class IndexSet:
 
     @classmethod
     def triangle(cls, order, max_index):
+        if not 1 <= order <= max_index:
+            raise InvalidArgumentError(
+                f"need max_index >= order >= 1, got order={order}, max={max_index}")
         return cls(order, triangle_max=max_index)
 
     @property
@@ -346,8 +349,12 @@ class SignFunction:
         Computed by a fast Walsh-Hadamard transform of the coefficient
         vector, O(k 2^k), and refused past ``kernel.HARD_CAP_BITS`` bits.
         """
-        k = len(self.support)
-        return kernel.values(kernel.masks(self.terms, self.support), list(self.terms.values()), k)
+        return kernel.values(*self._kernel_input())
+
+    def _kernel_input(self):
+        """(term masks over the ascending support, coefficients, support width):
+        the input of :mod:`kernel`'s evaluations."""
+        return kernel.masks(self.terms, self.support), list(self.terms.values()), len(self.support)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +427,14 @@ def distribution_exact(f, bits_cap=DEFAULT_BITS_CAP):
     wider than ``bits_cap`` are refused here, wider than
     ``kernel.HARD_CAP_BITS`` by the kernel.
     """
-    k = len(f.support)
-    _check_bits(k, bits_cap)
-    values, counts = kernel.law(kernel.masks(f.terms, f.support), list(f.terms.values()), k)
+    _check_bits(len(f.support), bits_cap)
+    return terms_law(*f._kernel_input())
+
+
+def terms_law(term_masks, coeffs, k):
+    """Exact law of the polynomial with these :func:`kernel.masks` and coefficients
+    over k support bits: :func:`kernel.law` with each count weighted 2^-k."""
+    values, counts = kernel.law(term_masks, coeffs, k)
     return StepDistribution(values, counts / (1 << k))
 
 
@@ -455,19 +467,17 @@ def index_terms(A, coeffs=None, bits_cap=None):
         bad = int(np.flatnonzero(~np.isfinite(c))[0])
         raise InvalidArgumentError(f"coefficient {bad} is {c[bad]}; coefficients must be finite")
     keep = np.flatnonzero(c)
-    support, pos = np.unique(rows[keep], return_inverse=True)
+    support = np.unique(rows[keep])
     if bits_cap is not None:
         _check_bits(support.size, bits_cap)
-    term_masks = (1 << pos.reshape(-1, A.order).astype(object)).sum(axis=1).tolist()
-    return c, keep, term_masks, support.size
+    return c, keep, kernel.masks(rows[keep].tolist(), support.tolist()), support.size
 
 
 def law_of(A, coeffs=None, bits_cap=DEFAULT_BITS_CAP):
     """Exact law of the chaos over the index set ``A`` with the coefficients
     of :func:`index_terms`: ``distribution_exact`` of its :func:`chaos_sum`."""
     c, keep, term_masks, k = index_terms(A, coeffs, bits_cap)
-    values, counts = kernel.law(term_masks, c[keep], k)
-    return StepDistribution(values, counts / (1 << k))
+    return terms_law(term_masks, c[keep], k)
 
 
 def distribution_mc(f, samples, seed=0):
@@ -482,12 +492,7 @@ def distribution_mc(f, samples, seed=0):
     if samples < 1:
         raise InvalidArgumentError("sample count must be >= 1")
     kernel.philox_key(seed)
-    k = len(f.support)
-    if k == 0:
-        return StepDistribution.point_mass(f.terms.get((), 0.0))
-    values, counts = kernel.sample_law(
-        kernel.masks(f.terms, f.support), list(f.terms.values()), k, samples, seed
-    )
+    values, counts = kernel.sample_law(*f._kernel_input(), samples, seed)
     return StepDistribution(values, counts / samples)
 
 

@@ -466,6 +466,23 @@ class TestShiftCode:
         for p, b in basis.items():
             assert (b >> p) & 1 and all(not (b >> q) & 1 for q in basis if q != p)
 
+    # triangle(2, 12) has 66 terms, so its patterns span two words
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 6), (3, 7), (2, 12)])
+    def test_coset_sup_is_the_max_over_configurations(self, d, n):
+        elements = list(gen_triangle(d, n).tuples())
+        m, width = len(elements), -(-len(elements) // 64)
+        masks = kernel.masks(elements, range(1, n + 1))
+        basis = chaos_module._shift_code(masks, n)
+        rng = np.random.default_rng(d * 100 + n)
+        us = [0, (1 << m) - 1] + [sum(int(b) << t for t, b in enumerate(rng.integers(0, 2, m)))
+                                  for _ in range(60)]
+        patterns = np.array([[(u >> 64 * j) & (2**64 - 1) for j in range(width)] for u in us],
+                            dtype=np.uint64)
+        signs = np.array([[1 - 2 * ((u >> t) & 1) for t in range(m)] for u in us], dtype=np.float32)
+        sums = signs @ sign_rows(masks, 0, 1 << n).T
+        expect = np.abs(sums).max(axis=1)
+        assert np.array_equal(chaos_module._coset_sup(patterns, basis, m), expect)
+
 
 class TestAveragedSupGrowth:
     def test_deterministic_sup(self):

@@ -384,6 +384,16 @@ class TestManifest:
         assert record["version"]
         assert record["tolerances"]["tol"] == 1e-10
 
+    @pytest.mark.parametrize("case", sorted(OUT_CASES))
+    def test_outputs_name_the_out_file(self, case, sum_file, tmp_path):
+        out, man = tmp_path / "out.txt", tmp_path / "run.json"
+        argv = [str(sum_file) if a == "SET" else a for a in OUT_CASES[case]]
+        if case not in WRITES_NO_FILE:
+            argv += ["--out", str(out)]
+        assert run([*argv, "--manifest", str(man)]) in (0, 1)
+        outputs = json.loads(man.read_text())["outputs"]
+        assert outputs == ([] if case in WRITES_NO_FILE else [str(out)])
+
     def test_manifest_direct(self, tmp_path):
         manifest = RunManifest("chaoslab demo", {"p": 2}, 0, {"tol": 1e-10},
                                "0.1.0", 0.5, [])
@@ -426,6 +436,13 @@ def test_undefined_coefficients_are_a_usage_error(argv, cause, tmp_path, capsys)
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and cause in err
     assert "nan" not in out and "verdict" not in out
+
+
+def test_moments_beta_refuses_before_printing(sum_file, capsys):
+    zeros = ",".join(["0"] * len(load_index_set(sum_file)))
+    assert run(["moments", "--set", str(sum_file), "--coeffs", zeros, "--beta", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "zero" in err
 
 
 @pytest.mark.parametrize("argv, expected", [

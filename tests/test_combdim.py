@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,17 @@ class TestGenerators:
     def test_sum_set_invalid(self):
         with pytest.raises(InvalidArgumentError):
             gen_sum_set(2)
+
+    def test_sum_set_allocates_about_its_rows(self):
+        assert set(gen_sum_set(301).tuples()) == brute_sum_set(301)
+        tracemalloc.start()
+        try:
+            A = gen_sum_set(2000)  # 999,000 rows of 24 bytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(A) == 1999**2 // 4
+        assert peak < 100 * 2**20
 
 
 class TestDensityCount:
@@ -331,6 +344,15 @@ class TestTextFormat:
         path = tmp_path / "bad2.idx"
         path.write_text("1 2 3\n")
         with pytest.raises(InvalidArgumentError):
+            load_index_set(path)
+
+    def test_row_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "mixed.idx"
+        path.write_text("3 2 1\n# comment\n4 2\n")
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:3: row of order 2")):
+            load_index_set(path)
+        path.write_text("3 2 1\n1 2 3\n")
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: ") + r".*\(1, 2, 3\)"):
             load_index_set(path)
 
     def test_empty_file(self, tmp_path):

@@ -18,6 +18,8 @@ from chaoslab import (
     distribution_exact,
     fubini_orlicz_check,
     fundamental_function,
+    gen_triangle,
+    law_of,
     luxemburg_norm,
     norm,
     rademacher,
@@ -259,6 +261,25 @@ class TestLuxemburgBracket:
             sides.add(self.first_guess_feasible(dist, M))
             assert luxemburg_norm(dist, M) == pytest.approx(dist.lp_norm(1), rel=1e-9)
         assert sides == {True, False}
+
+    @pytest.mark.parametrize("space", [SpaceSpec.exp_lr(2),
+                                       SpaceSpec.orlicz(OrliczFunction.power(3))],
+                             ids=["explr2", "orlicz-power3"])
+    @pytest.mark.parametrize("tol", [1e-16, 1e-17, 1e-300])
+    def test_tolerance_below_float_spacing_stops(self, space, tol, monkeypatch):
+        # the bisection ends at adjacent floats, where the midpoint is one of them
+        law = law_of(gen_triangle(2, 14))
+        expect = norm(law, space)
+        apply, calls = OrliczFunction.apply, []
+
+        def counted(self, u):
+            calls.append(1)
+            if len(calls) > 5000:
+                raise AssertionError("Luxemburg bisection did not stop")
+            return apply(self, u)
+
+        monkeypatch.setattr(OrliczFunction, "apply", counted)
+        assert norm(law, space, tol) == pytest.approx(expect, rel=1e-9)
 
 
 class TestCoincidence:

@@ -212,6 +212,12 @@ class TestDistributionMC:
         with pytest.raises(InvalidArgumentError):
             distribution_mc(rademacher(1), 0)
 
+    @pytest.mark.parametrize("terms, value", [({(): 2.5}, 2.5), ({(): -3.0}, -3.0), ({}, 0.0)])
+    def test_empty_support_is_a_point_mass(self, terms, value):
+        # a constant and the zero function sample no sign at all
+        law = distribution_mc(SignFunction(terms), 100_000, seed=3)
+        assert law.atoms() == [(value, 1.0)]
+
     def test_worker_count_invariance(self, monkeypatch):
         # chunk boundaries are fixed, so the law is identical for any pool size
         f = chaos_sum({(2, 1): 1.0, (3, 2): -0.5})
