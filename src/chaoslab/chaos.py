@@ -82,7 +82,7 @@ def khintchine_check(a, p) -> CertificateReport:
     check_cap(len(a), KHINTCHINE_MAX_COEFFS, "coefficients of an exact Khintchine check",
               "sample the law of chaos_sum with distribution_mc and take its lp_norm")
     p = float(p)
-    if p < 1:
+    if not p >= 1:
         raise InvalidArgumentError(f"need p >= 1, got {p}")
     with timed_report("khintchine", {"k": len(a), "p": p}) as report:
         value = law_of(IndexSet.triangle(1, len(a)), a, bits_cap=len(a)).lp_norm(p)
@@ -104,8 +104,8 @@ class MomentTable:
 def moment_table(f, p_list) -> MomentTable:
     """Exact p-norms of the law ``f``, or of the SignFunction ``f`` at the default bits cap."""
     p_list = [float(p) for p in p_list]
-    if not p_list or any(p < 1 for p in p_list):
-        raise InvalidArgumentError("p_list must be nonempty with all p >= 1")
+    if not p_list or not all(1 <= p < math.inf for p in p_list):
+        raise InvalidArgumentError("p_list must be nonempty with all p finite and >= 1")
     dist = f if isinstance(f, StepDistribution) else distribution_exact(f)
     rows = tuple((p, dist.lp_norm(p)) for p in p_list)
     norms = np.array([r[1] for r in rows])
@@ -128,6 +128,8 @@ def blei_bound_check(
     """
     if beta is None:
         beta = float(A.order)
+    if not math.isfinite(beta):
+        raise InvalidArgumentError(f"beta must be finite, got {beta}")
     with timed_report(
         "blei-moment-bound", {"size": len(A), "beta": beta, "p_list": tuple(p_list)}
     ) as report:
@@ -344,8 +346,6 @@ def _block_part(A, B):
     """(B as a BlockChoice, A ∩ B); refuses blocks not of A's order and an empty A ∩ B."""
     if not isinstance(B, BlockChoice):
         B = BlockChoice(B)
-    if B.order != A.order:
-        raise InvalidArgumentError(f"order mismatch: set order {A.order}, blocks {B.order}")
     AB = A.block_elements(B)
     if len(AB) == 0:
         raise InvalidArgumentError("A does not meet the block product")
@@ -380,6 +380,8 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, threshold=None):
                         f"each part capped at 24)", "use smaller blocks")
     delta = math.log(m) / math.log(n) if n > 1 else 0.0
     lam = math.sqrt(2.0 * d * n * m) if threshold is None else float(threshold)
+    if not math.isfinite(lam):
+        raise InvalidArgumentError(f"threshold must be finite, got {lam}")
 
     with timed_report(
         "sign-concentration",
@@ -540,6 +542,9 @@ def clt_criteria(A: IndexSet, N_list, star_threshold=0.15, sharp_threshold=1e-12
     N_list = [int(N) for N in N_list]
     if len(N_list) < 1 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise InvalidArgumentError("N_list must be strictly increasing")
+    if not math.isfinite(star_threshold) or not math.isfinite(sharp_threshold):
+        raise InvalidArgumentError(f"thresholds must be finite, got {star_threshold}, "
+                                   f"{sharp_threshold}")
     with timed_report(
         "clt-criteria",
         {
@@ -561,20 +566,9 @@ def clt_criteria(A: IndexSet, N_list, star_threshold=0.15, sharp_threshold=1e-12
             report.add(f"star_ratio_N{N}", s_ratio, "info")
             report.add(f"sharp_ratio_N{N}", sh_ratio, "info")
         for k in range(1, len(N_list)):
-            report.add(
-                f"star_nonincreasing_N{N_list[k]}",
-                star_ratios[k],
-                "<=",
-                star_ratios[k - 1],
-                tol=1e-12,
-            )
-            report.add(
-                f"sharp_nonincreasing_N{N_list[k]}",
-                sharp_ratios[k],
-                "<=",
-                sharp_ratios[k - 1],
-                tol=1e-12,
-            )
+            for name, ratios in (("star", star_ratios), ("sharp", sharp_ratios)):
+                report.add(f"{name}_nonincreasing_N{N_list[k]}", ratios[k], "<=", ratios[k - 1],
+                           tol=1e-12)
         report.add("star_ratio_final", star_ratios[-1], "<=", star_threshold)
         report.add("sharp_ratio_final", sharp_ratios[-1], "<=", sharp_threshold)
     return report

@@ -349,7 +349,7 @@ def _dispatch(args) -> int:
     if cmd == "concentration":
         if args.set_path:
             A = load_index_set(args.set_path)
-        elif args.order:
+        elif args.order is not None:
             A = gen_triangle(args.order, args.n)
         else:
             raise InvalidArgumentError("need --set or --order")
@@ -379,8 +379,6 @@ def _dispatch(args) -> int:
             tol=args.tol,
         )
         return _emit(report, args)
-
-    raise InvalidArgumentError(f"unknown command {cmd!r}")  # pragma: no cover
 
 
 def main():  # console entry point

@@ -41,8 +41,7 @@ class StepDistribution:
             raise InvalidArgumentError(f"atom weights sum to {total!r}, not 1")
         order = np.argsort(values, kind="stable")
         values, weights = values[order], weights[order]
-        if values.size > 1:
-            values, weights = _merge_close(values, weights)
+        values, weights = _merge_close(values, weights)
         self.values = values
         self.values.setflags(write=False)
         self.weights = weights
@@ -52,8 +51,6 @@ class StepDistribution:
     def from_atoms(cls, atoms):
         """Build from an iterable of (value, weight) pairs."""
         atoms = list(atoms)
-        if not atoms:
-            raise InvalidArgumentError("distribution needs at least one atom")
         vals = [a[0] for a in atoms]
         wts = [a[1] for a in atoms]
         return cls(vals, wts)

@@ -60,19 +60,24 @@ class OrliczFunction:
 
     @classmethod
     def power(cls, p):
-        if p < 1:
-            raise InvalidArgumentError(f"power Orlicz function needs p >= 1, got {p}")
+        if not 1 <= p < math.inf:
+            raise InvalidArgumentError(f"power Orlicz function needs finite p >= 1, got {p}")
         return cls("power", p)
 
     @classmethod
     def exponential(cls, r, u0=None):
-        if r <= 0:
-            raise InvalidArgumentError(f"exponential Orlicz function needs r > 0, got {r}")
-        u_min = 0.0 if r >= 1 else _tangency_point(r) ** (1.0 / r)
-        u0 = u_min if u0 is None else u0
-        if u0 < u_min:
-            raise InvalidArgumentError(f"u0 must be >= {u_min:.6g} to keep M convex, got {u0}")
-        return cls("exponential", r, u0)
+        if not 0 < r < math.inf:
+            raise InvalidArgumentError(f"exponential Orlicz function needs finite r > 0, got {r}")
+        try:
+            u_min = 0.0 if r >= 1 else _tangency_point(r) ** (1.0 / r)
+            u0 = u_min if u0 is None else u0
+            if not u_min <= u0 < math.inf:
+                raise InvalidArgumentError(
+                    f"u0 must be finite and >= {u_min:.6g} to keep M convex, got {u0}")
+            return cls("exponential", r, u0)
+        except OverflowError:
+            raise InvalidArgumentError(f"M(u) = exp(u^{r:g}) - 1 overflows a float at its "
+                                       f"splice point") from None
 
     def __call__(self, u):
         return float(self.apply([u])[0])
@@ -121,8 +126,8 @@ def _tangency_point(r):
     lo, hi = 1e-12, 1.0
     while f(hi) > 0:
         hi *= 2.0
-        if hi > 1e9:  # pragma: no cover - r bounded away from 0 upstream
-            raise NumericFailureError("tangency bracketing failed")
+        if hi > 1e9:  # x > 5e8, so r < 2e-9 and the splice point x^(1/r) overflows
+            raise OverflowError("tangency point past 1e9")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
@@ -150,8 +155,8 @@ class ConcaveWeight:
 
     @classmethod
     def log_power(cls, gamma):
-        if gamma < 0:
-            raise InvalidArgumentError(f"log-power weight needs gamma >= 0, got {gamma}")
+        if not 0 <= gamma < math.inf:
+            raise InvalidArgumentError(f"log-power weight needs finite gamma >= 0, got {gamma}")
         return cls("log_power", gamma=float(gamma))
 
     @classmethod
@@ -200,7 +205,7 @@ class SpaceSpec:
 
     @classmethod
     def lp(cls, p):
-        if p < 1:
+        if not p >= 1:
             raise InvalidArgumentError(f"L_p needs p >= 1, got {p}")
         return cls("lp", p=float(p))
 
@@ -222,8 +227,8 @@ class SpaceSpec:
 
     @classmethod
     def exp_lr(cls, r, method="orlicz-bisection"):
-        if r <= 0:
-            raise InvalidArgumentError(f"ExpL^r needs r > 0, got {r}")
+        if not 0 < r < math.inf:
+            raise InvalidArgumentError(f"ExpL^r needs finite r > 0, got {r}")
         if method not in ("orlicz-bisection", "extrapolation"):
             raise InvalidArgumentError(f"unknown ExpL^r method {method!r}")
         return cls("explr", r=float(r), method=method)
@@ -274,8 +279,7 @@ def decreasing_rearrangement(dist: StepDistribution) -> RearrangementStep:
 
 def norm(dist: StepDistribution, space: SpaceSpec, tol: float = DEFAULT_TOL) -> float:
     """Norm of (any function with) the given distribution in the space."""
-    if tol <= 0:
-        raise InvalidArgumentError("tolerance must be positive")
+    _check_tol(tol)
     if space.kind == "lp":
         return dist.lp_norm(space.p)
     if space.kind == "linf":
@@ -293,12 +297,18 @@ def norm(dist: StepDistribution, space: SpaceSpec, tol: float = DEFAULT_TOL) -> 
     raise InvalidArgumentError(f"unknown space kind {space.kind!r}")
 
 
+def _check_tol(tol):
+    if not 0 < tol < 1:
+        raise InvalidArgumentError(f"tolerance must lie in (0, 1), got {tol}")
+
+
 def luxemburg_norm(dist: StepDistribution, fn: OrliczFunction, tol: float = DEFAULT_TOL) -> float:
     """inf { lam > 0 : sum M(|v_i| / lam) w_i <= 1 } by bracketing + bisection.
 
     The modular is strictly decreasing in lam for a non-zero distribution,
     so the bracket is found by halving (or doubling) from ||x||_1.
     """
+    _check_tol(tol)
     vals = np.abs(dist.values)
     wts = dist.weights
     if float(vals.max()) == 0.0:
@@ -349,8 +359,6 @@ def _marcinkiewicz_norm(dist, weight, tol):
     bracket of its best scan point, vectorized over all segments.
     """
     rr = decreasing_rearrangement(dist)
-    if float(rr.values[0]) == 0.0:
-        return 0.0
     t0, t1, v = rr.breakpoints[:-1], rr.breakpoints[1:], rr.values
     area = np.cumsum(v * (t1 - t0))
     best = float(np.max(weight.apply(t1) * area / t1))
@@ -377,8 +385,6 @@ def _marcinkiewicz_norm(dist, weight, tol):
 
 def fundamental_function(space: SpaceSpec, t: float, tol: float = DEFAULT_TOL) -> float:
     """Norm of the indicator of a set of measure t in the space."""
-    if not 0.0 < t <= 1.0:
-        raise InvalidArgumentError(f"measure must lie in (0, 1], got {t}")
     return norm(StepDistribution.indicator(t), space, tol)
 
 
@@ -398,8 +404,9 @@ def coincidence_check(
     computed over geometrically shrinking slabs toward 0 until the tail
     is negligible or clearly fails to decay.
     """
-    if eps <= 0:
-        raise InvalidArgumentError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidArgumentError(f"eps must be finite and positive, got {eps}")
+    _check_tol(tol)
     if grid < 16:
         raise InvalidArgumentError("ratio grid needs at least 16 points")
 

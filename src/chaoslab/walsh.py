@@ -144,11 +144,10 @@ class IndexSet:
     def __eq__(self, other):
         if not isinstance(other, IndexSet):
             return NotImplemented
-        if self.order != other.order or len(self) != len(other):
+        if (self.order, len(self), self.max_index) != (other.order, len(other), other.max_index):
             return False
-        if self.is_triangle and other.is_triangle:
-            return self._triangle_max == other._triangle_max
-        return bool(np.array_equal(self.to_array(), other.to_array()))
+        # C(n, d) distinct decreasing rows with entries <= n are all of triangle(d, n)
+        return self.is_triangle or other.is_triangle or np.array_equal(self._array, other._array)
 
     def __repr__(self):
         return f"IndexSet(order={self.order}, size={len(self)})"
@@ -218,9 +217,7 @@ class IndexSet:
         """``blocks`` as one frozenset of ints per coordinate of the set."""
         blocks = [frozenset(int(v) for v in b) for b in blocks]
         if len(blocks) != self.order:
-            raise InvalidArgumentError(
-                f"block choice has {len(blocks)} coordinates, set has order {self.order}"
-            )
+            raise InvalidArgumentError(f"order mismatch: set order {self.order}, blocks {len(blocks)}")
         return blocks
 
 
@@ -415,6 +412,8 @@ def unit_coefficients(index_set):
 
 
 def _check_bits(k, bits_cap):
+    if not bits_cap >= 0:
+        raise InvalidArgumentError(f"bits_cap must be >= 0, got {bits_cap}")
     check_cap(k, bits_cap, "support bits of an exact law (bits_cap)",
               f"raise bits_cap to at least {k} or sample the law with distribution_mc")
 
@@ -491,7 +490,6 @@ def distribution_mc(f, samples, seed=0):
     samples = int(samples)
     if samples < 1:
         raise InvalidArgumentError("sample count must be >= 1")
-    kernel.philox_key(seed)
     values, counts = kernel.sample_law(*f._kernel_input(), samples, seed)
     return StepDistribution(values, counts / samples)
 
@@ -525,8 +523,6 @@ def evaluate_dyadic(f, m):
               f"the law needs only resolution {top}, the largest index; "
               f"past the cap sample it with distribution_mc")
     cells = np.arange(1 << m, dtype=np.int64)
-    if not f.support:
-        return DyadicStep(m, np.full(1 << m, f.terms.get((), 0.0)))
     config = np.zeros(1 << m, dtype=np.int64)
     for b, j in enumerate(f.support):
         bit = ((2 * cells + 1) >> (m + 1 - j)) & 1  # parity of floor(2^j (i+1/2) / 2^m)

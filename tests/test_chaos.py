@@ -663,6 +663,21 @@ class TestCltCriteria:
         with pytest.raises(InvalidArgumentError):
             clt_criteria(gen_sum_set(20), [10, 10])
 
+    def test_check_sequence(self):
+        report = clt_criteria(gen_sum_set(40), [10, 20, 40])
+        rows = [(c.quantity, c.comparison) for c in report.checks]
+        assert rows == [
+            ("card_N10", "info"), ("star_ratio_N10", "info"), ("sharp_ratio_N10", "info"),
+            ("card_N20", "info"), ("star_ratio_N20", "info"), ("sharp_ratio_N20", "info"),
+            ("card_N40", "info"), ("star_ratio_N40", "info"), ("sharp_ratio_N40", "info"),
+            ("star_nonincreasing_N20", "<="), ("sharp_nonincreasing_N20", "<="),
+            ("star_nonincreasing_N40", "<="), ("sharp_nonincreasing_N40", "<="),
+            ("star_ratio_final", "<="), ("sharp_ratio_final", "<="),
+        ]
+        bounds = {c.quantity: c.bound for c in report.checks}
+        assert bounds["star_nonincreasing_N40"] == report.quantity("star_ratio_N20")
+        assert bounds["sharp_nonincreasing_N20"] == report.quantity("sharp_ratio_N10")
+
 
 class TestNormalizedSum:
     def test_l2_normalization(self):
@@ -760,3 +775,23 @@ def test_block_order_must_match_set_order(check):
         check(gen_triangle(2, 4), BlockChoice.identity(3, 4))
     with pytest.raises(InvalidArgumentError, match="order mismatch"):
         check(gen_triangle(3, 4), BlockChoice.identity(2, 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: khintchine_check([1.0, 2.0], math.nan),
+    lambda: moment_table(rademacher(1), [1, math.inf]),
+    lambda: moment_table(rademacher(1), [1, math.nan]),
+    lambda: blei_bound_check(gen_triangle(2, 4), beta=math.nan),
+    lambda: blei_bound_check(gen_triangle(2, 4), beta=math.inf),
+    lambda: sign_concentration_check(gen_triangle(2, 4), BlockChoice.identity(2, 4), math.nan),
+    lambda: sign_concentration_check(gen_triangle(2, 4), BlockChoice.identity(2, 4), math.inf),
+    lambda: clt_criteria(gen_sum_set(20), [10, 20], star_threshold=math.nan),
+    lambda: clt_criteria(gen_sum_set(20), [10, 20], sharp_threshold=math.inf),
+    lambda: distribution_exact(rademacher(1), bits_cap=-1),
+    lambda: law_of(gen_triangle(2, 4), bits_cap=-1),
+], ids=["khintchine-p-nan", "moment-p-inf", "moment-p-nan", "blei-beta-nan", "blei-beta-inf",
+        "concentration-nan", "concentration-inf", "clt-star-nan", "clt-sharp-inf",
+        "distribution-bits-negative", "law-bits-negative"])
+def test_non_finite_and_out_of_range_parameters_refused(call):
+    with pytest.raises(InvalidArgumentError):
+        call()

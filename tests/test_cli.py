@@ -479,3 +479,28 @@ def test_gen_set_sum_cap_names_a_smaller_max(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "224985000 required, cap 5000000" in err and "--max" in err and "4473" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["norm", "--set", "SET", "--space", "lp:nan"], "p >= 1"),
+    (["norm", "--set", "SET", "--space", "lorentz-log:nan"], "finite gamma"),
+    (["norm", "--set", "SET", "--space", "orlicz-exp:2:nan"], "u0 must be finite"),
+    (["norm", "--set", "SET", "--space", "orlicz-power:3", "--tol", "nan"], "(0, 1)"),
+    (["norm", "--set", "SET", "--space", "orlicz-power:3", "--tol", "inf"], "(0, 1)"),
+    (["norm", "--set", "SET", "--space", "orlicz-power:3", "--tol", "2"], "(0, 1)"),
+    (["khintchine", "--coeffs", "1,2", "--p", "nan"], "p >= 1"),
+    (["moments", "--set", "SET", "--beta", "nan"], "beta must be finite"),
+    (["moments", "--set", "SET", "--p-list", "1,inf"], "finite"),
+    (["moments", "--set", "SET", "--p-list", "1,nan"], "finite"),
+    (["norm", "--set", "SET", "--space", "orlicz-exp:1e-3"], "overflows"),
+    (["norm", "--set", "SET", "--space", "orlicz-exp:1e-10"], "overflows"),
+    (["norm", "--set", "SET", "--space", "lp:2", "--max-enum-bits", "-1"], "bits_cap"),
+    (["concentration", "--order", "0", "--n", "3"], "order >= 1"),
+])
+def test_non_finite_and_out_of_range_numbers_are_usage_errors(argv, cause, tmp_path, capsys):
+    path = tmp_path / "sum12.idx"
+    assert run(["gen-set", "--kind", "sum", "--max", "12", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert run([str(path) if a == "SET" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and cause in err

@@ -115,6 +115,12 @@ class TestDensityCount:
         with pytest.raises(InvalidArgumentError):
             density_count(gen_sum_set(6), [(1, 2), (1, 2)])
 
+    @pytest.mark.parametrize("A", [gen_sum_set(6), gen_triangle(3, 6)],
+                             ids=["explicit", "triangle"])
+    def test_order_mismatch_is_named(self, A):
+        with pytest.raises(InvalidArgumentError, match="order mismatch: set order 3, blocks 2"):
+            density_count(A, [(1, 2), (1, 2)])
+
     def test_triangle_dp_matches_brute_force(self):
         rng = np.random.default_rng(13)
         for d, J in [(2, 9), (3, 8)]:

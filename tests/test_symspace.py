@@ -117,6 +117,15 @@ class TestNorms:
         with pytest.raises(InvalidArgumentError):
             norm(self.two_signs, SpaceSpec.lp(2), tol=0.0)
 
+    def test_zero_distribution_custom_marcinkiewicz_weight(self):
+        kink = ConcaveWeight.from_callable(lambda t: min(t / 0.3, 1.0), "kink")
+        zero = StepDistribution.point_mass(0.0)
+        assert norm(zero, SpaceSpec.marcinkiewicz(kink)) == 0.0
+
+    def test_no_atoms(self):
+        with pytest.raises(InvalidArgumentError, match="at least one atom"):
+            StepDistribution.from_atoms([])
+
 
 class TestFundamentalFunction:
     def test_lp(self):
@@ -135,6 +144,11 @@ class TestFundamentalFunction:
     @pytest.mark.parametrize("t", [0.0, -0.5, 1.0001])
     def test_domain(self, t):
         with pytest.raises(InvalidArgumentError):
+            fundamental_function(SpaceSpec.lp(2), t)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0001, math.nan])
+    def test_domain_message(self, t):
+        with pytest.raises(InvalidArgumentError, match=r"measure must lie in \(0, 1\]"):
             fundamental_function(SpaceSpec.lp(2), t)
 
 
@@ -480,3 +494,37 @@ class TestNormProperties:
         lo, hi = min(factors), max(factors)
         print(f"ExpL^r bisection/extrapolation factor range: [{lo:.3f}, {hi:.3f}]")
         assert 0.05 < lo and hi < 20.0
+
+
+TWO_SIGNS = StepDistribution([-1.0, 1.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: OrliczFunction.power(math.nan),
+    lambda: OrliczFunction.power(math.inf),
+    lambda: OrliczFunction.exponential(math.nan),
+    lambda: OrliczFunction.exponential(math.inf),
+    lambda: OrliczFunction.exponential(2, math.nan),
+    lambda: OrliczFunction.exponential(2, math.inf),
+    lambda: OrliczFunction.exponential(1e-3),  # splice point 1000^1000
+    lambda: OrliczFunction.exponential(1e-10),
+    lambda: OrliczFunction.exponential(2, 1e300),
+    lambda: ConcaveWeight.log_power(math.nan),
+    lambda: ConcaveWeight.log_power(math.inf),
+    lambda: SpaceSpec.lp(math.nan),
+    lambda: SpaceSpec.exp_lr(math.nan),
+    lambda: SpaceSpec.exp_lr(math.inf),
+    lambda: norm(TWO_SIGNS, SpaceSpec.lp(2), tol=math.nan),
+    lambda: norm(TWO_SIGNS, SpaceSpec.orlicz(OrliczFunction.power(3)), tol=math.inf),
+    lambda: norm(TWO_SIGNS, SpaceSpec.orlicz(OrliczFunction.power(3)), tol=2.0),
+    lambda: luxemburg_norm(TWO_SIGNS, OrliczFunction.power(3), tol=1.0),
+    lambda: coincidence_check(OrliczFunction.exponential(2), LOG_HALF, eps=math.nan),
+    lambda: coincidence_check(OrliczFunction.exponential(2), LOG_HALF, eps=math.inf),
+    lambda: coincidence_check(OrliczFunction.exponential(2), LOG_HALF, eps=0.5, tol=math.nan),
+], ids=["power-nan", "power-inf", "exp-r-nan", "exp-r-inf", "exp-u0-nan", "exp-u0-inf",
+        "exp-splice-1e-3", "exp-splice-1e-10", "exp-u0-1e300", "log-nan", "log-inf", "lp-nan",
+        "explr-nan", "explr-inf", "norm-tol-nan", "norm-tol-inf", "norm-tol-2",
+        "luxemburg-tol-1", "eps-nan", "eps-inf", "coincidence-tol-nan"])
+def test_non_finite_and_out_of_range_parameters_refused(call):
+    with pytest.raises(InvalidArgumentError):
+        call()

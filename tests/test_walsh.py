@@ -244,6 +244,13 @@ class TestEvaluateDyadic:
         with pytest.raises(ResolutionError):
             evaluate_dyadic(rademacher(3), 2)
 
+    @pytest.mark.parametrize("terms, value", [({(): 2.5}, 2.5), ({}, 0.0)],
+                             ids=["constant", "zero"])
+    def test_constant_is_read_only(self, terms, value):
+        values = evaluate_dyadic(SignFunction(terms), 3).values
+        assert values.tolist() == [value] * 8
+        assert not values.flags.writeable
+
     def test_histogram_invariant_random(self):
         # dyadic realization is equidistributed with the hypercube law
         rng = np.random.default_rng(23)
@@ -256,6 +263,23 @@ class TestEvaluateDyadic:
             exact = distribution_exact(f).atoms()
             for m in (top, top + 1, top + 2):
                 assert evaluate_dyadic(f, m).histogram().atoms() == exact
+
+
+class TestIndexSetEquality:
+    def test_triangle_equals_its_explicit_copy_without_materializing(self, monkeypatch):
+        tri = IndexSet.triangle(3, 7)
+        explicit = IndexSet(3, array=tri.to_array())
+        # 35 rows, as many as triangle(3, 7), but with entries up to 8
+        wider = IndexSet.from_tuples(list(itertools.combinations(range(8, 0, -1), 3))[:35])
+
+        def refuse(self):
+            raise AssertionError("equality materialized a set")
+
+        monkeypatch.setattr(IndexSet, "to_array", refuse)
+        assert tri == explicit and explicit == tri
+        assert tri != wider and wider != tri
+        assert explicit != wider
+        assert IndexSet.triangle(3, 400) == IndexSet.triangle(3, 400)
 
 
 class TestAlgebra:
