@@ -28,7 +28,6 @@ KHINTCHINE_MAX_COEFFS = 20
 RUD_EXACT_MAX = 20
 _PATTERN_CHUNK = 1 << 14
 _SWEEP_BITS_CAP = 28  # pattern bits + configuration bits, see sign_concentration_check
-_SWEEP_CELL_BITS = 16  # log2 of the pattern x codeword cells per block of the coset sweep
 CLT_PAIR_BUDGET = 10_000_000
 
 
@@ -124,7 +123,7 @@ def blei_bound_check(
     The sharp constant in the p^(beta/2) moment bound is not pinned down,
     so the certificate only records the ratios and asserts that their
     maximum is finite and attained at a recorded p.  ``coeffs`` as in
-    :func:`index_terms`.
+    :func:`index_terms`, ``p_list`` as in :func:`moment_table`.
     """
     if beta is None:
         beta = float(A.order)
@@ -138,11 +137,9 @@ def blei_bound_check(
         if l2 == 0.0:
             raise InvalidArgumentError("all coefficients are zero, so the ratios to ||a||_2 "
                                        "are undefined")
-        dist = terms_law(term_masks, c[keep], k)
         best, best_p = -math.inf, None
-        for p in p_list:
-            p = float(p)
-            ratio = dist.lp_norm(p) / (p ** (beta / 2.0) * l2)
+        for p, lp in moment_table(terms_law(term_masks, c[keep], k), p_list).rows:
+            ratio = lp / (p ** (beta / 2.0) * l2)
             report.add(f"ratio_p{p:g}", ratio, "info")
             if ratio > best:
                 best, best_p = ratio, p
@@ -157,90 +154,14 @@ def blei_bound_check(
 # ---------------------------------------------------------------------------
 
 
-def _shift_code(term_masks, s, extra=()):
-    """Reduced basis {pivot bit: word} of the shift code H = {chi(c)}.
-
-    Bit t of chi(c) is set where monomial t (mask ``term_masks[t]`` over s
-    support bits) is -1 at configuration c, so shifting the configuration
-    by c multiplies sign pattern u by chi(c).  H is spanned by the s
-    coordinate rows (bit t set where term t contains coordinate j), and
-    the words ``extra`` join the span.  Every basis word is zero on the
-    other pivot bits, so the words zero on every pivot bit are one
-    representative per coset of H.
-    """
-    rows = [sum(((mask >> j) & 1) << t for t, mask in enumerate(term_masks)) for j in range(s)]
-    basis = {}
-    for w in [*rows, *extra]:
-        for p, b in basis.items():
-            if (w >> p) & 1:
-                w ^= b
-        if w:
-            p = w.bit_length() - 1
-            for q, b in basis.items():
-                if (b >> p) & 1:
-                    basis[q] = b ^ w
-            basis[p] = w
-    return basis
-
-
-def _span(gens):
-    """The 2^g XOR combinations of the g rows of the uint64 array ``gens``
-    in counter order: bit i of the index picks gens[i].  A row is one word
-    or a row of words, the bits 64j..64j + 63 of a wider word in word j."""
-    span = np.zeros((1, *gens.shape[1:]), dtype=np.uint64)
-    for g in gens:
-        span = np.concatenate([span, span ^ g])
-    return span
-
-
-def _coset_sup(patterns, basis, m):
-    """sup of |m - 2 wt(u xor h)| over the codewords h of the shift code with
-    basis ``basis``, as int64, for each row u of the (N, width) uint64 words
-    ``patterns`` of m-bit sign patterns (bits as in :func:`_span`).  |m - 2w|
-    is convex in w, so the sup is max(m - 2 least, 2 most - m) over the least
-    and the greatest weight of the coset u H.  Patterns and codewords are
-    streamed in blocks of 2^_SWEEP_CELL_BITS pattern x codeword cells, and
-    a block holds fewer than 2^(_SWEEP_CELL_BITS + 1) codeword words."""
-    width = patterns.shape[1]
-    gens = b"".join(w.to_bytes(8 * width, "little") for w in basis.values())
-    gens = np.frombuffer(gens, dtype="<u8").astype(np.uint64).reshape(-1, width)
-    dtype = np.min_scalar_type(64 * width)
-    code_bits = min(len(gens), max(0, _SWEEP_CELL_BITS - (width - 1).bit_length()))
-    low = _span(gens[:code_bits]).T.copy()  # word-major: row j holds word j of each codeword
-    offsets = _span(gens[code_bits:])
-    rows = 1 << (_SWEEP_CELL_BITS - code_bits)
-    words = np.ascontiguousarray(patterns.T)
-    least = np.full(patterns.shape[0], 64 * width, dtype=dtype)
-    most = np.zeros(patterns.shape[0], dtype=dtype)
-    for start in range(0, patterns.shape[0], rows):
-        block = words[:, start : start + rows, None]
-        lo, hi = least[start : start + rows], most[start : start + rows]
-        for off in offsets:
-            code = low ^ off[:, None]
-            w = np.bitwise_count(block[0] ^ code[0])
-            for j in range(1, width):
-                w = np.add(w, np.bitwise_count(block[j] ^ code[j]), dtype=dtype)
-            np.minimum(lo, w.min(axis=1), out=lo)
-            np.maximum(hi, w.max(axis=1), out=hi)
-    return np.maximum(m - 2 * least.astype(np.int64), 2 * most.astype(np.int64) - m)
-
-
-def _coset_reps(basis, m):
-    """The free (non-pivot) bits of m-bit patterns and the 2^len(free) coset
-    representatives of the shift code with basis ``basis``, as uint64 words
-    in counter order over the free bits."""
-    free = [t for t in range(m) if t not in basis]
-    return free, _span(np.array([1 << t for t in free], dtype=np.uint64))
-
-
 def _exceeding_patterns(basis, m, lam):
     """Number of sign patterns u over m unit terms with sup_c |sum_t u_t chi_t(c)| > lam.
 
     The sum at c is m - 2 wt(u xor chi(c)), so u exceeds iff the
-    :func:`_coset_sup` of its coset, one representative each, does.
+    :func:`kernel.coset_sup` of its coset, one representative each, does.
     """
-    reps = _coset_reps(basis, m)[1]
-    return int(np.count_nonzero(_coset_sup(reps[:, None], basis, m) > lam)) << len(basis)
+    reps = kernel.coset_reps(basis, m)[1]
+    return int(np.count_nonzero(kernel.coset_sup(reps[:, None], basis, m) > lam)) << len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +197,7 @@ def rud_average(
     empirical divergence constant.
 
     Exact mode runs one law per coset of the shift code H (see
-    ``_shift_code``), 2^(|keep| - rank) laws for the |keep| nonzero
+    :func:`kernel.shift_code`), 2^(|keep| - rank) laws for the |keep| nonzero
     coefficients.  Shifting the configuration by c turns pattern u into
     u chi(c); in the transform this only negates and permutes butterfly
     inputs, which IEEE arithmetic does exactly, so every pattern of a
@@ -293,42 +214,37 @@ def rud_average(
     if keep.size == 0:
         raise InvalidArgumentError("all coefficients are zero, so the ratio to the "
                                    "deterministic norm is undefined")
+    c = base[keep]
 
-    def pattern_norm(c):
-        return norm(terms_law(term_masks, c, k), space, tol)
+    def pattern_norm(signed):
+        return norm(terms_law(term_masks, signed, k), space, tol)
 
     if samples is not None:
         samples = int(samples)
         if samples < 1:
             raise InvalidArgumentError("sample count must be >= 1")
-        signed = np.where(kernel.random_bits(seed, 0, samples, m)[keep].T, -base[keep], base[keep])
+        signed = np.where(kernel.random_bits(seed, 0, samples, m)[keep].T, -c, c)
         vals = np.fromiter(map(pattern_norm, signed), float)
         avg = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-        det = pattern_norm(base[keep])
+        det = pattern_norm(c)
         return RudAverage(avg, det, det / avg, se, "mc")
 
     check_cap(m, RUD_EXACT_MAX, "pattern bits of an exact sign average",
               "pass samples= for a Monte Carlo average")
-    # one law per coset of the shift code; a zero-coefficient term's sign
-    # changes no law, so its unit word joins the code
-    pattern_masks = dict(zip(keep.tolist(), term_masks))
-    dropped = [1 << t for t in range(m) if t not in pattern_masks]
-    basis = _shift_code([pattern_masks.get(t, 0) for t in range(m)], k, dropped)
-    free, reps = _coset_reps(basis, m)
-    coset_norms = np.array([pattern_norm(np.where((rep >> keep) & 1, -base[keep], base[keep]))
+    # one law per coset of the shift code of the nonzero terms; a zero term's
+    # sign moves no pattern's coset, so its index word is 0
+    basis = kernel.shift_code(term_masks, k)
+    free, reps = kernel.coset_reps(basis, c.size)
+    coset_norms = np.array([pattern_norm(np.where((rep >> np.arange(c.size)) & 1, -c, c))
                             for rep in reps.tolist()])
-    # pattern p reduces to its representative p xor (the basis words of its
-    # pivot bits), a linear map: bit t of p flips bits index[t] of the
-    # representative's rank, its free bits read as a counter
-    index = []
-    for t in range(m):
-        word = (1 << t) ^ basis.get(t, 0)
-        index.append(sum(((word >> f) & 1) << i for i, f in enumerate(free)))
-    index, low_bits = np.array(index, dtype=np.uint64), _PATTERN_CHUNK.bit_length() - 1
-    low = _span(index[:low_bits])
+    # bit t of a pattern flips bits index[t] of its coset's counter
+    index = np.zeros(m, dtype=np.uint64)
+    index[keep] = kernel.pattern_cosets(basis, free, c.size)
+    low_bits = _PATTERN_CHUNK.bit_length() - 1
+    low = kernel.span(index[:low_bits])
     total = 0.0
-    for off in _span(index[low_bits:]):  # running sum in pattern order, block by block
+    for off in kernel.span(index[low_bits:]):  # running sum in pattern order, block by block
         vals = coset_norms[low ^ off]
         vals[0] += total
         total = float(np.cumsum(vals)[-1])
@@ -362,7 +278,7 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, threshold=None):
     at every configuration.  ``threshold`` overrides the default lambda.
 
     Shifting the configuration by c multiplies pattern u by the word chi(c)
-    of the shift code H (see ``_shift_code``), so the sup over
+    of the shift code H (see :func:`kernel.shift_code`), so the sup over
     configurations is a max over the coset u H: q counts the cosets that
     hold a word of weight w with |m - 2w| > lambda, one representative
     each, times |H|.  The sweep visits 2^m pattern x codeword cells.  At
@@ -387,7 +303,7 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, threshold=None):
         "sign-concentration",
         {"d": d, "n": n, "intersection": m, "support_bits": s, "threshold": lam},
     ) as report:
-        basis = _shift_code(term_masks, s)
+        basis = kernel.shift_code(term_masks, s)
         patterns = float(1 << m)
         q = _exceeding_patterns(basis, m, lam) / patterns
         tail = sum(math.comb(m, w) for w in range(m + 1) if abs(m - 2 * w) > lam) / patterns
@@ -408,7 +324,7 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
     For each n the chaos runs over the full triangle on {1..n}, m terms.
     The deterministic sup-norm is m: every monomial is +1 at the all-plus
     configuration.  The averaged one is estimated from seeded sign
-    patterns u, whose sup is the :func:`_coset_sup` of the coset u H, a
+    patterns u, whose sup is the :func:`kernel.coset_sup` of the coset u H, a
     sweep of mc_samples x 2^rank(H) cells.  The report checks that the ratio R(n)
     increases along n_list within three standard errors.
     """
@@ -427,13 +343,10 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
         ratios = []
         for idx, n in enumerate(n_list):
             term_masks = index_terms(gen_triangle(d, n))[2]  # support 1..n
-            m, width = len(term_masks), -(-len(term_masks) // 64)
-            basis = _shift_code(term_masks, n)
-            bits = np.zeros((mc_samples, 64 * width), dtype=np.uint8)
-            bits[:, :m] = kernel.random_bits(seed, idx << 96, mc_samples, m).T
-            patterns = np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+            m = len(term_masks)
+            patterns = kernel.random_words(seed, idx << 96, mc_samples, m)
             # float32 sups: their mean and std accumulate in float32
-            sups = _coset_sup(patterns, basis, m).astype(np.float32)
+            sups = kernel.coset_sup(patterns, kernel.shift_code(term_masks, n), m).astype(np.float32)
             det = float(m)
             avg = float(sups.mean())
             se = float(sups.std(ddof=1) / math.sqrt(mc_samples))

@@ -180,32 +180,25 @@ def max_density(A: IndexSet, n, universe, strategy="exhaustive"):
                 best_blocks = tuple(candidates[k] for k in idx)
         return best_count, BlockChoice(best_blocks)
 
-    # greedy-swap
+    # greedy-swap: take the first improving swap in scan order until none improves
     blocks = [list(range(1, n + 1)) for _ in range(d)]
     unions = [_union_mask(masks, b) for masks, b in zip(value_masks, blocks)]
     count = functools.reduce(operator.and_, unions).bit_count()
-    improved = True
-    while improved:
-        improved = False
+
+    def swaps():
         for i in range(d):
             here = set(blocks[i])
             others = functools.reduce(operator.and_, unions[:i] + unions[i + 1 :], -1)
             for out in sorted(here):
                 for cand in range(1, universe + 1):
-                    if cand in here:
-                        continue
-                    trial = sorted(here - {out} | {cand})
-                    union = _union_mask(value_masks[i], trial)
-                    c = (others & union).bit_count()
-                    if c > count:
-                        blocks[i], unions[i] = trial, union
-                        count = c
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
+                    if cand not in here:
+                        trial = sorted(here - {out} | {cand})
+                        union = _union_mask(value_masks[i], trial)
+                        yield (others & union).bit_count(), i, trial, union
+
+    while swap := next((s for s in swaps() if s[0] > count), None):
+        count, i, trial, union = swap
+        blocks[i], unions[i] = trial, union
     return count, BlockChoice(tuple(tuple(b) for b in blocks))
 
 

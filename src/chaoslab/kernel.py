@@ -32,7 +32,12 @@ configurations), on either route:
   terms add exactly in int64 for integer coefficients, in float64 and in
   term order otherwise.
 * Sign patterns over m terms are bit words in the same convention, bit t
-  set where the sign of term t is -1; :func:`random_bits` draws them.
+  set where the sign of term t is -1: :func:`random_bits` draws them, and
+  :func:`random_words` packs term 64j + t into bit t of little-endian
+  uint64 word j.  Shifting the configuration by c multiplies a pattern by
+  the word chi(c) of the :func:`shift_code` H, so a sup or a law over
+  configurations depends only on the pattern's coset, which
+  :func:`coset_reps`, :func:`pattern_cosets` and :func:`coset_sup` sweep.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .parallel import map_chunks
 HARD_CAP_BITS = 26  # widest support any exact route enumerates: 2^26 configurations
 SLICE_BITS = 16  # low configuration bits transformed per slice
 MC_CHUNK = 1 << 16  # Monte Carlo rows per counter block
+SWEEP_CELL_BITS = 16  # log2 of the pattern x codeword cells per block of the coset sweep
 _INT_MAX = 2**31 - 1  # largest sum |c| whose transform fits int32
 _DENSE_RANGE = 1 << 17  # widest value range histogrammed by bincount
 _TRANSPOSE_BITS = 10  # transforms of at least 2^10 entries run on a transposed copy
@@ -185,6 +191,14 @@ def random_bits(seed, counter, rows, k):
     return np.ascontiguousarray(top.reshape(rows, k).T)
 
 
+def random_words(seed, counter, rows, k):
+    """(rows, ceil(k / 64)) uint64 words of the :func:`random_bits` patterns:
+    bit t of word j of row r is entry 64j + t of pattern r."""
+    bits = np.zeros((rows, -(-k // 64) * 64), dtype=np.uint8)
+    bits[:, :k] = random_bits(seed, counter, rows, k).T
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
 def _xor_columns(bits, cols):
     """Parity (uint8) of the rows ``cols`` of ``bits``: 0 for no rows."""
     if not cols:
@@ -257,3 +271,89 @@ def _merge(parts):
     counts = np.zeros(vals.size, dtype=np.int64)
     np.add.at(counts, inv, np.concatenate([p[1] for p in parts]))
     return vals, counts
+
+
+def shift_code(term_masks, s):
+    """Reduced basis {pivot bit: word} of the shift code H = {chi(c)}.
+
+    Bit t of chi(c) is set where monomial t (mask ``term_masks[t]`` over s
+    support bits) is -1 at configuration c, so shifting the configuration
+    by c multiplies sign pattern u by chi(c).  H is spanned by the s
+    coordinate rows (bit t set where term t contains coordinate j).  Every
+    basis word is zero on the other pivot bits, so the words zero on every
+    pivot bit are one representative per coset of H.
+    """
+    basis = {}
+    for j in range(s):
+        w = sum(((mask >> j) & 1) << t for t, mask in enumerate(term_masks))
+        for p, b in basis.items():
+            if (w >> p) & 1:
+                w ^= b
+        if w:
+            p = w.bit_length() - 1
+            for q, b in basis.items():
+                if (b >> p) & 1:
+                    basis[q] = b ^ w
+            basis[p] = w
+    return basis
+
+
+def span(gens):
+    """The 2^g XOR combinations of the g rows of the uint64 array ``gens``
+    in counter order: bit i of the index picks gens[i].  A row is one word
+    or a row of words, as from :func:`random_words`."""
+    out = np.zeros((1, *gens.shape[1:]), dtype=np.uint64)
+    for g in gens:
+        out = np.concatenate([out, out ^ g])
+    return out
+
+
+def coset_reps(basis, m):
+    """The free (non-pivot) bits of m-bit patterns and the 2^len(free) coset
+    representatives of the shift code with basis ``basis``, as uint64 words
+    in counter order over the free bits."""
+    free = [t for t in range(m) if t not in basis]
+    return free, span(np.array([1 << t for t in free], dtype=np.uint64))
+
+
+def pattern_cosets(basis, free, m):
+    """uint64 index word of each of the m pattern bits: pattern p lies in the
+    coset whose :func:`coset_reps` counter is the XOR of the words of its set
+    bits, since p reduces to p xor (the basis words of its pivot bits)."""
+    index = []
+    for t in range(m):
+        word = (1 << t) ^ basis.get(t, 0)
+        index.append(sum(((word >> f) & 1) << i for i, f in enumerate(free)))
+    return np.array(index, dtype=np.uint64)
+
+
+def coset_sup(patterns, basis, m):
+    """sup of |m - 2 wt(u xor h)| over the codewords h of the shift code with
+    basis ``basis``, as int64, for each row u of the (N, width) uint64 words
+    ``patterns`` of m-bit sign patterns.  |m - 2w| is convex in w, so the
+    sup is max(m - 2 least, 2 most - m) over the least and the greatest
+    weight of the coset u H.  Patterns and codewords are streamed in blocks
+    of 2^SWEEP_CELL_BITS pattern x codeword cells, and a block holds fewer
+    than 2^(SWEEP_CELL_BITS + 1) codeword words."""
+    width = patterns.shape[1]
+    gens = b"".join(w.to_bytes(8 * width, "little") for w in basis.values())
+    gens = np.frombuffer(gens, dtype="<u8").astype(np.uint64).reshape(-1, width)
+    dtype = np.min_scalar_type(64 * width)
+    code_bits = min(len(gens), max(0, SWEEP_CELL_BITS - (width - 1).bit_length()))
+    low = span(gens[:code_bits]).T.copy()  # word-major: row j holds word j of each codeword
+    offsets = span(gens[code_bits:])
+    rows = 1 << (SWEEP_CELL_BITS - code_bits)
+    words = np.ascontiguousarray(patterns.T)
+    least = np.full(patterns.shape[0], 64 * width, dtype=dtype)
+    most = np.zeros(patterns.shape[0], dtype=dtype)
+    for start in range(0, patterns.shape[0], rows):
+        block = words[:, start : start + rows, None]
+        lo, hi = least[start : start + rows], most[start : start + rows]
+        for off in offsets:
+            code = low ^ off[:, None]
+            w = np.bitwise_count(block[0] ^ code[0])
+            for j in range(1, width):
+                w = np.add(w, np.bitwise_count(block[j] ^ code[j]), dtype=dtype)
+            np.minimum(lo, w.min(axis=1), out=lo)
+            np.maximum(hi, w.max(axis=1), out=hi)
+    return np.maximum(m - 2 * least.astype(np.int64), 2 * most.astype(np.int64) - m)

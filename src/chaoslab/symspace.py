@@ -23,7 +23,7 @@ from .errors import InvalidArgumentError, NumericFailureError
 from .report import timed_report
 
 DEFAULT_TOL = 1e-10
-_BRACKET_STEPS = 200
+_BRACKET_STEPS = 2200  # > 2 x 1075 binary orders of a float64: any bracket closes
 _GL_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (20, 40))
 _GL_RTOL = 1e-13
 _GL_DEPTH = 50
@@ -401,8 +401,8 @@ def coincidence_check(
     Reports (i) the range of phi(t) * M^{-1}(1/t) over a log-spaced grid
     (the two-sided equivalence of the fundamental functions) and (ii) a
     numeric verdict on the finiteness of integral_0^1 M(eps / phi(t)) dt,
-    computed over geometrically shrinking slabs toward 0 until the tail
-    is negligible or clearly fails to decay.
+    summed over halving slabs toward 0 by :func:`_slab_integral`.  An
+    integral above 1e12, or an integrand that overflows, counts as divergent.
     """
     if not 0 < eps < math.inf:
         raise InvalidArgumentError(f"eps must be finite and positive, got {eps}")
@@ -420,49 +420,7 @@ def coincidence_check(
             raise NumericFailureError("fundamental-function ratio is non-finite on the grid")
         ratio_min, ratio_max = float(ratio.min()), float(ratio.max())
 
-        def integrand(t):
-            return fn.apply(eps / weight.apply(t))
-
-        total = 0.0
-        prev_slab = None
-        finite = None
-        tail = 0.0
-        stalls = 0
-        hi = 1.0
-        for k in range(500):
-            lo = hi * 0.5
-            mid = float(integrand(math.sqrt(lo * hi)))
-            if not math.isfinite(mid):
-                if stalls > 0 or (prev_slab is not None and total > 1e6):
-                    finite = False  # blow-up while the slabs were already growing
-                    break
-                raise NumericFailureError(
-                    f"integrand is non-finite at an interior point near t={lo:g}"
-                )
-            slab = _gauss_legendre(integrand, lo, hi)
-            total += slab
-            if prev_slab is not None:
-                if slab >= prev_slab * (1.0 - 1e-9):
-                    # the measure halves but the contribution does not decay
-                    stalls += 1
-                    if stalls >= 3:
-                        finite = False
-                        break
-                else:
-                    stalls = 0
-                    rho = slab / prev_slab
-                    tail = slab * rho / (1.0 - rho)
-                    if tail < tol * max(1.0, total):
-                        finite = True
-                        break
-            if total > 1e12:
-                finite = False
-                break
-            prev_slab = slab
-            hi = lo
-        if finite is None:
-            raise NumericFailureError("slab refinement did not settle finiteness")
-
+        finite, estimate = _slab_integral(lambda t: fn.apply(eps / weight.apply(t)), tol)
         report.add("ratio_min", ratio_min, "info")
         report.add("ratio_max", ratio_max, "info")
         report.add(
@@ -471,9 +429,43 @@ def coincidence_check(
             "info",
         )
         report.add("ratio_positive", 1.0 if ratio_min > 0 else 0.0, "==", 1.0)
-        report.add("integral_estimate", total + (tail if finite else 0.0), "info")
+        report.add("integral_estimate", estimate, "info")
         report.add("integral_finite", 1.0 if finite else 0.0, "==", 1.0)
     return report
+
+
+def _slab_integral(f, tol):
+    """(finite, estimate) of integral_0^1 f, adding slabs [2^-k-1, 2^-k] until
+    the geometric tail is below tol times the total (finite, total + tail),
+    or until three slabs in a row fail to shrink, the total passes 1e12 or
+    f overflows to +inf (divergent, the total so far).  NaN is a failure."""
+    total, prev_slab, stalls, hi = 0.0, None, 0, 1.0
+    for _ in range(500):
+        lo = hi * 0.5
+        mid = float(f(math.sqrt(lo * hi)))
+        if mid == math.inf:
+            return False, total
+        if not math.isfinite(mid):
+            raise NumericFailureError(f"integrand is {mid} at an interior point near t={lo:g}")
+        slab = _gauss_legendre(f, lo, hi)
+        total += slab
+        if prev_slab is not None:
+            if slab >= prev_slab * (1.0 - 1e-9):
+                # the measure halves but the contribution does not decay
+                stalls += 1
+                if stalls >= 3:
+                    return False, total
+            else:
+                stalls = 0
+                rho = slab / prev_slab
+                tail = slab * rho / (1.0 - rho)
+                if tail < tol * max(1.0, total):
+                    return True, total + tail
+        if total > 1e12:
+            return False, total
+        prev_slab = slab
+        hi = lo
+    raise NumericFailureError("slab refinement did not settle finiteness")
 
 
 def _gauss_legendre(f, lo, hi):

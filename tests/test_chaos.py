@@ -93,8 +93,8 @@ def concentration_reference(elements, lam):
 def shift_code(elements):
     """Reduced basis of the shift code of ``elements`` and its 2^r codewords."""
     support = sorted({j for t in elements for j in t})
-    basis = chaos_module._shift_code(kernel.masks(elements, support), len(support))
-    words = chaos_module._span(np.array(list(basis.values()), dtype=np.uint64))
+    basis = kernel.shift_code(kernel.masks(elements, support), len(support))
+    words = kernel.span(np.array(list(basis.values()), dtype=np.uint64))
     return basis, words
 
 
@@ -400,7 +400,7 @@ class TestSignConcentration:
         # sign_concentration_check still refuses these by its support terms
         m = len(elements)
         support = sorted({j for t in elements for j in t})
-        basis = chaos_module._shift_code(kernel.masks(elements, support), len(support))
+        basis = kernel.shift_code(kernel.masks(elements, support), len(support))
         assert len(basis) == m
         tracemalloc.start()
         try:
@@ -472,7 +472,7 @@ class TestShiftCode:
         elements = list(gen_triangle(d, n).tuples())
         m, width = len(elements), -(-len(elements) // 64)
         masks = kernel.masks(elements, range(1, n + 1))
-        basis = chaos_module._shift_code(masks, n)
+        basis = kernel.shift_code(masks, n)
         rng = np.random.default_rng(d * 100 + n)
         us = [0, (1 << m) - 1] + [sum(int(b) << t for t, b in enumerate(rng.integers(0, 2, m)))
                                   for _ in range(60)]
@@ -481,7 +481,7 @@ class TestShiftCode:
         signs = np.array([[1 - 2 * ((u >> t) & 1) for t in range(m)] for u in us], dtype=np.float32)
         sums = signs @ sign_rows(masks, 0, 1 << n).T
         expect = np.abs(sums).max(axis=1)
-        assert np.array_equal(chaos_module._coset_sup(patterns, basis, m), expect)
+        assert np.array_equal(kernel.coset_sup(patterns, basis, m), expect)
 
 
 class TestAveragedSupGrowth:
@@ -525,7 +525,7 @@ class TestAveragedSupGrowth:
         # the coset sweep streams small blocks of patterns and codewords, over
         # patterns of one to three words; sups equal the one-matrix sweep
         samples, seed = 40, 9
-        monkeypatch.setattr(chaos_module, "_SWEEP_CELL_BITS", 3)
+        monkeypatch.setattr(kernel, "SWEEP_CELL_BITS", 3)
         for d, n_list in ((3, [8, 11]), (2, [5, 12]), (1, [4, 9])):  # m = 56, 165; 10, 66
             report = averaged_sup_growth(d, n_list, mc_samples=samples, seed=seed)
             for idx, n in enumerate(n_list):
@@ -775,6 +775,14 @@ def test_block_order_must_match_set_order(check):
         check(gen_triangle(2, 4), BlockChoice.identity(3, 4))
     with pytest.raises(InvalidArgumentError, match="order mismatch"):
         check(gen_triangle(3, 4), BlockChoice.identity(2, 4))
+
+
+@pytest.mark.parametrize("p_list", [[], [math.nan], [0], [-1]],
+                         ids=["empty", "nan", "zero", "negative"])
+def test_blei_p_list_as_moment_table(p_list):
+    # the p-list rule of moment_table, which the moments subcommand applies first
+    with pytest.raises(InvalidArgumentError):
+        blei_bound_check(gen_triangle(2, 4), p_list=p_list)
 
 
 @pytest.mark.parametrize("call", [

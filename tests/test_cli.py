@@ -183,12 +183,28 @@ class TestOtherCommands:
         # triangle(3, 7) has m = 35 pattern bits, over the sweep cap
         assert run(["concentration", "--order", "3", "--n", "7"]) == 3
 
+    def test_concentration_from_set_file(self, tmp_path, capsys):
+        path = tmp_path / "t.idx"
+        assert run(["gen-set", "--kind", "triangle", "--order", "2", "--max", "6",
+                    "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["concentration", "--set", str(path), "--n", "6"]) == 0
+        from_file = capsys.readouterr().out
+        assert run(["concentration", "--order", "2", "--n", "6"]) == 0
+        assert capsys.readouterr().out == from_file
+
     def test_coincidence(self):
         assert run(["coincidence", "--orlicz", "exp:2:0", "--weight", "log:0.5",
                     "--eps", "0.5"]) == 0
         # exp(u^2) against a log^{-1} weight diverges: a failed certificate
         assert run(["coincidence", "--orlicz", "exp:2:0", "--weight", "log:1",
                     "--eps", "1.0"]) == 1
+
+    @pytest.mark.parametrize("weight", ["log:1", "log:2"])
+    def test_coincidence_overflow_is_divergence(self, weight):
+        # gamma r > 1, and M(eps / phi(t)) overflows in the first slab
+        assert run(["coincidence", "--orlicz", "exp:2", "--weight", weight,
+                    "--eps", "20"]) == 1
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
@@ -479,6 +495,14 @@ def test_gen_set_sum_cap_names_a_smaller_max(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "224985000 required, cap 5000000" in err and "--max" in err and "4473" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("r", ["0.01", "0.02"])
+def test_norm_far_below_l1_is_bracketed(r, tmp_path, capsys):
+    # the norm is about 1e-156 ||x||_1 at r = 0.01, hundreds of halvings away
+    path = tmp_path / "sum12.idx"
+    assert run(["gen-set", "--kind", "sum", "--max", "12", "--out", str(path)]) == 0
+    assert run(["norm", "--set", str(path), "--space", f"orlicz-exp:{r}"]) == 0
 
 
 @pytest.mark.parametrize("argv, cause", [

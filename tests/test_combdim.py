@@ -292,6 +292,15 @@ class TestEstimateDimension:
         assert [r.best_count for r in profile.rows] == [2, 12, 56]
         assert profile.rows[0].witness.blocks[0] == (1, 2, 3, 4)
 
+    def test_greedy_rows_are_max_density(self):
+        A = gen_sum_set(20)
+        profile = estimate_dimension(A, [3, 4, 5], 20, "greedy-swap")
+        assert [r.n for r in profile.rows] == [3, 4, 5]
+        for row in profile.rows:
+            count, witness = max_density(A, row.n, 20, "greedy-swap")
+            assert (row.best_count, row.witness.blocks, row.strategy) == (
+                count, witness.blocks, "greedy-swap")
+
     def test_needs_three_points(self):
         with pytest.raises(InvalidArgumentError):
             estimate_dimension(gen_sum_set(40), [4, 8], 40)

@@ -1,6 +1,7 @@
 """Configuration kernel: independent routes to a law agree exactly."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from chaoslab import (
     unit_coefficients,
 )
 from chaoslab import kernel
+from chaoslab.parallel import worker_count
 
 
 def fwht_reference(vec):
@@ -322,3 +324,18 @@ class TestMemoryAndCaps:
         # distribution_exact refuses the same support, so only sampling is named
         assert "distribution_exact" not in str(err.value)
         assert "distribution_mc" in str(err.value)
+
+
+@pytest.mark.parametrize("raw", ["two", "1.5"])
+def test_non_integer_thread_cap_gives_one_worker(raw, monkeypatch):
+    monkeypatch.setenv("CHAOSLAB_THREADS", raw)
+    assert worker_count() == 1
+
+
+def test_bit_words_stay_in_the_kernel():
+    # the kernel alone reads raw Philox words and packs or counts bit words
+    modules = sorted(Path(kernel.__file__).parent.glob("*.py"))
+    assert "kernel.py" in [path.name for path in modules]
+    found = [f"{path.name}: {name}" for path in modules if path.name != "kernel.py"
+             for name in ("bitwise_count", "packbits", "random_raw") if name in path.read_text()]
+    assert found == []

@@ -18,6 +18,7 @@ from chaoslab import (
     distribution_exact,
     fubini_orlicz_check,
     fundamental_function,
+    gen_sum_set,
     gen_triangle,
     law_of,
     luxemburg_norm,
@@ -295,6 +296,15 @@ class TestLuxemburgBracket:
         monkeypatch.setattr(OrliczFunction, "apply", counted)
         assert norm(law, space, tol) == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("r", [0.008, 0.01, 0.02, 0.05])
+    def test_norm_far_below_l1(self, r):
+        # every |x| / norm lies below u0, where M is the chord slope * u, so the
+        # norm is slope * ||x||_1: about 1e-156 ||x||_1 at r = 0.01
+        dist = law_of(gen_sum_set(12))
+        M = OrliczFunction.exponential(r)
+        assert np.abs(dist.values).max() / luxemburg_norm(dist, M) < M.u0
+        assert luxemburg_norm(dist, M) == pytest.approx(M._slope * dist.lp_norm(1), rel=1e-10)
+
 
 class TestCoincidence:
     def test_exponential_log_weight(self):
@@ -340,6 +350,18 @@ class TestCoincidence:
             eps=1.0,
         )
         assert report.quantity("integral_finite") == 0.0
+
+    def test_overflow_is_divergence(self):
+        # gamma r = 2 > 1: M(eps / phi(t)) overflows at the first slab's midpoint
+        report = coincidence_check(OrliczFunction.exponential(2), LOG_ONE, eps=20.0)
+        assert report.quantity("integral_finite") == 0.0
+
+    def test_total_past_1e12_is_divergence(self):
+        # gamma r = 1: the integrand is (e/t)^{eps^2} - 1, divergent for eps = 5,
+        # and the first slab alone passes 1e12
+        report = coincidence_check(OrliczFunction.exponential(2), LOG_HALF, eps=5.0)
+        assert report.quantity("integral_finite") == 0.0
+        assert report.quantity("integral_estimate") > 1e12
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidArgumentError):

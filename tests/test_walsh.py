@@ -340,6 +340,13 @@ class TestSignFunctionInternals:
             signs = {j: (1 if not (cfg >> b) & 1 else -1) for b, j in enumerate(f.support)}
             assert vals[cfg] == pytest.approx(f.value(signs), abs=1e-12)
 
+    def test_negation_and_subtraction(self):
+        f = SignFunction({(2, 1): 1.5, (3,): -0.5})
+        g = SignFunction({(2, 1): 1.5, (1,): 2.0})
+        assert (-f).terms == {(2, 1): -1.5, (3,): 0.5}
+        assert (f - g).terms == {(3,): -0.5, (1,): -2.0}  # the (2, 1) terms cancel
+        assert (f - 2).terms == {(2, 1): 1.5, (3,): -0.5, (): -2.0}
+
 
 @st.composite
 def index_set_chaos(draw, kind):
