@@ -125,6 +125,12 @@ def blei_bound_check(
     maximum is finite and attained at a recorded p.  ``coeffs`` as in
     :func:`index_terms`, ``p_list`` as in :func:`moment_table`.
     """
+    return _blei_check(A, coeffs, beta, p_list, bits_cap)[0]
+
+
+def _blei_check(A, coeffs, beta, p_list, bits_cap):
+    """(report, table) of :func:`blei_bound_check`: its report and the
+    :func:`moment_table` of the one exact law that the ratios read."""
     if beta is None:
         beta = float(A.order)
     if not math.isfinite(beta):
@@ -138,7 +144,8 @@ def blei_bound_check(
             raise InvalidArgumentError("all coefficients are zero, so the ratios to ||a||_2 "
                                        "are undefined")
         best, best_p = -math.inf, None
-        for p, lp in moment_table(terms_law(term_masks, c[keep], k), p_list).rows:
+        table = moment_table(terms_law(term_masks, c[keep], k), p_list)
+        for p, lp in table.rows:
             ratio = lp / (p ** (beta / 2.0) * l2)
             report.add(f"ratio_p{p:g}", ratio, "info")
             if ratio > best:
@@ -146,7 +153,7 @@ def blei_bound_check(
         report.add("max_ratio", best, "info")
         report.add("max_ratio_at_p", best_p, "info")
         report.add("max_ratio_finite", 1.0 if math.isfinite(best) else 0.0, "==", 1.0)
-    return report
+    return report, table
 
 
 # ---------------------------------------------------------------------------

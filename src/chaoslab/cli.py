@@ -14,7 +14,7 @@ import time
 
 from . import __version__
 from .chaos import (
-    blei_bound_check,
+    _blei_check,
     clt_criteria,
     khintchine_check,
     moment_table,
@@ -320,10 +320,12 @@ def _dispatch(args) -> int:
 
     if cmd == "moments":
         A = load_index_set(args.set_path)
-        table = moment_table(law_of(A, args.coeffs, args.max_enum_bits), args.p_list)
-        report = None  # the Blei check may refuse the coefficients, so it runs before any output
-        if args.beta is not None:
-            report = blei_bound_check(A, args.coeffs, args.beta, args.p_list, args.max_enum_bits)
+        if args.beta is None:
+            report, table = None, moment_table(law_of(A, args.coeffs, args.max_enum_bits),
+                                               args.p_list)
+        else:  # the Blei check may refuse the coefficients, so it runs before any output
+            report, table = _blei_check(A, args.coeffs, args.beta, args.p_list,
+                                        args.max_enum_bits)
         for p, v in table.rows:
             print(f"  p={p:g}: {_fmt(v)}")
         print(f"growth exponent theta = {_fmt(table.theta)}")

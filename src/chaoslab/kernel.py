@@ -11,15 +11,17 @@ and that refuses a support wider than ``HARD_CAP_BITS`` (2^26
 configurations), on either route:
 
 * Integer coefficients whose absolute sum S is at most 2^31 - 1 get an
-  exact law from an int32 fast Walsh-Hadamard transform (FWHT).  Every
-  partial sum of the transform is bounded by S, so it cannot overflow.  The
-  transform is streamed over slices of the high configuration bits: in
-  the slice with high bits h the low coefficient vector is the sparse sum
-  of c * chi_high(h), its transform gives the slice's 2^L values, and the
-  slice histograms merge by integer addition.  The law depends neither on
-  the slice width nor on the worker count.  Memory is O(2^L) only while
-  2S + 1 <= ``_DENSE_RANGE``: a wider value range can hold up to 2^k
-  distinct atoms, so the hard cap guards memory on this route too.
+  exact law from a fast Walsh-Hadamard transform (FWHT) in the narrowest
+  of int8, int16 and int32 that holds S.  Every partial sum of the
+  transform is a signed subset sum of the coefficients, bounded by S, so
+  it cannot overflow.  The transform is streamed over slices of the high
+  configuration bits: in the slice with high bits h the low coefficient
+  vector is the sparse sum of c * chi_high(h), its transform gives the
+  slice's 2^L values, and the slice histograms merge by integer addition
+  in slice order.  The law does not depend on the slice width.  Memory
+  is O(2^L) only while 2S + 1 <= ``_DENSE_RANGE``: a wider value range
+  can hold up to 2^k distinct atoms, so the hard cap guards memory on
+  this route too.
 * Other coefficients get one float64 transform of all 2^k configurations
   from :func:`values`, the one 2^k allocation, whose stage order (lowest
   bit first) and butterflies (a + b, a - b) are fixed, so equal inputs
@@ -53,7 +55,6 @@ HARD_CAP_BITS = 26  # widest support any exact route enumerates: 2^26 configurat
 SLICE_BITS = 16  # low configuration bits transformed per slice
 MC_CHUNK = 1 << 16  # Monte Carlo rows per counter block
 SWEEP_CELL_BITS = 16  # log2 of the pattern x codeword cells per block of the coset sweep
-_INT_MAX = 2**31 - 1  # largest sum |c| whose transform fits int32
 _DENSE_RANGE = 1 << 17  # widest value range histogrammed by bincount
 _TRANSPOSE_BITS = 10  # transforms of at least 2^10 entries run on a transposed copy
 _BLOCK_BITS = 16  # longer transforms run their low stages block by block
@@ -71,14 +72,16 @@ def parity(words, mask):
 
 
 def int_dtype(coeffs):
-    """(np.int32, S) with S = sum |c| when int32 transforms ``coeffs`` exactly.
+    """(dtype, S) with S = sum |c| and dtype the narrowest of int8, int16 and
+    int32 whose max is at least S, so that it transforms ``coeffs`` exactly.
 
     (None, None) for non-integer coefficients, (None, S) when S > 2^31 - 1.
     """
     if not all(float(c).is_integer() for c in coeffs):
         return None, None
     bound = sum(abs(int(c)) for c in coeffs)
-    return (np.int32 if bound <= _INT_MAX else None), bound
+    fits = (t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max)
+    return next(fits, None), bound
 
 
 def fwht(a):
@@ -136,10 +139,10 @@ def values(term_masks, coeffs, k):
 def law(term_masks, coeffs, k):
     """Exact (values, counts) over the 2^k configurations.
 
-    Coefficients that ``int_dtype`` transforms exactly in int32 run a
-    sliced integer FWHT: supports of at most ``SLICE_BITS`` bits inline as
-    one slice, wider ones map their slices through ``map_chunks``.  Other
-    coefficients take ``np.unique`` of :func:`values`.
+    Coefficients that ``int_dtype`` transforms exactly run a sliced
+    integer FWHT in its dtype: supports of at most ``SLICE_BITS`` bits as
+    one slice, wider ones slice by slice in order, on the calling thread.
+    Other coefficients take ``np.unique`` of :func:`values`.
     """
     dtype, bound = int_dtype(coeffs)
     if dtype is None:
@@ -159,7 +162,7 @@ def law(term_masks, coeffs, k):
         np.add.at(v, low_idx, np.where(parity(np.uint64(h), high), -c, c))
         return _histogram(fwht(v), bound)
 
-    return _merge(map_chunks(run_slice, range(1 << (k - SLICE_BITS))))
+    return _merge([run_slice(h) for h in range(1 << (k - SLICE_BITS))])
 
 
 def philox_key(seed):

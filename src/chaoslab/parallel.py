@@ -1,4 +1,4 @@
-"""Deterministic chunked map-reduce for enumeration sweeps.
+"""Deterministic chunked map-reduce for the Monte Carlo chunks of sampled laws.
 
 Work is split into fixed chunks whose boundaries never depend on the worker
 count, and partial results are merged in chunk order, so results are
@@ -29,8 +29,8 @@ def map_chunks(fn, chunks):
     """Apply ``fn`` to every chunk, returning results in chunk order.
 
     ``chunks`` must be a sequence (its order defines the merge order).
-    numpy releases the GIL on large array ops, so threads give real
-    speedup for the enumeration sweeps this is used for.
+    numpy releases the GIL on large array ops, such as the sign reads and
+    parities of a Monte Carlo chunk of ``kernel.MC_CHUNK`` rows.
     """
     chunks = list(chunks)
     workers = worker_count()

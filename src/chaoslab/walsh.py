@@ -12,8 +12,9 @@ Carlo past the cap.  The enumeration and the sampling run in :mod:`kernel`:
 monomials are uint64 masks over the ascending support, configurations
 are uint64 words and a monomial's sign is the parity of their AND.
 Integer coefficients with absolute sum at most 2^31 - 1 get their exact
-law from an int32 Walsh-Hadamard transform streamed over slices of
-the high configuration bits, with no 2^k array; other coefficients take
+law from a Walsh-Hadamard transform in the narrowest of int8, int16 and
+int32 that holds that sum, streamed over slices of the high
+configuration bits, with no 2^k array; other coefficients take
 one float64 transform over all 2^k configurations.  The hard cap of
 2^``kernel.HARD_CAP_BITS`` configurations lives in :mod:`kernel`; this
 module checks only the caller's ``bits_cap``, and the dyadic cell count,

@@ -12,6 +12,7 @@ from chaoslab import (
     CertificateReport,
     RunManifest,
     gen_sum_set,
+    kernel,
     load_index_set,
     write_report,
 )
@@ -150,6 +151,21 @@ class TestOtherCommands:
         run(["gen-set", "--kind", "sum", "--max", "12", "--out", str(path)])
         code = run(["moments", "--set", str(path), "--p-list", "2,4,8", "--beta", "2"])
         assert code == 0
+        assert "max_ratio" in capsys.readouterr().out
+
+    def test_moments_blei_mode_takes_one_law(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.idx"
+        run(["gen-set", "--kind", "sum", "--max", "20", "--out", str(path)])
+        calls = []
+        law = kernel.law
+
+        def counting_law(*args):
+            calls.append(args)
+            return law(*args)
+
+        monkeypatch.setattr(kernel, "law", counting_law)
+        assert run(["moments", "--set", str(path), "--beta", "3"]) == 0
+        assert len(calls) == 1  # the table and the Blei ratios read one law
         assert "max_ratio" in capsys.readouterr().out
 
     def test_dimension_csv(self, tmp_path):

@@ -71,6 +71,13 @@ def parity_law(f):
     return counts
 
 
+def law_counts(f):
+    """Law of ``f`` from kernel.law, as {value: configuration count}."""
+    masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
+    vals, counts = kernel.law(masks, coeffs, len(f.support))
+    return dict(zip(vals.tolist(), counts.tolist()))
+
+
 def as_counts(dist, k):
     return {v: round(w * (1 << k)) for v, w in dist.atoms()}
 
@@ -96,9 +103,7 @@ class TestRouteAgreement:
     @given(functions(int_coeff))
     def test_integer_routes(self, f):
         k = len(f.support)
-        masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
-        vals, counts = kernel.law(masks, coeffs, k)
-        sliced = dict(zip(vals.tolist(), counts.tolist()))
+        sliced = law_counts(f)
         fvals, fcounts = np.unique(f.values(), return_counts=True)
         assert dict(zip(fvals.tolist(), fcounts.tolist())) == sliced
         assert parity_law(f) == sliced
@@ -172,6 +177,40 @@ class TestRouteAgreement:
         rng = np.random.Generator(np.random.Philox(key=int(seed)))
         expect = rng.integers(0, 2, size=(9, 4)).T
         assert np.array_equal(kernel.random_bits(seed, 0, 9, 4), expect)
+
+
+@st.composite
+def edge_functions(draw):
+    """Integer functions whose S = sum |c| lies near the int8, int16 and int32 edges."""
+    key_list = draw(keys)
+    rest = draw(st.lists(st.integers(-9, 9).filter(bool),
+                         min_size=len(key_list) - 1, max_size=len(key_list) - 1))
+    edge = draw(st.sampled_from([127, 32767, 2**31 - 1]))
+    bound = edge + draw(st.integers(-3, 1 if edge < 2**31 - 1 else 0))
+    first = (bound - sum(map(abs, rest))) * draw(st.sampled_from([-1, 1]))  # sum |rest| <= 99
+    f = SignFunction(dict(zip(key_list, map(float, [first, *rest]))))
+    assume(f.support)
+    return f
+
+
+class TestIntegerInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(edge_functions(), st.data(), st.integers(1, 9))
+    def test_sign_flip_and_relabeling(self, f, data, slice_bits):
+        # flipping coordinate j negates every term that holds j, and a
+        # relabeling of the indices permutes the configurations: neither
+        # moves the law, in any dtype or slice width
+        j = data.draw(st.sampled_from(f.support))
+        flipped = SignFunction({key: -c if j in key else c for key, c in f.terms.items()})
+        perm = dict(zip(range(1, 10), data.draw(st.permutations(range(1, 10)))))
+        relabeled = SignFunction({tuple(sorted((perm[i] for i in key), reverse=True)): c
+                                  for key, c in f.terms.items()})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "SLICE_BITS", slice_bits)
+            law = law_counts(f)
+            assert law_counts(flipped) == law
+            assert law_counts(relabeled) == law
+        assert law == parity_law(f)
 
 
 class TestMonteCarlo:
@@ -263,11 +302,25 @@ class TestWorkerCount:
         monkeypatch.delenv("CHAOSLAB_THREADS")
         assert laws() == single
 
+    def test_integer_slices_run_inline(self, monkeypatch):
+        f = chaos_sum(unit_coefficients(gen_sum_set(12)))
+        monkeypatch.setattr(kernel, "SLICE_BITS", len(f.support))
+        whole = law_counts(f)
+
+        def refuse(fn, chunks):
+            raise AssertionError("an exact integer law mapped its slices")
+
+        monkeypatch.setattr(kernel, "map_chunks", refuse)
+        monkeypatch.setattr(kernel, "SLICE_BITS", 4)
+        assert len(f.support) > kernel.SLICE_BITS
+        assert law_counts(f) == whole
+
 
 class TestDtypeBoundaries:
     @pytest.mark.parametrize(
         "bound, dtype",
-        [(32767, np.int32), (2**31 - 1, np.int32), (2**31, None)],
+        [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+         (2**31 - 1, np.int32), (2**31, None)],
     )
     def test_dtype_and_law(self, bound, dtype):
         coeffs = {(1,): float(bound - 7), (3, 2): 3.0, (2,): -4.0}
@@ -276,6 +329,20 @@ class TestDtypeBoundaries:
         law = distribution_exact(f)
         assert law.values[-1] == float(bound)
         assert as_counts(law, 3) == parity_law(f)
+
+    @pytest.mark.parametrize("bound, dtype", [(127, np.int8), (32767, np.int16)])
+    def test_sliced_law_reaches_the_bound(self, bound, dtype, monkeypatch):
+        # every term holds the 4 low coordinates and an odd number of the 4
+        # high ones: the slice at high bits 0 sums to S, the one at all ones
+        # to -S, and the transform reaches both
+        coeffs = {(5, 4, 3, 2, 1): float(bound - 6), (6, 4, 3, 2, 1): 1.0,
+                  (7, 4, 3, 2, 1): 2.0, (8, 7, 6, 4, 3, 2, 1): 3.0}
+        f = SignFunction(coeffs)
+        assert kernel.int_dtype(list(f.terms.values())) == (dtype, bound)
+        monkeypatch.setattr(kernel, "SLICE_BITS", 4)
+        law = distribution_exact(f)
+        assert (law.values[0], law.values[-1]) == (-float(bound), float(bound))
+        assert as_counts(law, 8) == parity_law(f)
 
     def test_non_integer_takes_float_path(self):
         assert kernel.int_dtype([1.0, 2.5]) == (None, None)
