@@ -26,7 +26,6 @@ from .walsh import (DEFAULT_BITS_CAP, IndexSet, MultiIndex, distribution_exact, 
 
 KHINTCHINE_MAX_COEFFS = 20
 RUD_EXACT_MAX = 20
-_PATTERN_CHUNK = 1 << 14
 _SWEEP_BITS_CAP = 28  # pattern bits + configuration bits, see sign_concentration_check
 CLT_PAIR_BUDGET = 10_000_000
 
@@ -167,7 +166,7 @@ def _exceeding_patterns(basis, m, lam):
     The sum at c is m - 2 wt(u xor chi(c)), so u exceeds iff the
     :func:`kernel.coset_sup` of its coset, one representative each, does.
     """
-    reps = kernel.coset_reps(basis, m)[1]
+    reps = kernel.coset_reps(basis, m)
     return int(np.count_nonzero(kernel.coset_sup(reps[:, None], basis, m) > lam)) << len(basis)
 
 
@@ -208,10 +207,12 @@ def rud_average(
     coefficients.  Shifting the configuration by c turns pattern u into
     u chi(c); in the transform this only negates and permutes butterfly
     inputs, which IEEE arithmetic does exactly, so every pattern of a
-    coset has a bit-identical law and norm.  The norms are summed in
-    pattern order, as a per-pattern loop would.  The global flip u -> -u
-    is not folded in: it reorders the atoms, and the norm sums them in
-    another order, so the flipped norm may differ in the last bits.
+    coset has a bit-identical law and norm.  Every coset holds
+    2^(|A'| - |keep| + rank) patterns, so the average over all patterns is
+    the mean of the coset norms: their ``math.fsum``, correctly rounded,
+    divided exactly by the power of two that counts them.  The global flip
+    u -> -u is not folded in: it reorders the atoms, and the norm sums them
+    in another order, so the flipped norm may differ in the last bits.
     """
     if space is None:
         raise InvalidArgumentError("a SpaceSpec is required")
@@ -240,23 +241,12 @@ def rud_average(
     check_cap(m, RUD_EXACT_MAX, "pattern bits of an exact sign average",
               "pass samples= for a Monte Carlo average")
     # one law per coset of the shift code of the nonzero terms; a zero term's
-    # sign moves no pattern's coset, so its index word is 0
+    # sign changes no law and doubles every coset alike, so the mean keeps it out
     basis = kernel.shift_code(term_masks, k)
-    free, reps = kernel.coset_reps(basis, c.size)
-    coset_norms = np.array([pattern_norm(np.where((rep >> np.arange(c.size)) & 1, -c, c))
-                            for rep in reps.tolist()])
-    # bit t of a pattern flips bits index[t] of its coset's counter
-    index = np.zeros(m, dtype=np.uint64)
-    index[keep] = kernel.pattern_cosets(basis, free, c.size)
-    low_bits = _PATTERN_CHUNK.bit_length() - 1
-    low = kernel.span(index[:low_bits])
-    total = 0.0
-    for off in kernel.span(index[low_bits:]):  # running sum in pattern order, block by block
-        vals = coset_norms[low ^ off]
-        vals[0] += total
-        total = float(np.cumsum(vals)[-1])
-    avg = total / (1 << m)
-    det = float(coset_norms[0])  # the all-plus pattern represents coset 0
+    coset_norms = [pattern_norm(np.where((rep >> np.arange(c.size)) & 1, -c, c))
+                   for rep in kernel.coset_reps(basis, c.size).tolist()]
+    avg = math.fsum(coset_norms) / len(coset_norms)
+    det = coset_norms[0]  # the all-plus pattern represents coset 0
     return RudAverage(avg, det, det / avg, None, "exact")
 
 

@@ -38,8 +38,9 @@ configurations), on either route:
   :func:`random_words` packs term 64j + t into bit t of little-endian
   uint64 word j.  Shifting the configuration by c multiplies a pattern by
   the word chi(c) of the :func:`shift_code` H, so a sup or a law over
-  configurations depends only on the pattern's coset, which
-  :func:`coset_reps`, :func:`pattern_cosets` and :func:`coset_sup` sweep.
+  configurations depends only on the pattern's coset.  The cosets have
+  equal size, so :func:`coset_reps`, one word per coset, and
+  :func:`coset_sup` sweep them in place of the 2^m patterns.
 """
 
 from __future__ import annotations
@@ -312,22 +313,12 @@ def span(gens):
 
 
 def coset_reps(basis, m):
-    """The free (non-pivot) bits of m-bit patterns and the 2^len(free) coset
-    representatives of the shift code with basis ``basis``, as uint64 words
-    in counter order over the free bits."""
-    free = [t for t in range(m) if t not in basis]
-    return free, span(np.array([1 << t for t in free], dtype=np.uint64))
-
-
-def pattern_cosets(basis, free, m):
-    """uint64 index word of each of the m pattern bits: pattern p lies in the
-    coset whose :func:`coset_reps` counter is the XOR of the words of its set
-    bits, since p reduces to p xor (the basis words of its pivot bits)."""
-    index = []
-    for t in range(m):
-        word = (1 << t) ^ basis.get(t, 0)
-        index.append(sum(((word >> f) & 1) << i for i, f in enumerate(free)))
-    return np.array(index, dtype=np.uint64)
+    """One representative per coset of the shift code with basis ``basis``:
+    the 2^(m - len(basis)) m-bit words zero on every pivot bit, as uint64
+    words in counter order over the free bits.  Every coset holds
+    2^len(basis) patterns, so a mean over the representatives is the mean
+    over all 2^m patterns."""
+    return span(np.array([1 << t for t in range(m) if t not in basis], dtype=np.uint64))
 
 
 def coset_sup(patterns, basis, m):

@@ -46,7 +46,8 @@ TRIANGLE_2_3 = IndexSet.from_tuples([(2, 1), (3, 1), (3, 2)])
 
 def rud_reference(A, coeffs, space, samples=None, seed=0):
     """(average, stderr) of the per-pattern loop: one SignFunction and one
-    exact law per sign pattern, patterns decoded bit by bit."""
+    exact law per sign pattern, patterns decoded bit by bit; the exact
+    average is the correctly rounded mean of the pattern norms."""
     elements = list(A.tuples())
     base = np.array([coeffs[t] for t in elements])
     m = len(elements)
@@ -56,10 +57,9 @@ def rud_reference(A, coeffs, space, samples=None, seed=0):
         return norm(distribution_exact(g), space, 1e-10)
 
     if samples is None:
-        total = 0.0
-        for pattern in range(1 << m):
-            total += pattern_norm(1.0 - 2.0 * ((pattern >> np.arange(m)) & 1))
-        return total / (1 << m), None
+        norms = [pattern_norm(1.0 - 2.0 * ((pattern >> np.arange(m)) & 1))
+                 for pattern in range(1 << m)]
+        return math.fsum(norms) / (1 << m), None
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = 1.0 - 2.0 * rng.integers(0, 2, size=(samples, m)).astype(float)
     vals = np.array([pattern_norm(signs) for signs in draws])
@@ -262,11 +262,13 @@ class TestRudAverage:
                 mc = rud_average(A, coeffs, spec, samples=20, seed=3)
                 assert (mc.average, mc.stderr) == rud_reference(A, coeffs, spec, 20, 3)
 
-    def test_pattern_blocks(self, monkeypatch):
-        A, coeffs = rud_instance("gauss", 4)
-        whole = rud_average(A, coeffs, RUD_SPACES["lp4"])
-        monkeypatch.setattr(chaos_module, "_PATTERN_CHUNK", 4)
-        assert rud_average(A, coeffs, RUD_SPACES["lp4"]) == whole
+    @pytest.mark.parametrize("m", [12, 14, 18])
+    def test_unit_l2_average_is_exact(self, m):
+        # every pattern of unit coefficients has L2 norm sqrt(m), so the mean does too
+        A = IndexSet.from_tuples(list(gen_triangle(2, 7).tuples())[:m])
+        res = rud_average(A, None, SpaceSpec.lp(2))
+        assert abs(res.average - math.sqrt(m)) <= 2 * math.ulp(math.sqrt(m))
+        assert abs(res.ratio - 1) <= 4 * 2**-52
 
     def test_one_law_per_coset(self, monkeypatch):
         calls = []

@@ -10,8 +10,11 @@ import pytest
 import chaoslab
 from chaoslab import (
     CertificateReport,
+    IndexSet,
     RunManifest,
+    dump_index_set,
     gen_sum_set,
+    gen_triangle,
     kernel,
     load_index_set,
     write_report,
@@ -108,6 +111,13 @@ class TestOtherCommands:
         first = capsys.readouterr().out
         assert run(argv) == 0
         assert capsys.readouterr().out == first
+
+    def test_rud_exact_l2_ratio_is_one(self, tmp_path, capsys):
+        # unit coefficients on 18 edges: every pattern has L2 norm sqrt(18)
+        path = tmp_path / "t18.idx"
+        dump_index_set(IndexSet.from_tuples(list(gen_triangle(2, 7).tuples())[:18]), path)
+        assert run(["rud", "--set", str(path), "--space", "lp:2"]) == 0
+        assert "ratio              = 1\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
     def test_rud_seed_out_of_range(self, sum_file, capsys, seed):

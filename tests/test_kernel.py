@@ -213,6 +213,27 @@ class TestIntegerInvariance:
         assert law == parity_law(f)
 
 
+@st.composite
+def shift_codes(draw):
+    """(reduced basis, m) of the shift code of m <= 10 terms over s <= 8 support bits."""
+    s = draw(st.integers(1, 8))
+    term_masks = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=1, max_size=10))
+    return kernel.shift_code(term_masks, s), len(term_masks)
+
+
+class TestCosetReps:
+    @settings(max_examples=100, deadline=None)
+    @given(shift_codes())
+    def test_cosets_partition_the_patterns(self, case):
+        # equal cosets are what lets a mean over representatives stand for all patterns
+        basis, m = case
+        reps = kernel.coset_reps(basis, m)
+        code = kernel.span(np.array(list(basis.values()), dtype=np.uint64))
+        patterns = np.sort((reps[:, None] ^ code[None, :]).ravel())
+        assert np.array_equal(patterns, np.arange(1 << m, dtype=np.uint64))
+        assert not np.any(reps & np.uint64(sum(1 << p for p in basis)))
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize(
         "terms",
