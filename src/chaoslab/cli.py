@@ -34,8 +34,16 @@ from .combdim import (
 )
 from .errors import ChaosLabError, InvalidArgumentError, ResourceLimitError
 from .report import RunManifest, csv_text, format_number as _fmt, write_report, write_text
-from .symspace import DEFAULT_TOL, ConcaveWeight, OrliczFunction, SpaceSpec, coincidence_check, norm
-from .walsh import DEFAULT_BITS_CAP, law_of
+from .symspace import (
+    DEFAULT_TOL,
+    ConcaveWeight,
+    OrliczFunction,
+    SpaceSpec,
+    check_tol,
+    coincidence_check,
+    norm,
+)
+from .walsh import DEFAULT_BITS_CAP, check_bits_cap, law_of
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -225,6 +233,10 @@ def run(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
+        # every subcommand takes both flags, so one that reads neither still refuses
+        # a value no reader could take
+        check_tol(args.tol)
+        check_bits_cap(args.max_enum_bits)
         code = _dispatch(args)
         if args.manifest:
             RunManifest(

@@ -14,25 +14,33 @@ configurations), on either route:
   exact law from a fast Walsh-Hadamard transform (FWHT) in the narrowest
   of int8, int16 and int32 that holds S.  Every partial sum of the
   transform is a signed subset sum of the coefficients, bounded by S, so
-  it cannot overflow.  The transform is streamed over slices of the high
-  configuration bits: in the slice with high bits h the low coefficient
-  vector is the sparse sum of c * chi_high(h), its transform gives the
-  slice's 2^L values, and the slice histograms merge by integer addition
-  in slice order.  The law does not depend on the slice width.  Memory
+  it cannot overflow.  It enumerates only the 2^r configurations of the
+  r pivot coordinates of the term masks, r their F2-rank, and scales the
+  counts by 2^(k - r): an even-degree chaos, such as every sum set and
+  triangle(2, n), has r = k - 1.  The caps still read the k support
+  bits, so a refusal names the support a caller passed.  The reduced
+  transform is streamed over slices of the high configuration bits: in
+  the slice with high bits h the low coefficient vector is the sparse
+  sum of c * chi_high(h), its transform gives the slice's 2^L values, and
+  the slice histograms merge by integer addition in slice order.  The law does not depend on the slice width.  Memory
   is O(2^L) only while 2S + 1 <= ``_DENSE_RANGE``: a wider value range
   can hold up to 2^k distinct atoms, so the hard cap guards memory on
   this route too.
 * Other coefficients get one float64 transform of all 2^k configurations
   from :func:`values`, the one 2^k allocation, whose stage order (lowest
   bit first) and butterflies (a + b, a - b) are fixed, so equal inputs
-  give bit-identical atoms.
-* Monte Carlo reads the Philox stream ``rng.integers(0, 2, size=(m, k))``
-  in counter blocks of ``MC_CHUNK`` rows straight from the raw words: each
-  sign is bit 31 of one 32-bit half of a raw 64-bit word, low half first,
-  which is the bit ``integers(0, 2)`` returns.  The signs are stored as
-  contiguous columns, a term's parity is the XOR of its columns, and the
-  terms add exactly in int64 for integer coefficients, in float64 and in
-  term order otherwise.
+  give bit-identical atoms.  This route does not reduce to the rank: a
+  shorter transform would add the floats in another order and move atoms
+  by ulps.
+* Monte Carlo draws one sign per support coordinate, so it does not
+  reduce either.  It reads the Philox stream
+  ``rng.integers(0, 2, size=(m, k))`` in counter blocks of ``MC_CHUNK``
+  rows straight from the raw words: each sign is bit 31 of one 32-bit
+  half of a raw 64-bit word, low half first, which is the bit
+  ``integers(0, 2)`` returns.  The signs are stored as contiguous
+  columns, a term's parity is the XOR of its columns, and the terms add
+  exactly in int64 for integer coefficients, in float64 and in term
+  order otherwise.
 * Sign patterns over m terms are bit words in the same convention, bit t
   set where the sign of term t is -1: :func:`random_bits` draws them, and
   :func:`random_words` packs term 64j + t into bit t of little-endian
@@ -137,33 +145,61 @@ def values(term_masks, coeffs, k):
     return fwht(a)
 
 
+def pivot_bits(term_masks):
+    """Pivot bits of a row echelon form of ``term_masks`` over F2, the
+    pivot of a row being its highest bit; their number is the rank."""
+    rows = {}
+    for m in term_masks:
+        while m:
+            p = m.bit_length() - 1
+            if p not in rows:
+                rows[p] = m
+                break
+            m ^= rows[p]
+    return set(rows)
+
+
 def law(term_masks, coeffs, k):
     """Exact (values, counts) over the 2^k configurations.
 
     Coefficients that ``int_dtype`` transforms exactly run a sliced
-    integer FWHT in its dtype: supports of at most ``SLICE_BITS`` bits as
-    one slice, wider ones slice by slice in order, on the calling thread.
-    Other coefficients take ``np.unique`` of :func:`values`.
+    integer FWHT in its dtype over the 2^r configurations of the r
+    :func:`pivot_bits` of the masks, the other k - r signs fixed to +1,
+    and scale its counts by 2^(k - r).  The values depend only on the
+    parities of the terms, a linear map of the configuration of rank r,
+    and restricted to the pivot coordinates that map is one-to-one onto
+    its image, so every reduced configuration stands for a fibre of
+    2^(k - r) configurations, and distinct masks stay distinct.  The
+    reduced support is transformed as one slice when it has at most
+    ``SLICE_BITS`` bits, slice by slice in order otherwise, on the calling
+    thread.  The hard cap reads the k support bits.  Other coefficients
+    take ``np.unique`` of :func:`values` over all 2^k configurations.
     """
     dtype, bound = int_dtype(coeffs)
     if dtype is None:
         return np.unique(values(term_masks, coeffs, k), return_counts=True)
     check_cap(k, HARD_CAP_BITS, "configuration bits of an exact integer law",
               "sample the law with distribution_mc")
+    pivots = pivot_bits(term_masks)
+    for j in sorted(set(range(k)) - pivots, reverse=True):  # drop bit j: sign j is +1
+        term_masks = [(m & ((1 << j) - 1)) | (m >> (j + 1) << j) for m in term_masks]
+    fixed, k = k - len(pivots), len(pivots)
     if k <= SLICE_BITS:
         v = np.zeros(1 << k, dtype)
         v[term_masks] = coeffs
-        return _histogram(fwht(v), bound)
-    low_idx = np.array([m & ((1 << SLICE_BITS) - 1) for m in term_masks], dtype=np.intp)
-    high = np.array([m >> SLICE_BITS for m in term_masks], dtype=np.uint64)
-    c = np.array(coeffs, dtype=np.int64)
+        vals, counts = _histogram(fwht(v), bound)
+    else:
+        low_idx = np.array([m & ((1 << SLICE_BITS) - 1) for m in term_masks], dtype=np.intp)
+        high = np.array([m >> SLICE_BITS for m in term_masks], dtype=np.uint64)
+        c = np.array(coeffs, dtype=np.int64)
 
-    def run_slice(h):
-        v = np.zeros(1 << SLICE_BITS, dtype)
-        np.add.at(v, low_idx, np.where(parity(np.uint64(h), high), -c, c))
-        return _histogram(fwht(v), bound)
+        def run_slice(h):
+            v = np.zeros(1 << SLICE_BITS, dtype)
+            np.add.at(v, low_idx, np.where(parity(np.uint64(h), high), -c, c))
+            return _histogram(fwht(v), bound)
 
-    return _merge([run_slice(h) for h in range(1 << (k - SLICE_BITS))])
+        vals, counts = _merge([run_slice(h) for h in range(1 << (k - SLICE_BITS))])
+    return vals, counts << fixed
 
 
 def philox_key(seed):

@@ -279,7 +279,7 @@ def decreasing_rearrangement(dist: StepDistribution) -> RearrangementStep:
 
 def norm(dist: StepDistribution, space: SpaceSpec, tol: float = DEFAULT_TOL) -> float:
     """Norm of (any function with) the given distribution in the space."""
-    _check_tol(tol)
+    check_tol(tol)
     if space.kind == "lp":
         return dist.lp_norm(space.p)
     if space.kind == "linf":
@@ -297,7 +297,8 @@ def norm(dist: StepDistribution, space: SpaceSpec, tol: float = DEFAULT_TOL) -> 
     raise InvalidArgumentError(f"unknown space kind {space.kind!r}")
 
 
-def _check_tol(tol):
+def check_tol(tol):
+    """InvalidArgumentError unless 0 < tol < 1; NaN is refused too."""
     if not 0 < tol < 1:
         raise InvalidArgumentError(f"tolerance must lie in (0, 1), got {tol}")
 
@@ -308,7 +309,7 @@ def luxemburg_norm(dist: StepDistribution, fn: OrliczFunction, tol: float = DEFA
     The modular is strictly decreasing in lam for a non-zero distribution,
     so the bracket is found by halving (or doubling) from ||x||_1.
     """
-    _check_tol(tol)
+    check_tol(tol)
     vals = np.abs(dist.values)
     wts = dist.weights
     if float(vals.max()) == 0.0:
@@ -406,7 +407,7 @@ def coincidence_check(
     """
     if not 0 < eps < math.inf:
         raise InvalidArgumentError(f"eps must be finite and positive, got {eps}")
-    _check_tol(tol)
+    check_tol(tol)
     if grid < 16:
         raise InvalidArgumentError("ratio grid needs at least 16 points")
 

@@ -412,9 +412,14 @@ def unit_coefficients(index_set):
     return {t: 1.0 for t in index_set.tuples()}
 
 
-def _check_bits(k, bits_cap):
+def check_bits_cap(bits_cap):
+    """InvalidArgumentError unless bits_cap >= 0; NaN is refused too."""
     if not bits_cap >= 0:
         raise InvalidArgumentError(f"bits_cap must be >= 0, got {bits_cap}")
+
+
+def _check_bits(k, bits_cap):
+    check_bits_cap(bits_cap)
     check_cap(k, bits_cap, "support bits of an exact law (bits_cap)",
               f"raise bits_cap to at least {k} or sample the law with distribution_mc")
 

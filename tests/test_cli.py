@@ -554,3 +554,18 @@ def test_non_finite_and_out_of_range_numbers_are_usage_errors(argv, cause, tmp_p
     assert run([str(path) if a == "SET" else a for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and cause in err
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["khintchine", "--coeffs", "1,1", "--p", "4", "--tol", "nan"], "tolerance must lie in (0, 1)"),
+    (["gen-set", "--kind", "sum", "--max", "6", "--out", "OUT", "--max-enum-bits", "-3"],
+     "bits_cap must be >= 0, got -3"),
+    (["concentration", "--order", "2", "--n", "5", "--tol", "2"], "tolerance must lie in (0, 1)"),
+])
+def test_every_subcommand_checks_tol_and_max_enum_bits(argv, cause, tmp_path, capsys):
+    # subcommands that read neither flag still refuse a value no reader could take
+    out = tmp_path / "set.idx"
+    assert run([str(out) if a == "OUT" else a for a in argv]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error:") and cause in err
+    assert not out.exists()

@@ -180,9 +180,10 @@ class TestRouteAgreement:
 
 
 @st.composite
-def edge_functions(draw):
-    """Integer functions whose S = sum |c| lies near the int8, int16 and int32 edges."""
-    key_list = draw(keys)
+def edge_functions(draw, key_lists=keys):
+    """Integer functions whose S = sum |c| lies near the int8, int16 and int32
+    edges, over at most 12 keys drawn from ``key_lists``."""
+    key_list = draw(key_lists)
     rest = draw(st.lists(st.integers(-9, 9).filter(bool),
                          min_size=len(key_list) - 1, max_size=len(key_list) - 1))
     edge = draw(st.sampled_from([127, 32767, 2**31 - 1]))
@@ -211,6 +212,71 @@ class TestIntegerInvariance:
             assert law_counts(flipped) == law
             assert law_counts(relabeled) == law
         assert law == parity_law(f)
+
+
+@st.composite
+def rank_deficient_keys(draw):
+    """At most 10 monomials over 1..9 whose masks span a proper subspace of
+    the support."""
+    kind = draw(st.sampled_from(["even", "blocks", "groups"]))
+    coords = draw(st.permutations(range(1, 10)))
+    if kind == "even":  # even weights: flipping every sign moves no term
+        key_list = draw(st.lists(st.sets(st.sampled_from(coords), min_size=2, max_size=4)
+                                 .filter(lambda s: len(s) % 2 == 0), min_size=1, max_size=10))
+    elif kind == "blocks":  # triangle(2) on each block: rank k - blocks
+        cuts = draw(st.sampled_from([(0, 2, 4), (0, 3, 7), (0, 2, 5, 7), (0, 3, 6, 9),
+                                     (0, 4, 7)]))
+        key_list = [{coords[a], coords[b]} for lo, hi in zip(cuts, cuts[1:])
+                    for a in range(lo, hi) for b in range(a + 1, hi)]
+    else:  # the coordinates of a group always appear together
+        cuts = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=5)) | {0, 9})
+        groups = [coords[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+        assume(groups)
+        picks = draw(st.lists(st.sets(st.integers(0, len(groups) - 1), min_size=1),
+                              min_size=1, max_size=10))
+        key_list = [{j for g in pick for j in groups[g]} for pick in picks]
+    return sorted({tuple(sorted(key, reverse=True)) for key in key_list})
+
+
+class TestRankReduction:
+    @settings(max_examples=80, deadline=None)
+    @given(edge_functions(rank_deficient_keys()), st.integers(1, 9))
+    def test_reduced_law_is_the_full_law(self, f, slice_bits):
+        k = len(f.support)
+        masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
+        assert len(kernel.pivot_bits(masks)) < k
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "SLICE_BITS", slice_bits)
+            vals, counts = kernel.law(masks, coeffs, k)
+        assert counts.dtype == np.int64
+        assert int(counts.sum()) == 1 << k
+        assert dict(zip(vals.tolist(), counts.tolist())) == parity_law(f)
+
+    @staticmethod
+    def transform_sizes(f, monkeypatch):
+        sizes, fwht = [], kernel.fwht
+
+        def recording(a):
+            sizes.append(a.size)
+            return fwht(a)
+
+        monkeypatch.setattr(kernel, "fwht", recording)
+        distribution_exact(f)
+        return sizes
+
+    def test_triangle_transforms_half_the_slices(self, monkeypatch):
+        f = chaos_sum(unit_coefficients(gen_triangle(2, 18)))
+        assert self.transform_sizes(f, monkeypatch) == [1 << 16] * 2
+
+    def test_sum_set_transforms_one_reduced_array(self, monkeypatch):
+        f = chaos_sum(unit_coefficients(gen_sum_set(14)))
+        assert len(f.support) == 14
+        assert self.transform_sizes(f, monkeypatch) == [1 << 13]
+
+    def test_float_route_transforms_every_configuration(self, monkeypatch):
+        # a shorter float transform would reorder the sums and move atoms by ulps
+        f = chaos_sum({t: 0.5 for t in gen_triangle(2, 10).tuples()})
+        assert self.transform_sizes(f, monkeypatch) == [1 << 10]
 
 
 @st.composite
