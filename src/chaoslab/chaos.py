@@ -213,6 +213,13 @@ def rud_average(
     divided exactly by the power of two that counts them.  The global flip
     u -> -u is not folded in: it reorders the atoms, and the norm sums them
     in another order, so the flipped norm may differ in the last bits.
+
+    Both modes pass every pattern they need (the coset representatives, or
+    the sampled patterns and then the all-plus one) to one :func:`kernel.law`
+    call as the rows of a coefficient matrix.  The kernel settles the route
+    once and runs one transform per block of patterns; the norm is still
+    taken pattern by pattern, and every law is bit-identical to its own
+    one-pattern call.
     """
     if space is None:
         raise InvalidArgumentError("a SpaceSpec is required")
@@ -224,18 +231,18 @@ def rud_average(
                                    "deterministic norm is undefined")
     c = base[keep]
 
-    def pattern_norm(signed):
-        return norm(terms_law(term_masks, signed, k), space, tol)
+    def pattern_norms(signed):
+        return [norm(law, space, tol) for law in terms_law(term_masks, signed, k)]
 
     if samples is not None:
         samples = int(samples)
         if samples < 1:
             raise InvalidArgumentError("sample count must be >= 1")
-        signed = np.where(kernel.random_bits(seed, 0, samples, m)[keep].T, -c, c)
-        vals = np.fromiter(map(pattern_norm, signed), float)
+        bits = kernel.random_bits(seed, 0, samples, m)[keep].T
+        *vals, det = pattern_norms(np.vstack([np.where(bits, -c, c), c]))
+        vals = np.array(vals)
         avg = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-        det = pattern_norm(c)
         return RudAverage(avg, det, det / avg, se, "mc")
 
     check_cap(m, RUD_EXACT_MAX, "pattern bits of an exact sign average",
@@ -243,8 +250,9 @@ def rud_average(
     # one law per coset of the shift code of the nonzero terms; a zero term's
     # sign changes no law and doubles every coset alike, so the mean keeps it out
     basis = kernel.shift_code(term_masks, k)
-    coset_norms = [pattern_norm(np.where((rep >> np.arange(c.size)) & 1, -c, c))
-                   for rep in kernel.coset_reps(basis, c.size).tolist()]
+    reps = kernel.coset_reps(basis, c.size)
+    coset_norms = pattern_norms(np.where((reps[:, None] >> np.arange(c.size, dtype=np.uint64)) & 1,
+                                         -c, c))
     avg = math.fsum(coset_norms) / len(coset_norms)
     det = coset_norms[0]  # the all-plus pattern represents coset 0
     return RudAverage(avg, det, det / avg, None, "exact")

@@ -8,30 +8,40 @@ mask of its coordinates, and its value at a configuration is
 
 Every exact law goes through :func:`law`, the one place that picks a route
 and that refuses a support wider than ``HARD_CAP_BITS`` (2^26
-configurations), on either route:
+configurations), on either route.  It takes the coefficients of one
+polynomial or a (P, T) matrix of P polynomials over the same T term masks,
+such as the sign patterns of one chaos, and settles the dtype, the rank
+reduction and the caps once for all P.  A reduced support of at most
+``SLICE_BITS`` bits transforms the rows a block at a time: a (2^r, P)
+array with the rows on its contiguous axis, at most 2^``LAW_BLOCK_BITS``
+entries, in which every column sees the butterflies of its own 1-D
+transform in the same order, and which is histogrammed row by row on a
+transposed copy.
 
 * Integer coefficients whose absolute sum S is at most 2^31 - 1 get an
   exact law from a fast Walsh-Hadamard transform (FWHT) in the narrowest
-  of int8, int16 and int32 that holds S.  Every partial sum of the
-  transform is a signed subset sum of the coefficients, bounded by S, so
-  it cannot overflow.  It enumerates only the 2^r configurations of the
-  r pivot coordinates of the term masks, r their F2-rank, and scales the
-  counts by 2^(k - r): an even-degree chaos, such as every sum set and
+  of int8, int16 and int32 that holds S (for a matrix, S sums the largest
+  |c| of each column).  Every partial sum of the transform is a signed
+  subset sum of the coefficients, bounded by S, so it cannot overflow.
+  It enumerates only the 2^r configurations of the r pivot coordinates
+  of the term masks, r their F2-rank, and scales the counts by
+  2^(k - r): an even-degree chaos, such as every sum set and
   triangle(2, n), has r = k - 1.  The caps still read the k support
-  bits, so a refusal names the support a caller passed.  The reduced
-  transform is streamed over slices of the high configuration bits: in
-  the slice with high bits h the low coefficient vector is the sparse
-  sum of c * chi_high(h), its transform gives the slice's 2^L values, and
-  the slice histograms merge by integer addition in slice order.  The law does not depend on the slice width.  Memory
-  is O(2^L) only while 2S + 1 <= ``_DENSE_RANGE``: a wider value range
-  can hold up to 2^k distinct atoms, so the hard cap guards memory on
-  this route too.
-* Other coefficients get one float64 transform of all 2^k configurations
-  from :func:`values`, the one 2^k allocation, whose stage order (lowest
-  bit first) and butterflies (a + b, a - b) are fixed, so equal inputs
-  give bit-identical atoms.  This route does not reduce to the rank: a
-  shorter transform would add the floats in another order and move atoms
-  by ulps.
+  bits, so a refusal names the support a caller passed.  Past
+  ``SLICE_BITS`` reduced bits each row is streamed over slices of the
+  high configuration bits: in the slice with high bits h the low
+  coefficient vector is the sparse sum of c * chi_high(h), its transform
+  gives the slice's 2^L values, and the slice histograms merge by integer
+  addition in slice order.  The law depends on neither the slice width
+  nor the block size.  Memory is O(2^L) only while 2S + 1 <=
+  ``_DENSE_RANGE``: a wider value range can hold up to 2^k distinct
+  atoms, so the hard cap guards memory on this route too.
+* Other coefficients get float64 transforms of all 2^k configurations,
+  in blocks as above, whose stage order (lowest bit first) and
+  butterflies (a + b, a - b) are fixed, so equal inputs give
+  bit-identical atoms; :func:`values` is the one-row case.  This route
+  does not reduce to the rank: a shorter transform would add the floats
+  in another order and move atoms by ulps.
 * Monte Carlo draws one sign per support coordinate, so it does not
   reduce either.  It reads the Philox stream
   ``rng.integers(0, 2, size=(m, k))`` in counter blocks of ``MC_CHUNK``
@@ -67,6 +77,7 @@ SWEEP_CELL_BITS = 16  # log2 of the pattern x codeword cells per block of the co
 _DENSE_RANGE = 1 << 17  # widest value range histogrammed by bincount
 _TRANSPOSE_BITS = 10  # transforms of at least 2^10 entries run on a transposed copy
 _BLOCK_BITS = 16  # longer transforms run their low stages block by block
+LAW_BLOCK_BITS = 20  # log2 of the entries of one block of the laws of a coefficient matrix
 
 
 def masks(keys, support):
@@ -83,9 +94,16 @@ def parity(words, mask):
 def int_dtype(coeffs):
     """(dtype, S) with S = sum |c| and dtype the narrowest of int8, int16 and
     int32 whose max is at least S, so that it transforms ``coeffs`` exactly.
+    For a (P, T) array S sums the largest |c| of each column, which bounds
+    the sum of every row.
 
     (None, None) for non-integer coefficients, (None, S) when S > 2^31 - 1.
     """
+    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2:
+        mags = np.abs(coeffs)
+        if not (np.trunc(mags) == mags).all():  # NaN fails here, inf below
+            return None, None
+        coeffs = mags.max(axis=0).tolist()
     if not all(float(c).is_integer() for c in coeffs):
         return None, None
     bound = sum(abs(int(c)) for c in coeffs)
@@ -138,11 +156,13 @@ def _stages(a, rows):
 
 def values(term_masks, coeffs, k):
     """float64 values of the polynomial at all 2^k configurations."""
+    _check_value_bits(k)
+    return _transform(term_masks, np.array([coeffs], dtype=float), k, np.float64)[0]
+
+
+def _check_value_bits(k):
     check_cap(k, HARD_CAP_BITS, "configuration bits of a float64 value array",
               "sample the law with distribution_mc")
-    a = np.zeros(1 << k)
-    a[np.array(term_masks, dtype=np.int64)] = coeffs
-    return fwht(a)
 
 
 def pivot_bits(term_masks):
@@ -160,46 +180,100 @@ def pivot_bits(term_masks):
 
 
 def law(term_masks, coeffs, k):
-    """Exact (values, counts) over the 2^k configurations.
+    """Exact (values, counts) over the 2^k configurations; for a (P, T)
+    matrix ``coeffs``, an iterator over the laws of its P rows in order.
 
-    Coefficients that ``int_dtype`` transforms exactly run a sliced
-    integer FWHT in its dtype over the 2^r configurations of the r
-    :func:`pivot_bits` of the masks, the other k - r signs fixed to +1,
-    and scale its counts by 2^(k - r).  The values depend only on the
-    parities of the terms, a linear map of the configuration of rank r,
-    and restricted to the pivot coordinates that map is one-to-one onto
-    its image, so every reduced configuration stands for a fibre of
-    2^(k - r) configurations, and distinct masks stay distinct.  The
-    reduced support is transformed as one slice when it has at most
-    ``SLICE_BITS`` bits, slice by slice in order otherwise, on the calling
-    thread.  The hard cap reads the k support bits.  Other coefficients
-    take ``np.unique`` of :func:`values` over all 2^k configurations.
+    Coefficients that ``int_dtype`` transforms exactly run an integer FWHT
+    in its dtype over the 2^r configurations of the r :func:`pivot_bits` of
+    the masks, the other k - r signs fixed to +1, and scale its counts by
+    2^(k - r).  The values depend only on the parities of the terms, a
+    linear map of the configuration of rank r, and restricted to the pivot
+    coordinates that map is one-to-one onto its image, so every reduced
+    configuration stands for a fibre of 2^(k - r) configurations, and
+    distinct masks stay distinct.  At most ``SLICE_BITS`` reduced bits are
+    transformed in blocks of rows by :func:`_block_laws`, more row by row,
+    slice by slice in order, on the calling thread.  The hard cap reads
+    the k support bits.  Other coefficients take float64 blocks over all
+    2^k configurations and the equal runs of each sorted row, which are
+    what ``np.unique`` gives.
     """
-    dtype, bound = int_dtype(coeffs)
+    rows = np.asarray(coeffs, dtype=float)
+    single = rows.ndim == 1
+    dtype, bound = int_dtype(coeffs if single else rows)
+    if single:
+        rows = rows[None]
     if dtype is None:
-        return np.unique(values(term_masks, coeffs, k), return_counts=True)
-    check_cap(k, HARD_CAP_BITS, "configuration bits of an exact integer law",
-              "sample the law with distribution_mc")
-    pivots = pivot_bits(term_masks)
-    for j in sorted(set(range(k)) - pivots, reverse=True):  # drop bit j: sign j is +1
-        term_masks = [(m & ((1 << j) - 1)) | (m >> (j + 1) << j) for m in term_masks]
-    fixed, k = k - len(pivots), len(pivots)
-    if k <= SLICE_BITS:
-        v = np.zeros(1 << k, dtype)
-        v[term_masks] = coeffs
-        vals, counts = _histogram(fwht(v), bound)
+        _check_value_bits(k)
+        laws = _block_laws(term_masks, rows, k, np.float64, _sorted_runs)
     else:
-        low_idx = np.array([m & ((1 << SLICE_BITS) - 1) for m in term_masks], dtype=np.intp)
-        high = np.array([m >> SLICE_BITS for m in term_masks], dtype=np.uint64)
-        c = np.array(coeffs, dtype=np.int64)
+        check_cap(k, HARD_CAP_BITS, "configuration bits of an exact integer law",
+                  "sample the law with distribution_mc")
+        pivots = pivot_bits(term_masks)
+        for j in sorted(set(range(k)) - pivots, reverse=True):  # drop bit j: sign j is +1
+            term_masks = [(m & ((1 << j) - 1)) | (m >> (j + 1) << j) for m in term_masks]
+        fixed, k = k - len(pivots), len(pivots)
+        if k <= SLICE_BITS:  # rows by index: iterating a 2-D array costs more
+            laws = _block_laws(term_masks, rows, k, dtype,
+                               lambda block: (_histogram(block[i], bound) for i in range(len(block))))
+        else:
+            laws = _sliced_laws(term_masks, rows, k, dtype, bound)
+        laws = ((vals, counts << fixed) for vals, counts in laws)
+    return next(laws) if single else laws
 
-        def run_slice(h):
+
+def _block_laws(term_masks, rows, k, dtype, histogram):
+    """Laws of the rows of the coefficient matrix ``rows`` over 2^k
+    configurations, transformed by :func:`_transform` in blocks of at most
+    2^LAW_BLOCK_BITS entries (one row at least); ``histogram`` maps the
+    (P, 2^k) values of a block to its P laws."""
+    step = max(1, (1 << LAW_BLOCK_BITS) >> k)
+    for start in range(0, rows.shape[0], step):
+        yield from histogram(_transform(term_masks, rows[start:start + step], k, dtype))
+
+
+def _transform(term_masks, rows, k, dtype):
+    """(P, 2^k) values in ``dtype`` of the P rows of ``rows`` at every configuration.
+
+    The transform runs on a (2^k, P) array with the rows on the contiguous
+    axis, so each stage of :func:`_stages` runs on every column the
+    butterflies that :func:`fwht` runs on one vector, in the same order;
+    a single row takes :func:`fwht` itself.  The result is a transposed copy.
+    """
+    block = np.zeros((1 << k, rows.shape[0]), dtype)
+    block[term_masks] = rows.T
+    if rows.shape[0] == 1:
+        fwht(block.reshape(-1))
+    else:
+        _stages(block.reshape(-1), 1 << k)
+    return np.ascontiguousarray(block.T)
+
+
+def _sorted_runs(block):
+    """(values, counts) of each row of a float array, sorting it in place:
+    the equal runs of the sorted row, as ``np.unique`` finds them."""
+    block.sort(axis=1)
+    edge = np.ones(block.shape, dtype=bool)
+    np.not_equal(block[:, 1:], block[:, :-1], out=edge[:, 1:])
+    starts = np.flatnonzero(edge)
+    counts = np.diff(starts, append=block.size)
+    cut = np.searchsorted(starts, np.arange(block.shape[1], block.size, block.shape[1]))
+    return zip(np.split(block.reshape(-1)[starts], cut), np.split(counts, cut))
+
+
+def _sliced_laws(term_masks, rows, k, dtype, bound):
+    """Laws of the rows of ``rows`` over 2^k > 2^SLICE_BITS reduced
+    configurations, row by row and slice by slice: in the slice with high
+    bits h the low coefficient vector is the sparse sum of c * chi_high(h),
+    and the slice histograms merge in slice order."""
+    low_idx = np.array([m & ((1 << SLICE_BITS) - 1) for m in term_masks], dtype=np.intp)
+    high = np.array([m >> SLICE_BITS for m in term_masks], dtype=np.uint64)
+    for c in rows.astype(np.int64):
+        parts = []
+        for h in range(1 << (k - SLICE_BITS)):
             v = np.zeros(1 << SLICE_BITS, dtype)
             np.add.at(v, low_idx, np.where(parity(np.uint64(h), high), -c, c))
-            return _histogram(fwht(v), bound)
-
-        vals, counts = _merge([run_slice(h) for h in range(1 << (k - SLICE_BITS))])
-    return vals, counts << fixed
+            parts.append(_histogram(fwht(v), bound))
+        yield _merge(parts)
 
 
 def philox_key(seed):

@@ -29,6 +29,7 @@ _GL_RTOL = 1e-13
 _GL_DEPTH = 50
 DEFAULT_P_GRID = tuple(float(2**i) for i in range(11))  # 1, 2, 4, ..., 1024
 _RATIO_T_MIN = 1e-8  # left end of the coincidence ratio grid
+_SLAB_LIMIT = 1000  # halving slabs of the coincidence integral: down to t = 2^-1000
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +405,10 @@ def coincidence_check(
     numeric verdict on the finiteness of integral_0^1 M(eps / phi(t)) dt,
     summed over halving slabs toward 0 by :func:`_slab_integral`.  An
     integral above 1e12, or an integrand that overflows, counts as divergent.
+    An exponential M against a log-power weight has a closed-form verdict
+    (:func:`_exp_log_finite`), which a slab walk in float64 can miss either
+    way: a divergent pair reports the estimate +inf, and a finite one walks
+    the slabs for the estimate alone.
     """
     if not 0 < eps < math.inf:
         raise InvalidArgumentError(f"eps must be finite and positive, got {eps}")
@@ -421,7 +426,12 @@ def coincidence_check(
             raise NumericFailureError("fundamental-function ratio is non-finite on the grid")
         ratio_min, ratio_max = float(ratio.min()), float(ratio.max())
 
-        finite, estimate = _slab_integral(lambda t: fn.apply(eps / weight.apply(t)), tol)
+        known = _exp_log_finite(fn, weight, eps)
+        if known is False:
+            finite, estimate = False, math.inf
+        else:
+            finite, estimate = _slab_integral(lambda t: fn.apply(eps / weight.apply(t)), tol,
+                                              known_finite=known is True)
         report.add("ratio_min", ratio_min, "info")
         report.add("ratio_max", ratio_max, "info")
         report.add(
@@ -435,17 +445,38 @@ def coincidence_check(
     return report
 
 
-def _slab_integral(f, tol):
+def _exp_log_finite(fn, weight, eps):
+    """Whether integral_0^1 M(eps / phi(t)) dt is finite, for an exponential
+    M and a log-power phi; None for any other pair.
+
+    With L = log(e/t) >= 1 the argument eps L^gamma grows with L (gamma > 0),
+    so past the splice point the integrand is exp(eps^r L^(gamma r)) - 1, and
+    dt = e^(1 - L) dL: the integral is finite iff gamma r < 1, or gamma r = 1
+    and eps^r < 1, that is eps < 1.  gamma = 0 makes the integrand constant.
+    """
+    if fn.kind != "exponential" or weight.kind != "log_power":
+        return None
+    power = weight.gamma * fn.param
+    return power < 1 or (power == 1 and eps < 1)
+
+
+def _slab_integral(f, tol, known_finite=False):
     """(finite, estimate) of integral_0^1 f, adding slabs [2^-k-1, 2^-k] until
     the geometric tail is below tol times the total (finite, total + tail),
     or until three slabs in a row fail to shrink, the total passes 1e12 or
-    f overflows to +inf (divergent, the total so far).  NaN is a failure."""
-    total, prev_slab, stalls, hi = 0.0, None, 0, 1.0
-    for _ in range(500):
-        lo = hi * 0.5
-        mid = float(f(math.sqrt(lo * hi)))
+    f overflows to +inf (divergent, the total so far).  NaN is a failure.
+
+    ``known_finite`` drops those divergence rules, for an integral known to
+    be finite whose integrand may grow over the first halvings before it
+    decays: the walk goes on past stalled slabs and past 1e12, and an
+    integrand or a total that overflows gives (finite, +inf).
+    """
+    total, prev_slab, stalls, lo = 0.0, None, 0, 1.0
+    for _ in range(_SLAB_LIMIT):
+        hi, lo = lo, lo * 0.5
+        mid = float(f(lo * math.sqrt(2.0)))  # the geometric midpoint, exactly
         if mid == math.inf:
-            return False, total
+            return known_finite, math.inf if known_finite else total
         if not math.isfinite(mid):
             raise NumericFailureError(f"integrand is {mid} at an interior point near t={lo:g}")
         slab = _gauss_legendre(f, lo, hi)
@@ -454,7 +485,7 @@ def _slab_integral(f, tol):
             if slab >= prev_slab * (1.0 - 1e-9):
                 # the measure halves but the contribution does not decay
                 stalls += 1
-                if stalls >= 3:
+                if stalls >= 3 and not known_finite:
                     return False, total
             else:
                 stalls = 0
@@ -462,10 +493,9 @@ def _slab_integral(f, tol):
                 tail = slab * rho / (1.0 - rho)
                 if tail < tol * max(1.0, total):
                     return True, total + tail
-        if total > 1e12:
-            return False, total
+        if total == math.inf or (total > 1e12 and not known_finite):
+            return known_finite, total
         prev_slab = slab
-        hi = lo
     raise NumericFailureError("slab refinement did not settle finiteness")
 
 

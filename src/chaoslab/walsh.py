@@ -438,9 +438,12 @@ def distribution_exact(f, bits_cap=DEFAULT_BITS_CAP):
 
 def terms_law(term_masks, coeffs, k):
     """Exact law of the polynomial with these :func:`kernel.masks` and coefficients
-    over k support bits: :func:`kernel.law` with each count weighted 2^-k."""
-    values, counts = kernel.law(term_masks, coeffs, k)
-    return StepDistribution(values, counts / (1 << k))
+    over k support bits: :func:`kernel.law` with each count weighted 2^-k.
+    A (P, T) coefficient matrix gives an iterator over the P laws of its rows."""
+    laws = kernel.law(term_masks, coeffs, k)
+    if isinstance(laws, tuple):  # one (values, counts) pair
+        return StepDistribution(laws[0], laws[1] / (1 << k))
+    return (StepDistribution(values, counts / (1 << k)) for values, counts in laws)
 
 
 def index_terms(A, coeffs=None, bits_cap=None):

@@ -40,6 +40,7 @@ from chaoslab import (
 )
 from chaoslab import chaos as chaos_module
 from chaoslab import kernel
+from chaoslab.walsh import index_terms, terms_law
 
 TRIANGLE_2_3 = IndexSet.from_tuples([(2, 1), (3, 1), (3, 2)])
 
@@ -271,23 +272,54 @@ class TestRudAverage:
         assert abs(res.ratio - 1) <= 4 * 2**-52
 
     def test_one_law_per_coset(self, monkeypatch):
-        calls = []
+        rows = []  # laws asked of each kernel.law call
         law = kernel.law
 
-        def counting_law(*args):
-            calls.append(args)
-            return law(*args)
+        def counting_law(term_masks, coeffs, k):
+            rows.append(len(np.atleast_2d(coeffs)))
+            return law(term_masks, coeffs, k)
 
         monkeypatch.setattr(kernel, "law", counting_law)
         # unit triangle(2, 6): m = 15 terms, shift code of rank 5 (K6 is connected)
         rud_average(gen_triangle(2, 6), None, SpaceSpec.lp(2))
-        assert len(calls) == 2**10  # one per coset; coset 0 gives the deterministic norm
+        assert sum(rows) == 2**10  # one per coset; coset 0 gives the deterministic norm
+        assert len(rows) == 1  # every coset law comes from one batched call
         # zero-coefficient terms join the code: |keep| = 3 edges of a path, rank 3
-        calls.clear()
+        rows.clear()
         A = IndexSet.from_tuples([(2, 1), (3, 2), (4, 3), (4, 1), (6, 5)])
         coeffs = {(2, 1): 1.0, (3, 2): 2.0, (4, 3): -1.0, (4, 1): 0.0, (6, 5): 0.0}
         rud_average(A, coeffs, SpaceSpec.lp(2))
-        assert len(calls) == 2 ** (3 - 3)
+        assert sum(rows) == 2 ** (3 - 3)
+
+    @pytest.mark.parametrize("N", [14, 16, 20])  # N = 20 has rank 19: the sliced route
+    def test_mc_matches_per_pattern_terms_law(self, N):
+        A, space = gen_sum_set(N), SpaceSpec.lp(4)
+        c, keep, masks, k = index_terms(A)
+        for seed in range(4):
+            bits = kernel.random_bits(seed, 0, 40, c.size)[keep].T
+            vals = np.array([norm(terms_law(masks, row, k), space, 1e-10)
+                             for row in np.where(bits, -c[keep], c[keep])])
+            det = norm(terms_law(masks, c[keep], k), space, 1e-10)
+            avg = float(vals.mean())
+            expect = (avg, det, det / avg, float(vals.std(ddof=1) / math.sqrt(40)))
+            res = rud_average(A, space=space, samples=40, seed=seed)
+            got = (res.average, res.deterministic_norm, res.ratio, res.stderr)
+            assert list(map(float.hex, got)) == list(map(float.hex, expect))
+
+    def test_mc_memory_follows_the_block_cap(self):
+        # 501 pattern laws of 2^15 reduced configurations (sum set N = 16, rank
+        # 15, int8) are transformed a block of at most 2^LAW_BLOCK_BITS entries
+        # at a time: the block and its transposed copy take at most 2 x 4 bytes
+        # per entry in the widest integer dtype, and 2^20 bytes cover the rest
+        # (one 2^15-entry intp histogram index, the 501 x 56 pattern matrix)
+        A = gen_sum_set(16)
+        tracemalloc.start()
+        try:
+            rud_average(A, space=SpaceSpec.lp(4), samples=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4 * (1 << kernel.LAW_BLOCK_BITS) + (1 << 20)
 
     @pytest.mark.parametrize("kind", ["int", "gauss"])
     def test_deterministic_norm_is_the_law_of_the_set(self, kind):

@@ -280,6 +280,65 @@ class TestRankReduction:
 
 
 @st.composite
+def coefficient_matrices(draw):
+    """(masks, (P, T) coefficient matrix, k): 1 <= P <= 6 rows over the shared
+    masks of an edge function, on full-rank or rank-deficient keys.  Integer
+    rows flip the signs of the function's coefficients (S at an int8, int16
+    or int32 edge), and some drop its large one, so that a row alone may fit
+    a narrower dtype than the matrix; float rows are seeded Gaussians, which
+    the transform adds inexactly, so any change in its order shows."""
+    f = draw(edge_functions(st.one_of(keys, rank_deficient_keys())))
+    masks, base = kernel.masks(f.terms, f.support), np.array(list(f.terms.values()))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["signs", "small", "float"]))
+        if kind == "float":
+            rows.append(np.random.default_rng(draw(st.integers(0, 99))).standard_normal(base.size))
+            continue
+        signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=base.size,
+                                       max_size=base.size)))
+        row = base * signs
+        if kind == "small":
+            row[0] = signs[0]
+        rows.append(row)
+    return masks, np.array(rows), len(f.support)
+
+
+class TestBatchedLaws:
+    @settings(max_examples=100, deadline=None)
+    @given(coefficient_matrices(), st.integers(1, 9), st.integers(0, 8))
+    def test_rows_match_one_row_calls(self, case, slice_bits, block_bits):
+        # a narrow slice width takes the sliced route, a small block budget
+        # puts block boundaries between the rows
+        masks, rows, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "SLICE_BITS", slice_bits)
+            mp.setattr(kernel, "LAW_BLOCK_BITS", block_bits)
+            batched = list(kernel.law(masks, rows, k))
+            single = [kernel.law(masks, row.tolist(), k) for row in rows]
+        assert len(batched) == len(rows)
+        for (bvals, bcounts), (svals, scounts) in zip(batched, single):
+            assert bcounts.dtype == scounts.dtype == np.int64
+            assert bcounts.tolist() == scounts.tolist()
+            assert ([float(v).hex() for v in bvals.tolist()]
+                    == [float(v).hex() for v in svals.tolist()])
+
+    def test_block_holds_the_budget(self, monkeypatch):
+        # 2^13 reduced configurations (sum set N = 14): 2^20 entries are 128 rows
+        sizes, stages = [], kernel._stages
+
+        def recording(a, rows):
+            sizes.append(a.size)
+            return stages(a, rows)
+
+        monkeypatch.setattr(kernel, "_stages", recording)
+        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(14)))._kernel_input()
+        rows = np.tile(coeffs, (300, 1))
+        assert len(list(kernel.law(masks, rows, k))) == 300
+        assert sizes == [128 << 13, 128 << 13, 44 << 13]
+
+
+@st.composite
 def shift_codes(draw):
     """(reduced basis, m) of the shift code of m <= 10 terms over s <= 8 support bits."""
     s = draw(st.integers(1, 8))

@@ -55,6 +55,34 @@ ALL_SPACES = [
 ]
 
 
+@st.composite
+def random_laws(draw):
+    """A seeded random_distribution of 2 to 23 atoms at a scale of 1e-3, 1 or 1e3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_distribution(rng, scale=draw(st.sampled_from([1e-3, 1.0, 1e3])))
+
+
+class TestNormOrderings:
+    @settings(max_examples=80, deadline=None)
+    @given(random_laws(), st.floats(1.0, 12.0))
+    def test_luxemburg_power_norm_is_lp(self, dist, p):
+        # M(u) = u^p has modular (||x||_p / lam)^p, whose root the bisection
+        # brackets to a relative width of tol; 1% of tol covers the rounding
+        tol = 1e-10
+        got = luxemburg_norm(dist, OrliczFunction.power(p), tol)
+        assert got == pytest.approx(dist.lp_norm(p), rel=1.01 * tol)
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_laws(), st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    def test_marcinkiewicz_below_lorentz(self, dist, gamma):
+        # x* is a positive sum of indicators 1_[0, s); Lorentz is linear in it,
+        # Marcinkiewicz subadditive, and both give phi(s) on 1_[0, s) when
+        # phi(t)/t decreases, as log^-gamma(e/t) does for gamma <= 1
+        phi = ConcaveWeight.log_power(gamma)
+        lorentz = norm(dist, SpaceSpec.lorentz(phi))
+        assert norm(dist, SpaceSpec.marcinkiewicz(phi)) <= lorentz * (1 + 1e-12)
+
+
 class TestRearrangement:
     def test_two_signs(self):
         dist = StepDistribution([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25])
@@ -362,6 +390,29 @@ class TestCoincidence:
         report = coincidence_check(OrliczFunction.exponential(2), LOG_HALF, eps=5.0)
         assert report.quantity("integral_finite") == 0.0
         assert report.quantity("integral_estimate") > 1e12
+
+    @pytest.mark.parametrize("r, gamma, eps", [(0.5, 2, 0.9), (0.5, 1, 20.0), (1, 0.5, 5.0),
+                                                (3, 0.25, 1.5)])
+    def test_finite_exponential_log_pairs(self, r, gamma, eps):
+        # gamma r < 1, or gamma r = 1 with eps < 1: finite, although the slabs
+        # grow over the first halvings.  With L = log(e/t) the integral is
+        # int_1^inf M(eps L^gamma) e^(1 - L) dL; Simpson's rule gives it up to
+        # L = 740, past which the integrand stays below e^(1 - 0.05 L) and its
+        # tail below 1e-13
+        M = OrliczFunction.exponential(r)
+        L, h = np.linspace(1.0, 740.0, 100_001, retstep=True)
+        y = M.apply(eps * L**gamma) * np.exp(1.0 - L)
+        exact = h / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
+        report = coincidence_check(M, ConcaveWeight.log_power(gamma), eps=eps)
+        assert report.quantity("integral_finite") == 1.0
+        assert report.quantity("integral_estimate") == pytest.approx(exact, rel=1e-9)
+
+    def test_divergence_past_float_range(self):
+        # gamma r = 1.5 > 1 diverges, but exp(0.001 log(e/t)^1.5) passes 1/t only
+        # where log(e/t) > 1e6, far below the smallest float: no slab shows it
+        report = coincidence_check(OrliczFunction.exponential(3), LOG_HALF, eps=0.1)
+        assert report.quantity("integral_finite") == 0.0
+        assert report.quantity("integral_estimate") == math.inf
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidArgumentError):
