@@ -25,9 +25,16 @@ transposed copy.
   subset sum of the coefficients, bounded by S, so it cannot overflow.
   It enumerates only the 2^r configurations of the r pivot coordinates
   of the term masks, r their F2-rank, and scales the counts by
-  2^(k - r): an even-degree chaos, such as every sum set and
-  triangle(2, n), has r = k - 1.  The caps still read the k support
-  bits, so a refusal names the support a caller passed.  Past
+  2^(k - r): every sum set and triangle(2, n) has r = k - 1.  Where some
+  configuration c* negates every term (every odd-degree chaos, such as a
+  sum set, and some even ones, such as disjoint pairs), c and c xor c*
+  have opposite values, so the law is symmetric: after a relabelling
+  that puts a bit of c* on top, it enumerates only the 2^(r - 1)
+  configurations with the top bit clear and folds their counts by
+  v -> -v, count(v) = h(v) + h(-v).  The elimination that finds the
+  pivots solves for c* too; a constant term or triangle(2, n) has none,
+  and the law then enumerates all 2^r.  The caps still read the k
+  support bits, so a refusal names the support a caller passed.  Past
   ``SLICE_BITS`` reduced bits each row is streamed over slices of the
   high configuration bits: in the slice with high bits h the low
   coefficient vector is the sparse sum of c * chi_high(h), its transform
@@ -41,9 +48,15 @@ transposed copy.
   butterflies (a + b, a - b) are fixed, so equal inputs give
   bit-identical atoms; :func:`values` is the one-row case.  This route
   does not reduce to the rank: a shorter transform would add the floats
-  in another order and move atoms by ulps.
+  in another order and move atoms by ulps.  Nor does it fold by
+  v -> -v: its value at c xor c* is the exact negative of the one at c,
+  but the half with a bit of c* clear is contiguous only after a
+  relabelling, which reorders the stages in the same way, so the fold
+  would spare part of the sort and none of the transform.
 * Monte Carlo draws one sign per support coordinate, so it does not
-  reduce either.  It reads the Philox stream
+  reduce or fold either: a fold would count each drawn configuration
+  twice, and the sampled law would no longer be that of the seeded
+  stream.  It reads the Philox stream
   ``rng.integers(0, 2, size=(m, k))`` in counter blocks of ``MC_CHUNK``
   rows straight from the raw words: each sign is bit 31 of one 32-bit
   half of a raw 64-bit word, low half first, which is the bit
@@ -157,7 +170,7 @@ def _stages(a, rows):
 def values(term_masks, coeffs, k):
     """float64 values of the polynomial at all 2^k configurations."""
     _check_value_bits(k)
-    return _transform(term_masks, np.array([coeffs], dtype=float), k, np.float64)[0]
+    return _transform(term_masks, np.array([coeffs], dtype=float), k, np.float64)[:, 0]
 
 
 def _check_value_bits(k):
@@ -166,17 +179,33 @@ def _check_value_bits(k):
 
 
 def pivot_bits(term_masks):
-    """Pivot bits of a row echelon form of ``term_masks`` over F2, the
-    pivot of a row being its highest bit; their number is the rank."""
-    rows = {}
+    """(pivots, flip) of one elimination of ``term_masks`` over F2.
+
+    ``pivots`` are the pivot bits of a row echelon form, the pivot of a row
+    being its highest bit; their number is the rank.  ``flip`` is a
+    configuration at which every monomial is -1, parity(flip & m) = 1 for
+    every mask m, or None where there is none (a constant term, or
+    triangle(2, n)).  Each mask is eliminated with a right-hand-side bit 1
+    below it; the free bits of ``flip`` are 0 and its pivot bits are
+    back-substituted in ascending order, so it has bits on pivots only.
+    """
+    rows, consistent = {}, True
     for m in term_masks:
-        while m:
-            p = m.bit_length() - 1
+        a = m << 1 | 1
+        while a > 1:
+            p = a.bit_length() - 2
             if p not in rows:
-                rows[p] = m
+                rows[p] = a
                 break
-            m ^= rows[p]
-    return set(rows)
+            a ^= rows[p]
+        consistent &= a != 1  # the row reduced to 0 = 1
+    if not consistent:
+        return set(rows), None
+    flip = 0
+    for p in sorted(rows):
+        if (rows[p] >> 1 & flip).bit_count() & 1 != rows[p] & 1:
+            flip |= 1 << p
+    return set(rows), flip
 
 
 def law(term_masks, coeffs, k):
@@ -190,12 +219,19 @@ def law(term_masks, coeffs, k):
     linear map of the configuration of rank r, and restricted to the pivot
     coordinates that map is one-to-one onto its image, so every reduced
     configuration stands for a fibre of 2^(k - r) configurations, and
-    distinct masks stay distinct.  At most ``SLICE_BITS`` reduced bits are
-    transformed in blocks of rows by :func:`_block_laws`, more row by row,
-    slice by slice in order, on the calling thread.  The hard cap reads
-    the k support bits.  Other coefficients take float64 blocks over all
-    2^k configurations and the equal runs of each sorted row, which are
-    what ``np.unique`` gives.
+    distinct masks stay distinct.  Where the same elimination finds a flip
+    c* that negates every term, the bit of c* that is highest in reduced
+    coordinates is swapped with the top reduced bit in every mask, which
+    moves no law; then c and c xor c* pair the configurations with the top
+    bit clear with those with it set, so only the 2^(r - 1) of the first
+    half are enumerated and their counts are folded by v -> -v.  At most
+    ``SLICE_BITS`` reduced bits are transformed in blocks of rows by
+    :func:`_block_laws`, more row by row, slice by slice in order, on the
+    calling thread; a halved law histograms the first half of each
+    transformed row, or runs only the first half of the slices.  The hard
+    cap reads the k support bits.  Other coefficients take float64 blocks
+    over all 2^k configurations and the equal runs of each sorted row,
+    which are what ``np.unique`` gives.
     """
     rows = np.asarray(coeffs, dtype=float)
     single = rows.ndim == 1
@@ -208,15 +244,25 @@ def law(term_masks, coeffs, k):
     else:
         check_cap(k, HARD_CAP_BITS, "configuration bits of an exact integer law",
                   "sample the law with distribution_mc")
-        pivots = pivot_bits(term_masks)
+        pivots, flip = pivot_bits(term_masks)
+        term_masks = [*term_masks, flip or 0]  # flip has bits on pivots only
         for j in sorted(set(range(k)) - pivots, reverse=True):  # drop bit j: sign j is +1
             term_masks = [(m & ((1 << j) - 1)) | (m >> (j + 1) << j) for m in term_masks]
+        *term_masks, flip = term_masks
         fixed, k = k - len(pivots), len(pivots)
+        if flip:  # relabel: swap the top bit of flip with the top reduced bit
+            a, b = flip.bit_length() - 1, k - 1
+            term_masks = [m ^ ((m >> a ^ m >> b) & 1) * (1 << a | 1 << b) for m in term_masks]
+        half = flip > 0
         if k <= SLICE_BITS:  # rows by index: iterating a 2-D array costs more
-            laws = _block_laws(term_masks, rows, k, dtype,
-                               lambda block: (_histogram(block[i], bound) for i in range(len(block))))
+            def histograms(block):
+                block = np.ascontiguousarray(block[:1 << (k - half)].T)
+                return (_histogram(block[i], bound, half) for i in range(len(block)))
+
+            laws = _block_laws(term_masks, rows, k, dtype, histograms)
         else:
-            laws = _sliced_laws(term_masks, rows, k, dtype, bound)
+            laws = _sliced_laws(term_masks, rows, k - half, dtype, bound)
+            laws = map(_mirror, laws) if half else laws
         laws = ((vals, counts << fixed) for vals, counts in laws)
     return next(laws) if single else laws
 
@@ -225,19 +271,20 @@ def _block_laws(term_masks, rows, k, dtype, histogram):
     """Laws of the rows of the coefficient matrix ``rows`` over 2^k
     configurations, transformed by :func:`_transform` in blocks of at most
     2^LAW_BLOCK_BITS entries (one row at least); ``histogram`` maps the
-    (P, 2^k) values of a block to its P laws."""
+    (2^k, P) values of a block to its P laws."""
     step = max(1, (1 << LAW_BLOCK_BITS) >> k)
     for start in range(0, rows.shape[0], step):
         yield from histogram(_transform(term_masks, rows[start:start + step], k, dtype))
 
 
 def _transform(term_masks, rows, k, dtype):
-    """(P, 2^k) values in ``dtype`` of the P rows of ``rows`` at every configuration.
+    """(2^k, P) values in ``dtype`` of the P rows of ``rows`` at every configuration.
 
-    The transform runs on a (2^k, P) array with the rows on the contiguous
-    axis, so each stage of :func:`_stages` runs on every column the
-    butterflies that :func:`fwht` runs on one vector, in the same order;
-    a single row takes :func:`fwht` itself.  The result is a transposed copy.
+    The transform runs with the rows on the contiguous axis, so each stage
+    of :func:`_stages` runs on every column the butterflies that
+    :func:`fwht` runs on one vector, in the same order; a single row takes
+    :func:`fwht` itself.  Callers copy the rows of configurations they read
+    to a transposed array.
     """
     block = np.zeros((1 << k, rows.shape[0]), dtype)
     block[term_masks] = rows.T
@@ -245,12 +292,14 @@ def _transform(term_masks, rows, k, dtype):
         fwht(block.reshape(-1))
     else:
         _stages(block.reshape(-1), 1 << k)
-    return np.ascontiguousarray(block.T)
+    return block
 
 
 def _sorted_runs(block):
-    """(values, counts) of each row of a float array, sorting it in place:
-    the equal runs of the sorted row, as ``np.unique`` finds them."""
+    """(values, counts) of each column of a float array, sorted on a
+    transposed copy: the equal runs of the sorted column, as ``np.unique``
+    finds them."""
+    block = np.ascontiguousarray(block.T)
     block.sort(axis=1)
     edge = np.ones(block.shape, dtype=bool)
     np.not_equal(block[:, 1:], block[:, :-1], out=edge[:, 1:])
@@ -261,10 +310,11 @@ def _sorted_runs(block):
 
 
 def _sliced_laws(term_masks, rows, k, dtype, bound):
-    """Laws of the rows of ``rows`` over 2^k > 2^SLICE_BITS reduced
-    configurations, row by row and slice by slice: in the slice with high
-    bits h the low coefficient vector is the sparse sum of c * chi_high(h),
-    and the slice histograms merge in slice order."""
+    """Laws of the rows of ``rows`` over the reduced configurations below
+    2^k, k >= SLICE_BITS (a mask bit at k or above meets only +1 signs),
+    row by row and slice by slice: in the slice with high bits h the low
+    coefficient vector is the sparse sum of c * chi_high(h), and the slice
+    histograms merge in slice order."""
     low_idx = np.array([m & ((1 << SLICE_BITS) - 1) for m in term_masks], dtype=np.intp)
     high = np.array([m >> SLICE_BITS for m in term_masks], dtype=np.uint64)
     for c in rows.astype(np.int64):
@@ -368,13 +418,23 @@ def sample_law(term_masks, coeffs, k, samples, seed):
     return _merge(map_chunks(run_chunk, range(0, samples, MC_CHUNK)))
 
 
-def _histogram(vals, bound):
-    """(values, counts) of an integer array with entries in [-bound, bound]."""
+def _histogram(vals, bound, mirror=False):
+    """(values, counts) of an integer array with entries in [-bound, bound];
+    with ``mirror``, of its entries and of their negatives."""
     if 2 * bound + 1 > _DENSE_RANGE:
-        return np.unique(vals, return_counts=True)
+        law = np.unique(vals, return_counts=True)
+        return _mirror(law) if mirror else law
     counts = np.bincount(np.add(vals, bound, dtype=np.intp), minlength=2 * bound + 1)
+    if mirror:
+        counts += counts[::-1]
     nz = np.flatnonzero(counts)
     return nz - bound, counts[nz]
+
+
+def _mirror(law):
+    """The histogram ``law`` merged with its image under v -> -v."""
+    vals, counts = law
+    return _merge([law, (-vals[::-1], counts[::-1])])
 
 
 def _merge(parts):

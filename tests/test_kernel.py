@@ -244,7 +244,7 @@ class TestRankReduction:
     def test_reduced_law_is_the_full_law(self, f, slice_bits):
         k = len(f.support)
         masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
-        assert len(kernel.pivot_bits(masks)) < k
+        assert len(kernel.pivot_bits(masks)[0]) < k
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "SLICE_BITS", slice_bits)
             vals, counts = kernel.law(masks, coeffs, k)
@@ -277,6 +277,116 @@ class TestRankReduction:
         # a shorter float transform would reorder the sums and move atoms by ulps
         f = chaos_sum({t: 0.5 for t in gen_triangle(2, 10).tuples()})
         assert self.transform_sizes(f, monkeypatch) == [1 << 10]
+
+
+@st.composite
+def half_cube_keys(draw):
+    """Monomials over 1..9 of one of six kinds: odd degree (a flip always
+    exists), disjoint pairs or edges of a bipartite graph (even, with a
+    flip), triangle(2) on 3..5 coordinates (even, no flip), odd degree
+    plus a constant term (no flip), or rank-deficient keys."""
+    kind = draw(st.sampled_from(["odd", "pairs", "bipartite", "triangle", "constant", "deficient"]))
+    if kind == "deficient":
+        return draw(rank_deficient_keys())
+    coords = draw(st.permutations(range(1, 10)))
+    if kind in ("odd", "constant"):
+        key_list = draw(st.lists(st.sets(st.sampled_from(coords), min_size=1, max_size=5)
+                                 .filter(lambda s: len(s) % 2), min_size=1, max_size=10))
+        key_list += [()] if kind == "constant" else []
+    elif kind == "pairs":
+        key_list = [coords[2 * i:2 * i + 2] for i in range(draw(st.integers(1, 4)))]
+    elif kind == "bipartite":
+        cut = draw(st.integers(1, 8))
+        edges = [(a, b) for a in coords[:cut] for b in coords[cut:]]
+        key_list = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=10))
+    else:
+        n = draw(st.integers(3, 5))
+        key_list = [(a, b) for i, a in enumerate(coords[:n]) for b in coords[i + 1:n]]
+    return sorted({tuple(sorted(key, reverse=True)) for key in key_list})
+
+
+def flip_exists(term_masks, k):
+    """Whether some configuration makes every monomial -1, by trying all."""
+    return any(all(bin(c & m).count("1") % 2 for m in term_masks) for c in range(1 << k))
+
+
+class TestHalfCube:
+    @settings(max_examples=150, deadline=None)
+    @given(edge_functions(half_cube_keys()), st.integers(1, 9))
+    def test_law_is_the_parity_law(self, f, slice_bits):
+        k = len(f.support)
+        masks = kernel.masks(f.terms, f.support)
+        pivots, flip = kernel.pivot_bits(masks)
+        assert (flip is not None) == flip_exists(masks, k)
+        if flip is not None:
+            assert all(bin(flip & m).count("1") % 2 for m in masks)
+            assert flip & ~sum(1 << p for p in pivots) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "SLICE_BITS", slice_bits)
+            law = law_counts(f)
+        assert law == parity_law(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(edge_functions(half_cube_keys()), st.data(), st.integers(1, 9), st.integers(0, 8))
+    def test_rows_match_one_row_calls(self, f, data, slice_bits, block_bits):
+        masks, base = kernel.masks(f.terms, f.support), np.array(list(f.terms.values()))
+        k = len(f.support)
+        signs = data.draw(st.lists(st.lists(st.sampled_from([-1.0, 1.0]), min_size=base.size,
+                                            max_size=base.size), min_size=1, max_size=6))
+        rows = base * np.array(signs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "SLICE_BITS", slice_bits)
+            mp.setattr(kernel, "LAW_BLOCK_BITS", block_bits)
+            batched = list(kernel.law(masks, rows, k))
+            single = [kernel.law(masks, row.tolist(), k) for row in rows]
+        assert len(batched) == len(rows)
+        for (bvals, bcounts), (svals, scounts), row in zip(batched, single, rows):
+            assert bvals.tolist() == svals.tolist() and bcounts.tolist() == scounts.tolist()
+            expect = parity_law(SignFunction(dict(zip(f.terms, row.tolist()))))
+            assert dict(zip(svals.tolist(), scounts.tolist())) == expect
+
+    @staticmethod
+    def histogram_sizes(f, monkeypatch):
+        sizes, histogram = [], kernel._histogram
+
+        def recording(vals, *args):
+            sizes.append(vals.size)
+            return histogram(vals, *args)
+
+        monkeypatch.setattr(kernel, "_histogram", recording)
+        law = distribution_exact(f)
+        return sizes, law
+
+    @pytest.mark.parametrize("N, slices", [(18, 1), (20, 4)])
+    def test_sum_set_transforms_half_the_slices(self, N, slices, monkeypatch):
+        # rank N - 1: 2^(N - 1 - 16) slices, of which the first half are run
+        f = chaos_sum(unit_coefficients(gen_sum_set(N)))
+        assert TestRankReduction.transform_sizes(f, monkeypatch) == [1 << 16] * slices
+
+    def test_sum_set_histograms_half_the_row(self, monkeypatch):
+        f = chaos_sum(unit_coefficients(gen_sum_set(14)))
+        sizes, law = self.histogram_sizes(f, monkeypatch)
+        assert sizes == [1 << 12]
+        assert as_counts(law, 14) == parity_law(f)
+
+    @pytest.mark.parametrize("terms, enumerated", [
+        ({(1,): 1.0}, 1),  # k = r = 1: the flip is r_1 itself
+        ({(): 3.0, (1,): 1.0, (2,): -1.0, (3, 2, 1): 2.0}, 8),  # a constant term: no flip
+        ({(4, 3): 1.0, (2, 1): 2.0}, 2),  # disjoint pairs: rank 2, halved
+    ])
+    def test_small_laws(self, terms, enumerated, monkeypatch):
+        f = SignFunction(terms)
+        sizes, law = self.histogram_sizes(f, monkeypatch)
+        assert sizes == [enumerated]
+        assert as_counts(law, len(f.support)) == parity_law(f)
+
+    def test_empty_support_is_a_point_mass(self):
+        # no terms: the solve is consistent with flip 0, which never halves
+        assert kernel.pivot_bits([]) == (set(), 0)
+        assert [a.tolist() for a in kernel.law([], [], 0)] == [[0], [1]]
+        assert kernel.pivot_bits([0]) == (set(), None)
+        assert [a.tolist() for a in kernel.law([0], [2.0], 0)] == [[2], [1]]
+        assert distribution_exact(SignFunction({(): 2.0})).atoms() == [(2.0, 1.0)]
 
 
 @st.composite
