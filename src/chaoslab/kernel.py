@@ -11,12 +11,11 @@ and that refuses a support wider than ``HARD_CAP_BITS`` (2^26
 configurations), on either route.  It takes the coefficients of one
 polynomial or a (P, T) matrix of P polynomials over the same T term masks,
 such as the sign patterns of one chaos, and settles the dtype, the rank
-reduction and the caps once for all P.  A reduced support of at most
-``SLICE_BITS`` bits transforms the rows a block at a time: a (2^r, P)
-array with the rows on its contiguous axis, at most 2^``LAW_BLOCK_BITS``
-entries, in which every column sees the butterflies of its own 1-D
-transform in the same order, and which is histogrammed row by row on a
-transposed copy.
+reduction and the caps once for all P.  Rows are transformed a block at a
+time: a (2^r, P) array with the rows on its contiguous axis, at most
+2^``LAW_BLOCK_BITS`` entries, transformed by one :func:`fwht` call in
+which every column sees the butterflies of its own 1-D transform in the
+same order, and histogrammed row by row on a transposed copy.
 
 * Integer coefficients whose absolute sum S is at most 2^31 - 1 get an
   exact law from a fast Walsh-Hadamard transform (FWHT) in the narrowest
@@ -28,21 +27,21 @@ transposed copy.
   2^(k - r): every sum set and triangle(2, n) has r = k - 1.  Where some
   configuration c* negates every term (every odd-degree chaos, such as a
   sum set, and some even ones, such as disjoint pairs), c and c xor c*
-  have opposite values, so the law is symmetric: after a relabelling
-  that puts a bit of c* on top, it enumerates only the 2^(r - 1)
-  configurations with the top bit clear and folds their counts by
-  v -> -v, count(v) = h(v) + h(-v).  The elimination that finds the
-  pivots solves for c* too; a constant term or triangle(2, n) has none,
-  and the law then enumerates all 2^r.  The caps still read the k
-  support bits, so a refusal names the support a caller passed.  Past
-  ``SLICE_BITS`` reduced bits each row is streamed over slices of the
-  high configuration bits: in the slice with high bits h the low
-  coefficient vector is the sparse sum of c * chi_high(h), its transform
-  gives the slice's 2^L values, and the slice histograms merge by integer
-  addition in slice order.  The law depends on neither the slice width
-  nor the block size.  Memory is O(2^L) only while 2S + 1 <=
-  ``_DENSE_RANGE``: a wider value range can hold up to 2^k distinct
-  atoms, so the hard cap guards memory on this route too.
+  have opposite values, so the law is symmetric: the sign of the top bit
+  of c* is fixed to +1 like the non-pivot signs (terms whose masks then
+  coincide add their coefficients), and the counts of the 2^(r - 1)
+  configurations left fold by v -> -v, count(v) = h(v) + h(-v).  The
+  elimination that finds the pivots solves for c* too; a constant term
+  or triangle(2, n) has none, and the law then enumerates all 2^r.  The
+  caps still read the k support bits, so a refusal names the support a
+  caller passed.  Past ``SLICE_BITS`` reduced bits a row is cut into
+  slice rows: slice row h sums c * chi_high(h) over the terms of each
+  distinct low mask, and its transform gives the values at high bits h.
+  Slice rows take the same block loop as any other rows, built a block
+  at a time, and the histograms of a row's slices merge.  The law depends
+  on neither the slice width nor the block size.  Memory is one block
+  only while 2S + 1 <= ``_DENSE_RANGE``: a wider value range can hold up
+  to 2^k distinct atoms, so the hard cap guards memory on this route too.
 * Other coefficients get float64 transforms of all 2^k configurations,
   in blocks as above, whose stage order (lowest bit first) and
   butterflies (a + b, a - b) are fixed, so equal inputs give
@@ -88,8 +87,8 @@ SLICE_BITS = 16  # low configuration bits transformed per slice
 MC_CHUNK = 1 << 16  # Monte Carlo rows per counter block
 SWEEP_CELL_BITS = 16  # log2 of the pattern x codeword cells per block of the coset sweep
 _DENSE_RANGE = 1 << 17  # widest value range histogrammed by bincount
-_TRANSPOSE_BITS = 10  # transforms of at least 2^10 entries run on a transposed copy
-_BLOCK_BITS = 16  # longer transforms run their low stages block by block
+_TRANSPOSE_BITS = 10  # parts of at least 2^10 rows run their low row bits on a transposed copy
+_BLOCK_BITS = 16  # longer transforms run their low stages in parts of 2^16 float64 (512 KiB)
 LAW_BLOCK_BITS = 20  # log2 of the entries of one block of the laws of a coefficient matrix
 
 
@@ -124,31 +123,33 @@ def int_dtype(coeffs):
     return next(fits, None), bound
 
 
-def fwht(a):
-    """In-place Walsh-Hadamard transform: a[c] <- sum_S a[S] (-1)^popcount(c & S).
+def fwht(a, cols=1):
+    """In-place Walsh-Hadamard transform of every column of ``a`` viewed as
+    (a.size // cols, cols): a[c] <- sum_S a[S] (-1)^popcount(c & S) over rows.
 
-    Stages run from the lowest bit up, each mapping a pair (x, y) to
-    (x + y, x - y).  Every butterfly sees the same inputs in any schedule
-    that keeps this order per pair, so these schedules give bit-identical
-    floats: arrays longer than 2^_BLOCK_BITS transform each block of that
-    size in cache before the stages across blocks, and arrays of at least
-    2^_TRANSPOSE_BITS entries run their low half of the bits on a
+    Stages run from the lowest row bit up, each mapping a pair of rows
+    (x, y) to (x + y, x - y).  Every butterfly sees the same inputs in any
+    schedule that keeps this order per pair, so these schedules give
+    bit-identical floats, and each column equals its own 1-D transform: the
+    rows are split into parts of a power of two rows, at most the bytes of
+    2^_BLOCK_BITS float64 (one row at least), each transformed in cache
+    before the stages across parts, and a part of at least
+    2^_TRANSPOSE_BITS rows runs the low half of its row bits on a
     transposed copy, so every stage works on contiguous runs.
     """
-    n = a.size
-    if n > 1 << _BLOCK_BITS:
-        rows = n >> _BLOCK_BITS
-        for row in a.reshape(rows, -1):
-            fwht(row)
-    elif n >= 1 << _TRANSPOSE_BITS:
-        rows = n >> (n.bit_length() - 1) // 2
-        grid = a.reshape(rows, -1)
-        t = np.ascontiguousarray(grid.T)
-        _stages(t, t.shape[0])
-        grid[...] = t.T
-    else:
-        rows = n
-    _stages(a, rows)
+    n = a.size // cols
+    part = min(n, max(1, (8 << _BLOCK_BITS) // a.itemsize >> (cols - 1).bit_length()))
+    for p in a.reshape(n // part, -1):
+        rows = part
+        if part >= 1 << _TRANSPOSE_BITS:  # a row's cols entries move as one item
+            rows = part >> (part.bit_length() - 1) // 2
+            grid = p.view(np.dtype((np.void, cols * a.itemsize))).reshape(rows, -1)
+            t = np.ascontiguousarray(grid.T)
+            _stages(t.view(a.dtype), t.shape[0])
+            grid[...] = t.T
+        _stages(p, rows)
+    if n > part:
+        _stages(a, n // part)
     return a
 
 
@@ -220,18 +221,17 @@ def law(term_masks, coeffs, k):
     coordinates that map is one-to-one onto its image, so every reduced
     configuration stands for a fibre of 2^(k - r) configurations, and
     distinct masks stay distinct.  Where the same elimination finds a flip
-    c* that negates every term, the bit of c* that is highest in reduced
-    coordinates is swapped with the top reduced bit in every mask, which
-    moves no law; then c and c xor c* pair the configurations with the top
-    bit clear with those with it set, so only the 2^(r - 1) of the first
-    half are enumerated and their counts are folded by v -> -v.  At most
-    ``SLICE_BITS`` reduced bits are transformed in blocks of rows by
-    :func:`_block_laws`, more row by row, slice by slice in order, on the
-    calling thread; a halved law histograms the first half of each
-    transformed row, or runs only the first half of the slices.  The hard
-    cap reads the k support bits.  Other coefficients take float64 blocks
-    over all 2^k configurations and the equal runs of each sorted row,
-    which are what ``np.unique`` gives.
+    c* that negates every term, the sign of the top bit of c* is fixed to
+    +1 too, and the law over the 2^(r - 1) configurations left is folded
+    by v -> -v, since c and c xor c* have opposite values; masks that then
+    coincide add their coefficients.  The k' reduced bits are cut at
+    L = min(k', SLICE_BITS): slice h of a row is the row of coefficients
+    sum c * chi_high(h) over the distinct low masks, a row has 2^(k' - L)
+    slices, and its law merges theirs.  Slice rows are built, transformed
+    and histogrammed a block at a time by :func:`_block_laws`, on the
+    calling thread.  The hard cap reads the k support bits.  Other
+    coefficients take float64 blocks over all 2^k configurations and the
+    equal runs of each sorted row, which are what ``np.unique`` gives.
     """
     rows = np.asarray(coeffs, dtype=float)
     single = rows.ndim == 1
@@ -240,58 +240,61 @@ def law(term_masks, coeffs, k):
         rows = rows[None]
     if dtype is None:
         _check_value_bits(k)
-        laws = _block_laws(term_masks, rows, k, np.float64, _sorted_runs)
-    else:
-        check_cap(k, HARD_CAP_BITS, "configuration bits of an exact integer law",
-                  "sample the law with distribution_mc")
-        pivots, flip = pivot_bits(term_masks)
-        term_masks = [*term_masks, flip or 0]  # flip has bits on pivots only
-        for j in sorted(set(range(k)) - pivots, reverse=True):  # drop bit j: sign j is +1
-            term_masks = [(m & ((1 << j) - 1)) | (m >> (j + 1) << j) for m in term_masks]
-        *term_masks, flip = term_masks
-        fixed, k = k - len(pivots), len(pivots)
-        if flip:  # relabel: swap the top bit of flip with the top reduced bit
-            a, b = flip.bit_length() - 1, k - 1
-            term_masks = [m ^ ((m >> a ^ m >> b) & 1) * (1 << a | 1 << b) for m in term_masks]
-        half = flip > 0
-        if k <= SLICE_BITS:  # rows by index: iterating a 2-D array costs more
-            def histograms(block):
-                block = np.ascontiguousarray(block[:1 << (k - half)].T)
-                return (_histogram(block[i], bound, half) for i in range(len(block)))
+        laws = _block_laws(term_masks, len(rows), lambda i, j: rows[i:j], k, np.float64,
+                           _sorted_runs)
+        return next(laws) if single else laws
+    check_cap(k, HARD_CAP_BITS, "configuration bits of an exact integer law",
+              "sample the law with distribution_mc")
+    pivots, flip = pivot_bits(term_masks)
+    fixed = k - len(pivots)
+    if flip:  # the top bit of flip is a pivot: fix its sign to +1 too, and fold
+        pivots.remove(flip.bit_length() - 1)
+    for j in sorted(set(range(k)) - pivots, reverse=True):  # drop bit j: sign j is +1
+        term_masks = [(m & ((1 << j) - 1)) | (m >> (j + 1) << j) for m in term_masks]
+    k = len(pivots)
+    low_bits = min(k, SLICE_BITS)
+    slices = 1 << (k - low_bits)
+    low = np.array([m & ((1 << low_bits) - 1) for m in term_masks], dtype=np.intp)
+    order = np.argsort(low, kind="stable")
+    lows, starts = np.unique(low[order], return_index=True)
+    high = np.array([m >> low_bits for m in term_masks], dtype=np.uint64)[order]
+    rows = rows[:, order]
 
-            laws = _block_laws(term_masks, rows, k, dtype, histograms)
-        else:
-            laws = _sliced_laws(term_masks, rows, k - half, dtype, bound)
-            laws = map(_mirror, laws) if half else laws
-        laws = ((vals, counts << fixed) for vals, counts in laws)
+    def slice_rows(start, stop):
+        # slice h of row p, row p * slices + h of the slice matrix, sums
+        # c * chi_high(h) over the terms of each distinct low mask, exactly
+        i = np.arange(start, stop)
+        c = rows[i // slices]
+        signed = np.where(parity((i % slices).astype(np.uint64)[:, None], high), -c, c)
+        return np.add.reduceat(signed, starts, axis=1)
+
+    def histograms(block):  # rows by index: iterating a 2-D array costs more
+        block = np.ascontiguousarray(block.T)
+        return (_histogram(block[i], bound, bool(flip)) for i in range(len(block)))
+
+    laws = _block_laws(lows, len(rows) * slices, slice_rows, low_bits, dtype, histograms)
+    laws = ((vals, counts << fixed) for vals, counts in map(_merge, zip(*[laws] * slices)))
     return next(laws) if single else laws
 
 
-def _block_laws(term_masks, rows, k, dtype, histogram):
-    """Laws of the rows of the coefficient matrix ``rows`` over 2^k
-    configurations, transformed by :func:`_transform` in blocks of at most
-    2^LAW_BLOCK_BITS entries (one row at least); ``histogram`` maps the
-    (2^k, P) values of a block to its P laws."""
+def _block_laws(term_masks, count, rows, k, dtype, histogram):
+    """Laws of ``count`` coefficient rows over 2^k configurations, built by
+    ``rows(start, stop)`` and transformed by :func:`_transform` a block of
+    at most 2^LAW_BLOCK_BITS entries (one row at least) at a time;
+    ``histogram`` maps the (2^k, P) values of a block to its P laws."""
     step = max(1, (1 << LAW_BLOCK_BITS) >> k)
-    for start in range(0, rows.shape[0], step):
-        yield from histogram(_transform(term_masks, rows[start:start + step], k, dtype))
+    for start in range(0, count, step):
+        yield from histogram(_transform(term_masks, rows(start, min(start + step, count)), k, dtype))
 
 
 def _transform(term_masks, rows, k, dtype):
-    """(2^k, P) values in ``dtype`` of the P rows of ``rows`` at every configuration.
-
-    The transform runs with the rows on the contiguous axis, so each stage
-    of :func:`_stages` runs on every column the butterflies that
-    :func:`fwht` runs on one vector, in the same order; a single row takes
-    :func:`fwht` itself.  Callers copy the rows of configurations they read
-    to a transposed array.
-    """
+    """(2^k, P) values in ``dtype`` of the P rows of ``rows`` at every
+    configuration, the rows on the contiguous axis and transformed by one
+    :func:`fwht` call.  Callers copy the values they read to a transposed
+    array."""
     block = np.zeros((1 << k, rows.shape[0]), dtype)
     block[term_masks] = rows.T
-    if rows.shape[0] == 1:
-        fwht(block.reshape(-1))
-    else:
-        _stages(block.reshape(-1), 1 << k)
+    fwht(block.reshape(-1), rows.shape[0])
     return block
 
 
@@ -307,23 +310,6 @@ def _sorted_runs(block):
     counts = np.diff(starts, append=block.size)
     cut = np.searchsorted(starts, np.arange(block.shape[1], block.size, block.shape[1]))
     return zip(np.split(block.reshape(-1)[starts], cut), np.split(counts, cut))
-
-
-def _sliced_laws(term_masks, rows, k, dtype, bound):
-    """Laws of the rows of ``rows`` over the reduced configurations below
-    2^k, k >= SLICE_BITS (a mask bit at k or above meets only +1 signs),
-    row by row and slice by slice: in the slice with high bits h the low
-    coefficient vector is the sparse sum of c * chi_high(h), and the slice
-    histograms merge in slice order."""
-    low_idx = np.array([m & ((1 << SLICE_BITS) - 1) for m in term_masks], dtype=np.intp)
-    high = np.array([m >> SLICE_BITS for m in term_masks], dtype=np.uint64)
-    for c in rows.astype(np.int64):
-        parts = []
-        for h in range(1 << (k - SLICE_BITS)):
-            v = np.zeros(1 << SLICE_BITS, dtype)
-            np.add.at(v, low_idx, np.where(parity(np.uint64(h), high), -c, c))
-            parts.append(_histogram(fwht(v), bound))
-        yield _merge(parts)
 
 
 def philox_key(seed):

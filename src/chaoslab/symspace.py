@@ -193,6 +193,15 @@ class ConcaveWeight:
 # ---------------------------------------------------------------------------
 
 
+def _quasiconcave(weight):
+    """``weight``, unless log_power(gamma > 1): phi(t)/t = u^-gamma e^(u - 1),
+    u = log(e/t), decreases on (0, 1] exactly when gamma <= 1."""
+    if weight.kind == "log_power" and weight.gamma > 1:
+        raise InvalidArgumentError("Lorentz and Marcinkiewicz weights need gamma <= 1, "
+                                   f"got log_power({weight.gamma:g})")
+    return weight
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """Descriptor of one symmetric-space norm."""
@@ -220,11 +229,11 @@ class SpaceSpec:
 
     @classmethod
     def lorentz(cls, weight):
-        return cls("lorentz", weight=weight)
+        return cls("lorentz", weight=_quasiconcave(weight))
 
     @classmethod
     def marcinkiewicz(cls, weight):
-        return cls("marcinkiewicz", weight=weight)
+        return cls("marcinkiewicz", weight=_quasiconcave(weight))
 
     @classmethod
     def exp_lr(cls, r, method="orlicz-bisection"):

@@ -546,6 +546,8 @@ def test_norm_far_below_l1_is_bracketed(r, tmp_path, capsys):
     (["norm", "--set", "SET", "--space", "orlicz-exp:1e-10"], "overflows"),
     (["norm", "--set", "SET", "--space", "lp:2", "--max-enum-bits", "-1"], "bits_cap"),
     (["concentration", "--order", "0", "--n", "3"], "order >= 1"),
+    (["norm", "--set", "SET", "--space", "lorentz-log:1.5"], "gamma <= 1"),
+    (["norm", "--set", "SET", "--space", "marcinkiewicz-log:2"], "gamma <= 1"),
 ])
 def test_non_finite_and_out_of_range_numbers_are_usage_errors(argv, cause, tmp_path, capsys):
     path = tmp_path / "sum12.idx"

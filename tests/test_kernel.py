@@ -1,5 +1,6 @@
 """Configuration kernel: independent routes to a law agree exactly."""
 
+import ast
 import tracemalloc
 from pathlib import Path
 
@@ -36,6 +37,18 @@ def fwht_reference(vec):
         a = a.reshape(-1)
         h *= 2
     return a
+
+
+def fwht_shapes(monkeypatch):
+    """The (rows, cols) of every later ``kernel.fwht`` call, as they run."""
+    shapes, fwht = [], kernel.fwht
+
+    def recording(a, cols=1):
+        shapes.append((a.size // cols, cols))
+        return fwht(a, cols)
+
+    monkeypatch.setattr(kernel, "fwht", recording)
+    return shapes
 
 
 def mc_reference(f, samples, seed):
@@ -143,6 +156,24 @@ class TestRouteAgreement:
         vec = rng.standard_normal(1 << k)
         got = kernel.fwht(vec.copy())
         assert np.array_equal(got, fwht_reference(vec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([np.float64, np.int8, np.int16, np.int32]),
+           st.sampled_from([1, 2, 3, 5, 16, 41, 128]), st.integers(0, 17), st.integers(0, 99))
+    def test_columns_match_one_column_transforms(self, dtype, cols, bits, seed):
+        # up to 2^17 rows and 2^21 bytes: with and without parts, transposed
+        # copies and stages across parts; integers wrap, which is still exact
+        itemsize = np.dtype(dtype).itemsize
+        n = 1 << min(bits, 21 - (itemsize * cols - 1).bit_length())
+        rng = np.random.default_rng(seed)
+        if dtype is np.float64:
+            a = rng.standard_normal((n, cols))
+        else:
+            a = rng.integers(np.iinfo(dtype).min, np.iinfo(dtype).max, (n, cols), endpoint=True,
+                             dtype=dtype)
+        got = kernel.fwht(a.copy().reshape(-1), cols).reshape(n, cols)
+        for j in range(cols):
+            assert got[:, j].tobytes() == kernel.fwht(a[:, j].copy()).tobytes()
 
     def test_parity_matches_popcount(self):
         cfg = np.arange(1 << 10, dtype=np.uint64)
@@ -253,30 +284,26 @@ class TestRankReduction:
         assert dict(zip(vals.tolist(), counts.tolist())) == parity_law(f)
 
     @staticmethod
-    def transform_sizes(f, monkeypatch):
-        sizes, fwht = [], kernel.fwht
-
-        def recording(a):
-            sizes.append(a.size)
-            return fwht(a)
-
-        monkeypatch.setattr(kernel, "fwht", recording)
+    def transform_shapes(f, monkeypatch):
+        shapes = fwht_shapes(monkeypatch)
         distribution_exact(f)
-        return sizes
+        return shapes
 
     def test_triangle_transforms_half_the_slices(self, monkeypatch):
+        # rank 17, no flip: two slice rows of 2^16 in one block
         f = chaos_sum(unit_coefficients(gen_triangle(2, 18)))
-        assert self.transform_sizes(f, monkeypatch) == [1 << 16] * 2
+        assert self.transform_shapes(f, monkeypatch) == [(1 << 16, 2)]
 
     def test_sum_set_transforms_one_reduced_array(self, monkeypatch):
+        # rank 13, and the top bit of the flip fixed: 2^12 configurations
         f = chaos_sum(unit_coefficients(gen_sum_set(14)))
         assert len(f.support) == 14
-        assert self.transform_sizes(f, monkeypatch) == [1 << 13]
+        assert self.transform_shapes(f, monkeypatch) == [(1 << 12, 1)]
 
     def test_float_route_transforms_every_configuration(self, monkeypatch):
         # a shorter float transform would reorder the sums and move atoms by ulps
         f = chaos_sum({t: 0.5 for t in gen_triangle(2, 10).tuples()})
-        assert self.transform_sizes(f, monkeypatch) == [1 << 10]
+        assert self.transform_shapes(f, monkeypatch) == [(1 << 10, 1)]
 
 
 @st.composite
@@ -359,9 +386,9 @@ class TestHalfCube:
 
     @pytest.mark.parametrize("N, slices", [(18, 1), (20, 4)])
     def test_sum_set_transforms_half_the_slices(self, N, slices, monkeypatch):
-        # rank N - 1: 2^(N - 1 - 16) slices, of which the first half are run
+        # rank N - 1, the top bit of the flip fixed: 2^(N - 2 - 16) slice rows
         f = chaos_sum(unit_coefficients(gen_sum_set(N)))
-        assert TestRankReduction.transform_sizes(f, monkeypatch) == [1 << 16] * slices
+        assert TestRankReduction.transform_shapes(f, monkeypatch) == [(1 << 16, slices)]
 
     def test_sum_set_histograms_half_the_row(self, monkeypatch):
         f = chaos_sum(unit_coefficients(gen_sum_set(14)))
@@ -434,18 +461,13 @@ class TestBatchedLaws:
                     == [float(v).hex() for v in svals.tolist()])
 
     def test_block_holds_the_budget(self, monkeypatch):
-        # 2^13 reduced configurations (sum set N = 14): 2^20 entries are 128 rows
-        sizes, stages = [], kernel._stages
-
-        def recording(a, rows):
-            sizes.append(a.size)
-            return stages(a, rows)
-
-        monkeypatch.setattr(kernel, "_stages", recording)
+        # 2^12 reduced configurations (sum set N = 14: rank 13, the top bit of
+        # the flip fixed): 2^20 entries are 256 rows, one fwht call per block
+        shapes = fwht_shapes(monkeypatch)
         masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(14)))._kernel_input()
         rows = np.tile(coeffs, (300, 1))
         assert len(list(kernel.law(masks, rows, k))) == 300
-        assert sizes == [128 << 13, 128 << 13, 44 << 13]
+        assert shapes == [(1 << 12, 256), (1 << 12, 44)]
 
 
 @st.composite
@@ -620,6 +642,24 @@ class TestMemoryAndCaps:
         assert abs(law.weights.sum() - 1.0) < 1e-12
         assert peak < 8 * 2**20
 
+    def test_slice_rows_follow_the_block_cap(self):
+        # 200 sign-flipped rows over sum set N = 22 (110 terms, S = 110: int8)
+        # have 2^20 reduced configurations each, 16 slice rows of 2^16.  The
+        # slice rows of one block are built at a time: the block and its
+        # transposed copy take 2 bytes per entry, and 2^21 bytes cover the
+        # rest (one 2^16-entry intp histogram index, the 200 x 110 matrix and
+        # the 16 x 110 slice rows of a block); all 3200 at once take more
+        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(22)))._kernel_input()
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(200, len(coeffs)))
+        tracemalloc.start()
+        try:
+            laws = list(kernel.law(masks, signs * np.array(coeffs), k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(laws) == 200 and all(int(c.sum()) == 1 << k for _, c in laws)
+        assert peak < 2 * (1 << kernel.LAW_BLOCK_BITS) + (1 << 21)
+
     def test_sum_set_n30_sample_law_memory(self, monkeypatch):
         monkeypatch.setenv("CHAOSLAB_THREADS", "1")
         f = chaos_sum(unit_coefficients(gen_sum_set(30)))
@@ -662,3 +702,15 @@ def test_bit_words_stay_in_the_kernel():
     found = [f"{path.name}: {name}" for path in modules if path.name != "kernel.py"
              for name in ("bitwise_count", "packbits", "random_raw") if name in path.read_text()]
     assert found == []
+
+
+def test_one_transform_routine():
+    # fwht alone runs the butterfly stages, for one column or many, and the
+    # integer route of law is one block loop: no second, sliced loop
+    modules = sorted(Path(kernel.__file__).parent.glob("*.py"))
+    callers = {f"{path.name}: {fn.name}" for path in modules
+               for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and "_stages" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers == {"kernel.py: fwht"}
+    assert not hasattr(kernel, "_sliced_laws")

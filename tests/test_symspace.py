@@ -519,6 +519,15 @@ class TestNormProperties:
             ConcaveWeight.log_power(2.0).validate()
         assert ConcaveWeight.log_power(1.0).validate()
 
+    @pytest.mark.parametrize("gamma", [1.0 + 1e-9, 1.5, 2.0])
+    def test_steep_log_weight_is_refused_by_the_spaces(self, gamma):
+        # so the Marcinkiewicz norm cannot exceed the Lorentz norm
+        steep = ConcaveWeight.log_power(gamma)
+        for space in (SpaceSpec.lorentz, SpaceSpec.marcinkiewicz):
+            with pytest.raises(InvalidArgumentError, match="gamma <= 1"):
+                space(steep)
+            assert space(LOG_ONE).weight is LOG_ONE
+
     def test_fundamental_matches_weight(self):
         grid = np.geomspace(1e-6, 1.0, 64)
         for weight in (LOG_HALF, LOG_ONE):
@@ -534,7 +543,7 @@ class TestNormProperties:
         rng = np.random.default_rng(67)
         for _ in range(10):
             dist = random_distribution(rng, max_atoms=12)
-            weight = ConcaveWeight.log_power(float(rng.choice([0.25, 0.3, 0.5, 1.0, 2.0])))
+            weight = ConcaveWeight.log_power(float(rng.choice([0.25, 0.3, 0.5, 0.75, 1.0])))
             got = norm(dist, SpaceSpec.marcinkiewicz(weight))
             rr = decreasing_rearrangement(dist)
             ts = np.unique(np.concatenate([np.linspace(1e-9, 1, 5001), rr.breakpoints[1:]]))
