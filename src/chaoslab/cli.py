@@ -58,16 +58,19 @@ EXIT_RESOURCE = 3
 def _orlicz(name, args):
     """power:P or exp:R[:U0]"""
     if name == "power":
-        return OrliczFunction.power(float(args[0]))
+        (p,) = args
+        return OrliczFunction.power(float(p))
     if name == "exp":
-        return OrliczFunction.exponential(float(args[0]), float(args[1]) if args[1:] else None)
+        r, u0 = args if len(args) > 1 else (*args, None)
+        return OrliczFunction.exponential(float(r), None if u0 is None else float(u0))
     return None
 
 
 def _weight(name, args):
     """log:GAMMA"""
     if name == "log":
-        return ConcaveWeight.log_power(float(args[0]))
+        (gamma,) = args
+        return ConcaveWeight.log_power(float(gamma))
     return None
 
 
@@ -75,14 +78,14 @@ def _space(name, args):
     """lp:P, linf, explr:R[:bisection|extrapolation], orlicz-ORLICZ,
     lorentz-WEIGHT or marcinkiewicz-WEIGHT"""
     if name == "lp":
-        return SpaceSpec.lp(float(args[0]))
+        (p,) = args
+        return SpaceSpec.lp(float(p))
     if name == "linf":
+        () = args
         return SpaceSpec.linf()
     if name == "explr":
-        method = args[1] if len(args) > 1 else "bisection"
-        return SpaceSpec.exp_lr(
-            float(args[0]), "orlicz-bisection" if method == "bisection" else method
-        )
+        r, method = args if len(args) > 1 else (*args, "bisection")
+        return SpaceSpec.exp_lr(float(r), "orlicz-bisection" if method == "bisection" else method)
     family, _, fragment = name.partition("-")
     if family in ("orlicz", "lorentz", "marcinkiewicz"):
         inner = (_orlicz if family == "orlicz" else _weight)(fragment, args)

@@ -281,19 +281,23 @@ def dump_index_set(A: IndexSet, path):
 def load_index_set(path):
     """Parse the text format: '#' comments and blank lines are ignored."""
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                entries = [int(v) for v in line.split()]
-            except ValueError as exc:
-                raise InvalidArgumentError(f"{path}:{lineno}: not an integer row: {line!r}") from exc
-            if rows and len(entries) != len(rows[0]):
-                raise InvalidArgumentError(f"{path}:{lineno}: row of order {len(entries)} "
-                                           f"in a set of order {len(rows[0])}")
-            rows.append(entries)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not an ASCII text file: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            entries = [int(v) for v in line.split()]
+        except ValueError as exc:
+            raise InvalidArgumentError(f"{path}:{lineno}: not an integer row: {line!r}") from exc
+        if rows and len(entries) != len(rows[0]):
+            raise InvalidArgumentError(f"{path}:{lineno}: row of order {len(entries)} "
+                                       f"in a set of order {len(rows[0])}")
+        rows.append(entries)
     if not rows:
         raise InvalidArgumentError(f"{path}: no elements found")
     try:

@@ -8,7 +8,7 @@ mask of its coordinates, and its value at a configuration is
 
 Every exact law goes through :func:`law`, the one place that picks a route
 and that refuses a support wider than ``HARD_CAP_BITS`` (2^26
-configurations), on either route.  It takes the coefficients of one
+configurations), once for both routes.  It takes the coefficients of one
 polynomial or a (P, T) matrix of P polynomials over the same T term masks,
 such as the sign patterns of one chaos, and settles the dtype, the rank
 reduction and the caps once for all P.  Rows are transformed a block at a
@@ -30,9 +30,9 @@ same order, and histogrammed row by row on a transposed copy.
   have opposite values, so the law is symmetric: the sign of the top bit
   of c* is fixed to +1 like the non-pivot signs (terms whose masks then
   coincide add their coefficients), and the counts of the 2^(r - 1)
-  configurations left fold by v -> -v, count(v) = h(v) + h(-v).  The
-  elimination that finds the pivots solves for c* too; a constant term
-  or triangle(2, n) has none, and the law then enumerates all 2^r.  The
+  configurations left fold by v -> -v, count(v) = h(v) + h(-v).  One
+  elimination, :func:`_echelon`, finds the pivots and c*; a constant term
+  or triangle(2, n) has no c*, and the law then enumerates all 2^r.  The
   caps still read the k support bits, so a refusal names the support a
   caller passed.  Past ``SLICE_BITS`` reduced bits a row is cut into
   slice rows: slice row h sums c * chi_high(h) over the terms of each
@@ -67,10 +67,10 @@ same order, and histogrammed row by row on a transposed copy.
   set where the sign of term t is -1: :func:`random_bits` draws them, and
   :func:`random_words` packs term 64j + t into bit t of little-endian
   uint64 word j.  Shifting the configuration by c multiplies a pattern by
-  the word chi(c) of the :func:`shift_code` H, so a sup or a law over
-  configurations depends only on the pattern's coset.  The cosets have
-  equal size, so :func:`coset_reps`, one word per coset, and
-  :func:`coset_sup` sweep them in place of the 2^m patterns.
+  the word chi(c) of the :func:`shift_code` H, reduced by :func:`_echelon`
+  too, so a sup or a law over configurations depends only on the pattern's
+  coset.  The cosets have equal size, so :func:`coset_reps`, one word per
+  coset, and :func:`coset_sup` sweep them in place of the 2^m patterns.
 """
 
 from __future__ import annotations
@@ -106,19 +106,16 @@ def parity(words, mask):
 def int_dtype(coeffs):
     """(dtype, S) with S = sum |c| and dtype the narrowest of int8, int16 and
     int32 whose max is at least S, so that it transforms ``coeffs`` exactly.
-    For a (P, T) array S sums the largest |c| of each column, which bounds
-    the sum of every row.
+    A list is a one-row matrix, and for a (P, T) array S sums the largest
+    |c| of each column, which bounds the sum of every row.
 
     (None, None) for non-integer coefficients, (None, S) when S > 2^31 - 1.
     """
-    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 2:
-        mags = np.abs(coeffs)
-        if not (np.trunc(mags) == mags).all():  # NaN fails here, inf below
-            return None, None
-        coeffs = mags.max(axis=0).tolist()
-    if not all(float(c).is_integer() for c in coeffs):
+    mags = np.abs(np.array(coeffs, dtype=float, ndmin=2))
+    tops = mags.max(axis=0)
+    if not ((np.trunc(mags) == mags).all() and np.isfinite(tops).all()):  # NaN, inf
         return None, None
-    bound = sum(abs(int(c)) for c in coeffs)
+    bound = sum(map(int, tops.tolist()))
     fits = (t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max)
     return next(fits, None), bound
 
@@ -170,43 +167,54 @@ def _stages(a, rows):
 
 def values(term_masks, coeffs, k):
     """float64 values of the polynomial at all 2^k configurations."""
-    _check_value_bits(k)
+    _check_hard_cap(k)
     return _transform(term_masks, np.array([coeffs], dtype=float), k, np.float64)[:, 0]
 
 
-def _check_value_bits(k):
-    check_cap(k, HARD_CAP_BITS, "configuration bits of a float64 value array",
+def _check_hard_cap(k):
+    check_cap(k, HARD_CAP_BITS, "configuration bits of an exact enumeration",
               "sample the law with distribution_mc")
 
 
-def pivot_bits(term_masks):
-    """(pivots, flip) of one elimination of ``term_masks`` over F2.
+def _echelon(words):
+    """Fully reduced basis {pivot bit: word} of the F2 span of the Python
+    ints ``words``: the pivot of a word is its highest bit, and every basis
+    word is zero on the other pivot bits.  That form is unique, and the
+    pivots keep the order in which the words first reach them.  Each word
+    is reduced along the chain of its highest bits into an echelon form;
+    then each row, in ascending pivot order, is cleared of the lower pivots
+    by the rows already reduced, one XOR per pivot bit it holds."""
+    basis = {}
+    for w in words:
+        while w and (b := basis.get(w.bit_length() - 1)):
+            w ^= b
+        if w:
+            basis[w.bit_length() - 1] = w
+    done = 0  # the pivots whose rows are reduced
+    for p in sorted(basis):
+        w = basis[p]
+        while lower := w & done:
+            w ^= basis[lower.bit_length() - 1]
+        basis[p] = w
+        done |= 1 << p
+    return basis
 
-    ``pivots`` are the pivot bits of a row echelon form, the pivot of a row
-    being its highest bit; their number is the rank.  ``flip`` is a
-    configuration at which every monomial is -1, parity(flip & m) = 1 for
-    every mask m, or None where there is none (a constant term, or
-    triangle(2, n)).  Each mask is eliminated with a right-hand-side bit 1
-    below it; the free bits of ``flip`` are 0 and its pivot bits are
-    back-substituted in ascending order, so it has bits on pivots only.
+
+def pivot_bits(term_masks):
+    """(pivots, flip) of the :func:`_echelon` of ``term_masks`` over F2,
+    the elimination :func:`shift_code` runs too.
+
+    ``pivots`` are the pivot bits, the highest bits of the reduced rows;
+    their number is the rank.  ``flip`` is a configuration at which every
+    monomial is -1, parity(flip & m) = 1 for every mask m, or None where
+    there is none (a constant term, or triangle(2, n)).  Each mask carries
+    a right-hand-side bit 1 below it, so there is none exactly when bit 0
+    is a pivot; else bit p - 1 of ``flip`` is bit 0 of reduced row p, and
+    its free bits are 0.
     """
-    rows, consistent = {}, True
-    for m in term_masks:
-        a = m << 1 | 1
-        while a > 1:
-            p = a.bit_length() - 2
-            if p not in rows:
-                rows[p] = a
-                break
-            a ^= rows[p]
-        consistent &= a != 1  # the row reduced to 0 = 1
-    if not consistent:
-        return set(rows), None
-    flip = 0
-    for p in sorted(rows):
-        if (rows[p] >> 1 & flip).bit_count() & 1 != rows[p] & 1:
-            flip |= 1 << p
-    return set(rows), flip
+    basis = _echelon(m << 1 | 1 for m in term_masks)
+    flip = None if 0 in basis else sum((w & 1) << (p - 1) for p, w in basis.items())
+    return {p - 1 for p in basis if p}, flip
 
 
 def law(term_masks, coeffs, k):
@@ -233,18 +241,15 @@ def law(term_masks, coeffs, k):
     coefficients take float64 blocks over all 2^k configurations and the
     equal runs of each sorted row, which are what ``np.unique`` gives.
     """
+    _check_hard_cap(k)
     rows = np.asarray(coeffs, dtype=float)
     single = rows.ndim == 1
-    dtype, bound = int_dtype(coeffs if single else rows)
-    if single:
-        rows = rows[None]
+    rows = np.atleast_2d(rows)
+    dtype, bound = int_dtype(rows)
     if dtype is None:
-        _check_value_bits(k)
         laws = _block_laws(term_masks, len(rows), lambda i, j: rows[i:j], k, np.float64,
                            _sorted_runs)
         return next(laws) if single else laws
-    check_cap(k, HARD_CAP_BITS, "configuration bits of an exact integer law",
-              "sample the law with distribution_mc")
     pivots, flip = pivot_bits(term_masks)
     fixed = k - len(pivots)
     if flip:  # the top bit of flip is a pivot: fix its sign to +1 too, and fold
@@ -439,23 +444,13 @@ def shift_code(term_masks, s):
     Bit t of chi(c) is set where monomial t (mask ``term_masks[t]`` over s
     support bits) is -1 at configuration c, so shifting the configuration
     by c multiplies sign pattern u by chi(c).  H is spanned by the s
-    coordinate rows (bit t set where term t contains coordinate j).  Every
-    basis word is zero on the other pivot bits, so the words zero on every
-    pivot bit are one representative per coset of H.
+    coordinate rows (bit t set where term t contains coordinate j), whose
+    :func:`_echelon` is the basis, the elimination :func:`pivot_bits` runs
+    too.  Every basis word is zero on the other pivot bits, so the words
+    zero on every pivot bit are one representative per coset of H.
     """
-    basis = {}
-    for j in range(s):
-        w = sum(((mask >> j) & 1) << t for t, mask in enumerate(term_masks))
-        for p, b in basis.items():
-            if (w >> p) & 1:
-                w ^= b
-        if w:
-            p = w.bit_length() - 1
-            for q, b in basis.items():
-                if (b >> p) & 1:
-                    basis[q] = b ^ w
-            basis[p] = w
-    return basis
+    return _echelon(sum((mask >> j & 1) << t for t, mask in enumerate(term_masks))
+                    for j in range(s))
 
 
 def span(gens):

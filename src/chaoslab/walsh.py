@@ -11,11 +11,12 @@ enumerating the sign configurations, or from seeded counter-based Monte
 Carlo past the cap.  The enumeration and the sampling run in :mod:`kernel`:
 monomials are uint64 masks over the ascending support, configurations
 are uint64 words and a monomial's sign is the parity of their AND.
-Integer coefficients with absolute sum at most 2^31 - 1 get their exact
-law from a Walsh-Hadamard transform in the narrowest of int8, int16 and
-int32 that holds that sum, streamed over slices of the high
-configuration bits, with no 2^k array; other coefficients take
-one float64 transform over all 2^k configurations.  The hard cap of
+Every exact law comes from :func:`kernel.law`, which picks the route:
+integer coefficients with absolute sum at most 2^31 - 1 take a
+Walsh-Hadamard transform in the narrowest of int8, int16 and int32 that
+holds that sum, over the configurations of the F2-rank of the masks,
+other coefficients float64 transforms over all 2^k configurations, both
+in blocks of at most 2^``kernel.LAW_BLOCK_BITS`` entries.  The hard cap of
 2^``kernel.HARD_CAP_BITS`` configurations lives in :mod:`kernel`; this
 module checks only the caller's ``bits_cap``, and the dyadic cell count,
 which may exceed the support width, against the kernel's cap.
@@ -77,7 +78,10 @@ class IndexSet:
             self._array = None
             return
         self._triangle_max = None
-        arr = np.asarray(array, dtype=np.int64)
+        try:
+            arr = np.asarray(array, dtype=np.int64)
+        except OverflowError as exc:
+            raise InvalidArgumentError(f"element entries must fit in int64: {exc}") from exc
         if arr.size == 0:
             arr = arr.reshape(0, self.order)
         if arr.ndim != 2 or arr.shape[1] != self.order:

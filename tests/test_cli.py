@@ -243,6 +243,9 @@ class TestOtherCommands:
             ("--orlicz", "cubic:2"),
             ("--weight", "log"),
             ("--weight", "log:x"),
+            ("--weight", "log:1:5"),
+            ("--orlicz", "power:3:1"),
+            ("--orlicz", "exp:2:1:3"),
         ],
     )
     def test_coincidence_malformed_descriptor(self, flag, text, capsys):
@@ -365,7 +368,9 @@ class TestParseSpace:
     def test_valid(self, text, kind):
         assert parse_space(text).kind == kind
 
-    @pytest.mark.parametrize("text", ["l3", "lp", "orlicz-exp", "explr:2:magic"])
+    @pytest.mark.parametrize("text", ["l3", "lp", "orlicz-exp", "explr:2:magic",
+                                      "lp:4:7", "linf:3", "explr:2:extrapolation:9",
+                                      "orlicz-power:3:1", "orlicz-exp:2:1:3", "lorentz-log:1:5"])
     def test_invalid(self, text):
         with pytest.raises(InvalidArgumentError):
             parse_space(text)

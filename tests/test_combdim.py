@@ -369,6 +369,12 @@ class TestTextFormat:
         path.write_text("3 2 1\n1 2 3\n")
         with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: ") + r".*\(1, 2, 3\)"):
             load_index_set(path)
+        path.write_bytes(b"3 2 1\n4 \xe9 1\n")
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: not an ASCII")):
+            load_index_set(path)
+        path.write_text("3 2 1\n99999999999999999999 2 1\n")
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: ") + ".*int64"):
+            load_index_set(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.idx"

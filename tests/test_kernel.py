@@ -625,6 +625,10 @@ class TestDtypeBoundaries:
     def test_non_integer_takes_float_path(self):
         assert kernel.int_dtype([1.0, 2.5]) == (None, None)
         assert kernel.int_dtype([1.0, float("nan")]) == (None, None)
+        assert kernel.int_dtype([1.0, float("inf")]) == (None, None)
+        assert kernel.int_dtype(np.array([[1.0, 2.0], [float("inf"), 3.0]])) == (None, None)
+        # integrality is read on every entry, not on the column maxima
+        assert kernel.int_dtype(np.array([[127.0], [0.125]])) == (None, None)
         f = SignFunction({(1,): 1.0, (2,): 2.5})
         law = distribution_exact(f)
         assert law.atoms() == [(-3.5, 0.25), (-1.5, 0.25), (1.5, 0.25), (3.5, 0.25)]
@@ -704,13 +708,52 @@ def test_bit_words_stay_in_the_kernel():
     assert found == []
 
 
+def callers(name):
+    """'module: function' of every library function that calls ``name``."""
+    modules = sorted(Path(kernel.__file__).parent.glob("*.py"))
+    return {f"{path.name}: {fn.name}" for path in modules
+            for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
 def test_one_transform_routine():
     # fwht alone runs the butterfly stages, for one column or many, and the
     # integer route of law is one block loop: no second, sliced loop
-    modules = sorted(Path(kernel.__file__).parent.glob("*.py"))
-    callers = {f"{path.name}: {fn.name}" for path in modules
-               for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
-               for node in ast.walk(fn) if isinstance(node, ast.Call)
-               and "_stages" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
-    assert callers == {"kernel.py: fwht"}
+    assert callers("_stages") == {"kernel.py: fwht"}
     assert not hasattr(kernel, "_sliced_laws")
+
+
+def test_one_elimination_routine():
+    # the pivots and flip of a law and the shift code reduce one way over F2
+    assert callers("_echelon") == {"kernel.py: pivot_bits", "kernel.py: shift_code"}
+
+
+def xor_span(words):
+    """Every XOR combination of ``words``, by brute force."""
+    out = {0}
+    for w in words:
+        out |= {v ^ w for v in out}
+    return out
+
+
+class TestEchelon:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 255), max_size=12), st.randoms(use_true_random=False))
+    def test_reduced_basis_of_the_span(self, words, rng):
+        basis = kernel._echelon(words)
+        for p, w in basis.items():
+            assert w.bit_length() - 1 == p
+            assert all(not (w >> q & 1) for q in basis if q != p)
+        assert xor_span(basis.values()) == xor_span(words)
+        shuffled = list(words)
+        rng.shuffle(shuffled)
+        assert kernel._echelon(shuffled) == basis
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda k: st.tuples(
+        st.lists(st.integers(0, (1 << k) - 1), max_size=12), st.just(k))))
+    def test_row_rank_is_column_rank(self, case):
+        # pivot_bits eliminates the masks, shift_code their transposed rows
+        masks, k = case
+        assert len(kernel.pivot_bits(masks)[0]) == len(kernel.shift_code(masks, k))
