@@ -68,10 +68,6 @@ class CertificateReport:
                 return c.value
         raise KeyError(name)
 
-    def summary(self):
-        state = "pass" if self.verdict else "FAIL"
-        return f"{self.name}: {state} ({len(self.checks)} checks, {self.runtime:.3f}s)"
-
 
 @contextmanager
 def timed_report(name, inputs=None):

@@ -23,7 +23,6 @@ from .errors import InvalidArgumentError, NumericFailureError
 from .report import timed_report
 
 DEFAULT_TOL = 1e-10
-_BRACKET_STEPS = 2200  # > 2 x 1075 binary orders of a float64: any bracket closes
 _GL_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (20, 40))
 _GL_RTOL = 1e-13
 _GL_DEPTH = 50
@@ -122,20 +121,27 @@ class OrliczFunction:
 
 
 def _tangency_point(r):
-    """Positive root x of 1 - exp(-x) = r x (chord-tangency for r < 1)."""
-    f = lambda x: 1.0 - math.exp(-x) - r * x
-    lo, hi = 1e-12, 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 1e9:  # x > 5e8, so r < 2e-9 and the splice point x^(1/r) overflows
-            raise OverflowError("tangency point past 1e9")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
+    """Positive root x of 1 - exp(-x) = r x (chord-tangency for r < 1), bisected
+    on (0, 1/r) to adjacent floats: 1 - exp(-x) < 1 puts it below 1/r, and
+    ``expm1`` keeps it accurate as r -> 1.  OverflowError where 1/r overflows,
+    as x^(1/r) does already for every r below about 0.007."""
+    hi = 1.0 / r
+    if hi == math.inf:
+        raise OverflowError("1/r overflows a float")
+    return _bisect(lambda x: -math.expm1(-x) <= r * x, 0.0, hi, 0.0)
+
+
+def _bisect(feasible, lo, hi, tol):
+    """The feasible end ``hi`` of a bracket [lo, hi] of the root of a monotone
+    ``feasible`` (false below the root, true above it), halved until
+    hi - lo <= tol hi or no float lies between the ends; neither end is tested."""
+    while hi - lo > tol * hi and math.nextafter(lo, hi) < hi:
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
+        if feasible(mid):
             hi = mid
-    return 0.5 * (lo + hi)
+        else:
+            lo = mid
+    return hi
 
 
 class ConcaveWeight:
@@ -314,40 +320,22 @@ def check_tol(tol):
 
 
 def luxemburg_norm(dist: StepDistribution, fn: OrliczFunction, tol: float = DEFAULT_TOL) -> float:
-    """inf { lam > 0 : sum M(|v_i| / lam) w_i <= 1 } by bracketing + bisection.
+    """inf { lam > 0 : sum M(|v_i| / lam) w_i <= 1 } by bisection.
 
-    The modular is strictly decreasing in lam for a non-zero distribution,
-    so the bracket is found by halving (or doubling) from ||x||_1.
+    With c = M^{-1}(1) the bracket is [||x||_1 / c, ||x||_inf / c]: at its
+    right end every M(|v_i| / lam) <= M(c) = 1, and at its left end Jensen's
+    inequality for the convex M puts the modular at >= M(c) = 1.  A zero law
+    gives [0, 0] and the norm 0.
     """
     check_tol(tol)
     vals = np.abs(dist.values)
     wts = dist.weights
-    if float(vals.max()) == 0.0:
-        return 0.0
+    c = fn.inverse(1.0)
 
-    def modular(lam):
-        return float(np.sum(fn.apply(vals / lam) * wts))
+    def feasible(lam):
+        return float(np.sum(fn.apply(vals / lam) * wts)) <= 1.0
 
-    lam = float(np.sum(vals * wts))
-    if lam == 0.0:
-        lam = float(vals.max())
-    feasible = modular(lam) <= 1.0
-    step = 0.5 if feasible else 2.0
-    for _ in range(_BRACKET_STEPS):
-        nxt = lam * step
-        if (modular(nxt) <= 1.0) != feasible:
-            break
-        lam = nxt
-    else:
-        raise NumericFailureError(f"Luxemburg bracketing failed after {_BRACKET_STEPS} steps")
-    lo, hi = (nxt, lam) if feasible else (lam, nxt)
-    while hi - lo > tol * hi and math.nextafter(lo, hi) < hi:  # a float lies between them
-        mid = 0.5 * (lo + hi)
-        if modular(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(feasible, float(np.sum(vals * wts)) / c, float(vals.max()) / c, tol)
 
 
 def _lorentz_norm(dist, weight):
@@ -414,8 +402,8 @@ def coincidence_check(
     numeric verdict on the finiteness of integral_0^1 M(eps / phi(t)) dt,
     summed over halving slabs toward 0 by :func:`_slab_integral`.  An
     integral above 1e12, or an integrand that overflows, counts as divergent.
-    An exponential M against a log-power weight has a closed-form verdict
-    (:func:`_exp_log_finite`), which a slab walk in float64 can miss either
+    Against a log-power weight every stock M has a closed-form verdict
+    (:func:`_log_weight_finite`), which a slab walk in float64 can miss either
     way: a divergent pair reports the estimate +inf, and a finite one walks
     the slabs for the estimate alone.
     """
@@ -435,7 +423,7 @@ def coincidence_check(
             raise NumericFailureError("fundamental-function ratio is non-finite on the grid")
         ratio_min, ratio_max = float(ratio.min()), float(ratio.max())
 
-        known = _exp_log_finite(fn, weight, eps)
+        known = _log_weight_finite(fn, weight, eps)
         if known is False:
             finite, estimate = False, math.inf
         else:
@@ -454,17 +442,20 @@ def coincidence_check(
     return report
 
 
-def _exp_log_finite(fn, weight, eps):
-    """Whether integral_0^1 M(eps / phi(t)) dt is finite, for an exponential
-    M and a log-power phi; None for any other pair.
+def _log_weight_finite(fn, weight, eps):
+    """Whether integral_0^1 M(eps / phi(t)) dt is finite, for a log-power phi;
+    None for any other weight.
 
-    With L = log(e/t) >= 1 the argument eps L^gamma grows with L (gamma > 0),
-    so past the splice point the integrand is exp(eps^r L^(gamma r)) - 1, and
-    dt = e^(1 - L) dL: the integral is finite iff gamma r < 1, or gamma r = 1
-    and eps^r < 1, that is eps < 1.  gamma = 0 makes the integrand constant.
+    With L = log(e/t) >= 1 it is int_1^inf M(eps L^gamma) e^(1 - L) dL.  For
+    M(u) = u^p that is eps^p e Gamma(gamma p + 1, 1), always finite.  For an
+    exponential M the integrand past the splice point is
+    exp(eps^r L^(gamma r)) - 1: finite iff gamma r < 1, or gamma r = 1 and
+    eps < 1 (gamma = 0 makes it constant).
     """
-    if fn.kind != "exponential" or weight.kind != "log_power":
+    if weight.kind != "log_power":
         return None
+    if fn.kind == "power":
+        return True
     power = weight.gamma * fn.param
     return power < 1 or (power == 1 and eps < 1)
 

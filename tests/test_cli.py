@@ -226,6 +226,13 @@ class TestOtherCommands:
         assert run(["coincidence", "--orlicz", "exp:2:0", "--weight", "log:1",
                     "--eps", "1.0"]) == 1
 
+    @pytest.mark.parametrize("orlicz, weight, eps", [("power:4", "log:1", "1"),
+                                                     ("power:8", "log:1", "1"),
+                                                     ("power:3", "log:2", "0.5")])
+    def test_coincidence_power_log_is_finite(self, orlicz, weight, eps):
+        # eps^p e Gamma(gamma p + 1, 1) is finite, although the slabs grow at first
+        assert run(["coincidence", "--orlicz", orlicz, "--weight", weight, "--eps", eps]) == 0
+
     @pytest.mark.parametrize("weight", ["log:1", "log:2"])
     def test_coincidence_overflow_is_divergence(self, weight):
         # gamma r > 1, and M(eps / phi(t)) overflows in the first slab

@@ -1,6 +1,9 @@
 """Symmetric-space layer: rearrangements, norms, coincidence, Fubini bound."""
 
+import ast
+import decimal
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from chaoslab import (
     luxemburg_norm,
     norm,
     rademacher,
+    symspace,
 )
 
 LOG_HALF = ConcaveWeight.log_power(0.5)
@@ -268,7 +272,9 @@ class TestOneEvaluator:
 
 
 class TestLuxemburgBracket:
-    """Both bracketing directions of luxemburg_norm against closed forms."""
+    """luxemburg_norm bisects [||x||_1, ||x||_inf] / M^{-1}(1), whose ends hold
+    by Jensen's inequality and the sup bound, checked against closed forms on
+    either side of the first guess ||x||_1."""
 
     @staticmethod
     def first_guess_feasible(dist, M):
@@ -278,7 +284,7 @@ class TestLuxemburgBracket:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("c", [0.75, 3.0, 1e6])
     def test_first_guess_at_the_norm(self, p, c):
-        # |x| = c a.e. makes ||x||_1 = c feasible, so the bracket halves from it
+        # |x| = c a.e. makes ||x||_1 = ||x||_inf = c, so the bracket [c, c] is the norm
         dist = StepDistribution([-c, c], [0.25, 0.75])
         M = OrliczFunction.power(p)
         assert self.first_guess_feasible(dist, M)
@@ -286,8 +292,8 @@ class TestLuxemburgBracket:
 
     @pytest.mark.parametrize("t", [0.9, 0.25, math.exp(-3), 1e-6])
     def test_first_guess_below_the_norm(self, t):
-        # M(1) > 1, so by Jensen ||x||_1 is infeasible and the bracket doubles;
-        # the indicator of a set of measure t has norm 1 / M^{-1}(1/t)
+        # M(1) > 1, so by Jensen ||x||_1 is infeasible; the indicator of a set
+        # of measure t has norm 1 / M^{-1}(1/t)
         M = OrliczFunction.exponential(2, 0.0)
         dist = StepDistribution.indicator(t)
         assert not self.first_guess_feasible(dist, M)
@@ -332,6 +338,63 @@ class TestLuxemburgBracket:
         M = OrliczFunction.exponential(r)
         assert np.abs(dist.values).max() / luxemburg_norm(dist, M) < M.u0
         assert luxemburg_norm(dist, M) == pytest.approx(M._slope * dist.lp_norm(1), rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_laws(), ORLICZ_FUNCTIONS)
+    def test_norm_is_the_root_inside_the_bracket(self, dist, M):
+        # the returned end is feasible, and 2 tol below it the modular is past 1
+        tol = 1e-10
+        vals, wts = np.abs(dist.values), dist.weights
+        got = luxemburg_norm(dist, M, tol)
+        c = M.inverse(1.0)
+        assert float(np.sum(vals * wts)) / c <= got <= float(vals.max()) / c
+        assert float(np.sum(M.apply(vals / got) * wts)) <= 1.0
+        assert float(np.sum(M.apply(vals / (got * (1 - 2 * tol))) * wts)) > 1.0
+
+
+def _tangency_reference(r):
+    """Root of 1 - exp(-x) = r x by Newton's method in 50-digit decimals.
+
+    f is concave and negative at 1/r, past the root, so the iterates fall
+    to the root from above."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        r = decimal.Decimal(r)
+        x = 1 / r
+        for _ in range(200):
+            step = (1 - (-x).exp() - r * x) / ((-x).exp() - r)
+            x -= step
+            if abs(step) < decimal.Decimal("1e-40") * x:
+                return float(x)
+    raise AssertionError("Newton did not settle")
+
+
+@pytest.mark.parametrize("r", [0.008, 0.02, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.995, 0.999, 0.9995,
+                               0.9999])
+def test_tangency_point_against_decimal_newton(r):
+    assert symspace._tangency_point(r) == pytest.approx(_tangency_reference(r), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("r", [5e-324, 1e-310, 1e-308, 1e-300, 1e-10, 2e-9, 1e-5, 1e-3, 0.0069])
+def test_exponential_refused_where_the_splice_overflows(r):
+    # the tangency point x is about 1/r, and x^(1/r) overflows below r = 0.00699
+    with pytest.raises(InvalidArgumentError, match="overflows a float at its splice point"):
+        OrliczFunction.exponential(r)
+
+
+def test_one_bisection_routine():
+    # every root of the norm layer is bisected by _bisect, which alone steps
+    # between adjacent floats
+    tree = ast.parse(Path(symspace.__file__).read_text())
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+
+    def calling(name):
+        return {fn.name for fn in functions for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+    assert calling("_bisect") == {"luxemburg_norm", "_tangency_point"}
+    assert calling("nextafter") == {"_bisect"}
 
 
 class TestCoincidence:
@@ -404,6 +467,17 @@ class TestCoincidence:
         y = M.apply(eps * L**gamma) * np.exp(1.0 - L)
         exact = h / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
         report = coincidence_check(M, ConcaveWeight.log_power(gamma), eps=eps)
+        assert report.quantity("integral_finite") == 1.0
+        assert report.quantity("integral_estimate") == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("p, gamma, eps", [(4, 1, 1.0), (8, 1, 1.0), (3, 2, 0.5), (2, 0.5, 3.0),
+                                                (1, 3, 2.0), (2, 0, 0.7)])
+    def test_power_log_pairs_are_finite(self, p, gamma, eps):
+        # int_1^inf (eps L^gamma)^p e^(1 - L) dL = eps^p e Gamma(n + 1, 1) with
+        # n = gamma p, which is eps^p n! sum_{k <= n} 1/k! for an integer n
+        n = int(gamma * p)
+        exact = eps**p * math.factorial(n) * math.fsum(1 / math.factorial(k) for k in range(n + 1))
+        report = coincidence_check(OrliczFunction.power(p), ConcaveWeight.log_power(gamma), eps=eps)
         assert report.quantity("integral_finite") == 1.0
         assert report.quantity("integral_estimate") == pytest.approx(exact, rel=1e-9)
 
