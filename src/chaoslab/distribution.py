@@ -34,7 +34,9 @@ class StepDistribution:
             raise InvalidArgumentError("distribution needs at least one atom")
         if values.shape != weights.shape:
             raise InvalidArgumentError("values and weights must have equal length")
-        if np.any(weights <= 0):
+        if np.any(np.isnan(values)):
+            raise InvalidArgumentError("atom values must not be NaN")
+        if not np.all(weights > 0):  # NaN too
             raise InvalidArgumentError("atom weights must be positive")
         total = float(weights.sum())
         if abs(total - 1.0) > WEIGHT_TOL:

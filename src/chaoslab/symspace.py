@@ -201,10 +201,13 @@ class ConcaveWeight:
 
 def _quasiconcave(weight):
     """``weight``, unless log_power(gamma > 1): phi(t)/t = u^-gamma e^(u - 1),
-    u = log(e/t), decreases on (0, 1] exactly when gamma <= 1."""
+    u = log(e/t), decreases on (0, 1] exactly when gamma <= 1.  A custom
+    weight must pass :meth:`ConcaveWeight.validate`."""
     if weight.kind == "log_power" and weight.gamma > 1:
         raise InvalidArgumentError("Lorentz and Marcinkiewicz weights need gamma <= 1, "
                                    f"got log_power({weight.gamma:g})")
+    if weight.kind == "custom":
+        weight.validate()
     return weight
 
 
@@ -400,9 +403,8 @@ def coincidence_check(
     Reports (i) the range of phi(t) * M^{-1}(1/t) over a log-spaced grid
     (the two-sided equivalence of the fundamental functions) and (ii) a
     numeric verdict on the finiteness of integral_0^1 M(eps / phi(t)) dt,
-    summed over halving slabs toward 0 by :func:`_slab_integral`.  An
-    integral above 1e12, or an integrand that overflows, counts as divergent.
-    Against a log-power weight every stock M has a closed-form verdict
+    summed over halving slabs toward 0 by :func:`_slab_integral`.  Against a
+    log-power weight every stock M has a closed-form verdict
     (:func:`_log_weight_finite`), which a slab walk in float64 can miss either
     way: a divergent pair reports the estimate +inf, and a finite one walks
     the slabs for the estimate alone.
@@ -418,17 +420,16 @@ def coincidence_check(
         {"eps": eps, "grid": grid, "tol": tol, "t_min": _RATIO_T_MIN, "weight": weight.label},
     ) as report:
         ts = np.geomspace(_RATIO_T_MIN, 1.0, grid)
-        ratio = np.array([weight(t) * fn.inverse(1.0 / t) for t in ts])
+        ratio = weight.apply(ts) * np.array([fn.inverse(1.0 / t) for t in ts])
         if not np.all(np.isfinite(ratio)):
             raise NumericFailureError("fundamental-function ratio is non-finite on the grid")
         ratio_min, ratio_max = float(ratio.min()), float(ratio.max())
 
         known = _log_weight_finite(fn, weight, eps)
-        if known is False:
-            finite, estimate = False, math.inf
-        else:
-            finite, estimate = _slab_integral(lambda t: fn.apply(eps / weight.apply(t)), tol,
-                                              known_finite=known is True)
+        finite, estimate = (False, math.inf) if known is False else _slab_integral(
+            lambda t: fn.apply(eps / weight.apply(t)), tol)
+        if known is not None:
+            finite = known
         report.add("ratio_min", ratio_min, "info")
         report.add("ratio_max", ratio_max, "info")
         report.add(
@@ -460,42 +461,39 @@ def _log_weight_finite(fn, weight, eps):
     return power < 1 or (power == 1 and eps < 1)
 
 
-def _slab_integral(f, tol, known_finite=False):
-    """(finite, estimate) of integral_0^1 f, adding slabs [2^-k-1, 2^-k] until
-    the geometric tail is below tol times the total (finite, total + tail),
-    or until three slabs in a row fail to shrink, the total passes 1e12 or
-    f overflows to +inf (divergent, the total so far).  NaN is a failure.
+def _slab_integral(f, tol):
+    """(finite, estimate) of integral_0^1 f over the slabs [2^-k-1, 2^-k].
 
-    ``known_finite`` drops those divergence rules, for an integral known to
-    be finite whose integrand may grow over the first halvings before it
-    decays: the walk goes on past stalled slabs and past 1e12, and an
-    integrand or a total that overflows gives (finite, +inf).
+    The slab ratio rho = slab / previous slab decides every stop.  Below 1
+    the walk stops finite at total + slab rho / (1 - rho), the geometric
+    tail, once that tail is below tol times the total or once two ratios in
+    a row agree within 4 _GL_RTOL rho, the quadrature error of two slab
+    ratios: those of an exact power law do, and its geometric tail is exact.
+    Two such ratios at or above 1 stop it divergent at the total so far.  An
+    integrand or a total that overflows is divergent (+inf); NaN, or a walk
+    unsettled at t = 2^-1000, is a failure.
     """
-    total, prev_slab, stalls, lo = 0.0, None, 0, 1.0
+    total, prev_slab, prev_rho, lo = 0.0, 0.0, math.nan, 1.0
     for _ in range(_SLAB_LIMIT):
         hi, lo = lo, lo * 0.5
         mid = float(f(lo * math.sqrt(2.0)))  # the geometric midpoint, exactly
         if mid == math.inf:
-            return known_finite, math.inf if known_finite else total
+            return False, math.inf
         if not math.isfinite(mid):
             raise NumericFailureError(f"integrand is {mid} at an interior point near t={lo:g}")
         slab = _gauss_legendre(f, lo, hi)
         total += slab
-        if prev_slab is not None:
-            if slab >= prev_slab * (1.0 - 1e-9):
-                # the measure halves but the contribution does not decay
-                stalls += 1
-                if stalls >= 3 and not known_finite:
-                    return False, total
-            else:
-                stalls = 0
-                rho = slab / prev_slab
-                tail = slab * rho / (1.0 - rho)
-                if tail < tol * max(1.0, total):
-                    return True, total + tail
-        if total == math.inf or (total > 1e12 and not known_finite):
-            return known_finite, total
-        prev_slab = slab
+        if total == math.inf:
+            return False, math.inf
+        rho = slab / prev_slab if prev_slab else math.nan  # no ratio yet: NaN compares false
+        steady = abs(rho - prev_rho) <= 4 * _GL_RTOL * rho
+        if rho < 1:
+            tail = slab * rho / (1.0 - rho)
+            if steady or tail < tol * max(1.0, total):
+                return True, total + tail
+        elif steady:
+            return False, total
+        prev_slab, prev_rho = slab, rho
     raise NumericFailureError("slab refinement did not settle finiteness")
 
 
@@ -535,6 +533,8 @@ def fubini_orlicz_check(z, fn: OrliczFunction, tol: float = DEFAULT_TOL):
     rows, cols = z.shape
     if rows & (rows - 1) or cols & (cols - 1):
         raise InvalidArgumentError(f"grid dimensions must be powers of two, got {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise InvalidArgumentError("kernel entries must be finite")
 
     with timed_report(
         "fubini-orlicz", {"shape": f"{rows}x{cols}", "orlicz": fn.kind, "tol": tol}

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, report files, manifests."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -232,6 +233,16 @@ class TestOtherCommands:
     def test_coincidence_power_log_is_finite(self, orlicz, weight, eps):
         # eps^p e Gamma(gamma p + 1, 1) is finite, although the slabs grow at first
         assert run(["coincidence", "--orlicz", orlicz, "--weight", weight, "--eps", eps]) == 0
+
+    @pytest.mark.parametrize("eps", [0.99, 0.999])
+    def test_coincidence_boundary_case_is_finite(self, eps, capsys):
+        # gamma r = 1 with eps < 1: the integral of (e/t)^a - 1, a = eps^2, is
+        # e^a / (1 - a) - 1, and its slabs shrink by only 2^(a - 1) each
+        assert run(["coincidence", "--orlicz", "exp:2", "--weight", "log:0.5",
+                    "--eps", str(eps)]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if "integral_estimate" in x)
+        a = eps * eps
+        assert float(line.split("=")[1]) == pytest.approx(math.exp(a) / (1 - a) - 1, rel=1e-9)
 
     @pytest.mark.parametrize("weight", ["log:1", "log:2"])
     def test_coincidence_overflow_is_divergence(self, weight):

@@ -2,6 +2,7 @@
 
 import ast
 import decimal
+import inspect
 import math
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from chaoslab import (
     ConcaveWeight,
     InvalidArgumentError,
+    NumericFailureError,
     OrliczFunction,
     SpaceSpec,
     StepDistribution,
@@ -158,6 +160,16 @@ class TestNorms:
     def test_no_atoms(self):
         with pytest.raises(InvalidArgumentError, match="at least one atom"):
             StepDistribution.from_atoms([])
+
+    def test_nan_atoms_are_refused(self):
+        # a NaN value would sort last and merge with the atoms before it
+        nan = math.nan
+        with pytest.raises(InvalidArgumentError, match="NaN"):
+            StepDistribution([1.0, nan, 3.0], [0.2, 0.3, 0.5])
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            StepDistribution([1.0, 3.0], [nan, 1.0])
+        infinite = StepDistribution([1.0, math.inf, -math.inf], [0.2, 0.3, 0.5])
+        assert infinite.atoms() == [(-math.inf, 0.5), (1.0, 0.2), (math.inf, 0.3)]
 
 
 class TestFundamentalFunction:
@@ -449,7 +461,7 @@ class TestCoincidence:
 
     def test_total_past_1e12_is_divergence(self):
         # gamma r = 1: the integrand is (e/t)^{eps^2} - 1, divergent for eps = 5,
-        # and the first slab alone passes 1e12
+        # and the closed-form verdict reports the estimate +inf
         report = coincidence_check(OrliczFunction.exponential(2), LOG_HALF, eps=5.0)
         assert report.quantity("integral_finite") == 0.0
         assert report.quantity("integral_estimate") > 1e12
@@ -480,6 +492,38 @@ class TestCoincidence:
         report = coincidence_check(OrliczFunction.power(p), ConcaveWeight.log_power(gamma), eps=eps)
         assert report.quantity("integral_finite") == 1.0
         assert report.quantity("integral_estimate") == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.5, 1.9, 1.99, 1.999])
+    def test_power_law_tail_against_sqrt(self, p):
+        # the integrand t^(-p/2) has slabs in the steady ratio 2^(p/2 - 1), so
+        # the geometric tail is exact, although it stays above tol times the
+        # total for thousands of slabs when p is near 2
+        sqrt = ConcaveWeight.from_callable(math.sqrt, "sqrt")
+        report = coincidence_check(OrliczFunction.power(p), sqrt, eps=1.0)
+        assert report.quantity("integral_finite") == 1.0
+        assert report.quantity("integral_estimate") == pytest.approx(1 / (1 - p / 2), rel=1e-9)
+
+    @pytest.mark.parametrize("p, power, finite", [(1, 0.75, 1.0), (1, 1.0, 0.0), (2, 0.75, 0.0)])
+    def test_power_weights(self, p, power, finite):
+        # M(1 / t^power) = t^(-p power): finite (1 / (1 - p power)) iff p power < 1
+        weight = ConcaveWeight.from_callable(lambda t: t**power, f"t^{power}")
+        report = coincidence_check(OrliczFunction.power(p), weight, eps=1.0)
+        assert report.quantity("integral_finite") == finite
+        if finite:
+            assert report.quantity("integral_estimate") == pytest.approx(4.0, rel=1e-9)
+
+    @pytest.mark.parametrize("phi", [lambda t: math.sqrt(t) * math.log(math.e / t),
+                                     lambda t: math.sqrt(t * math.log(math.e / t))])
+    def test_slow_log_tails_are_refused(self, phi):
+        # 1/(t log^2(e/t)) converges and 1/(t log(e/t)) diverges, both with
+        # slab ratios that creep toward 1: no slab walk to 2^-1000 can tell
+        with pytest.raises(NumericFailureError, match="did not settle"):
+            coincidence_check(OrliczFunction.power(2), ConcaveWeight.from_callable(phi), eps=1.0)
+
+    def test_slab_integral_takes_only_the_integrand_and_tol(self):
+        # the slab ratio alone decides every stop: no flag switches a rule off
+        params = list(inspect.signature(symspace._slab_integral).parameters)
+        assert params == ["f", "tol"]
 
     def test_divergence_past_float_range(self):
         # gamma r = 1.5 > 1 diverges, but exp(0.001 log(e/t)^1.5) passes 1/t only
@@ -524,6 +568,12 @@ class TestFubini:
             fubini_orlicz_check(np.ones((3, 4)), OrliczFunction.power(2))
         with pytest.raises(InvalidArgumentError):
             fubini_orlicz_check(np.empty((0, 0)), OrliczFunction.power(2))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_kernel_is_refused(self, bad):
+        # an infinite entry would pass as inf <= inf, and a NaN one fail silently
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            fubini_orlicz_check(np.array([[1.0, bad], [0.0, 1.0]]), OrliczFunction.power(2))
 
 
 class TestNormProperties:
@@ -601,6 +651,13 @@ class TestNormProperties:
             with pytest.raises(InvalidArgumentError, match="gamma <= 1"):
                 space(steep)
             assert space(LOG_ONE).weight is LOG_ONE
+
+    def test_convex_custom_weight_is_refused_by_the_spaces(self):
+        # t^2 is not quasiconcave, so neither space is a normed space with it
+        convex = ConcaveWeight.from_callable(lambda t: t * t, "convex")
+        for space in (SpaceSpec.lorentz, SpaceSpec.marcinkiewicz):
+            with pytest.raises(InvalidArgumentError, match="spot-check"):
+                space(convex)
 
     def test_fundamental_matches_weight(self):
         grid = np.geomspace(1e-6, 1.0, 64)
