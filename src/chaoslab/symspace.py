@@ -469,9 +469,10 @@ def _slab_integral(f, tol):
     tail, once that tail is below tol times the total or once two ratios in
     a row agree within 4 _GL_RTOL rho, the quadrature error of two slab
     ratios: those of an exact power law do, and its geometric tail is exact.
-    Two such ratios at or above 1 stop it divergent at the total so far.  An
+    Two such ratios within that error of 1 or above stop it divergent at the
+    total so far, as does a last ratio at or above 1 at t = 2^-1000.  An
     integrand or a total that overflows is divergent (+inf); NaN, or a walk
-    unsettled at t = 2^-1000, is a failure.
+    still shrinking at t = 2^-1000, is a failure.
     """
     total, prev_slab, prev_rho, lo = 0.0, 0.0, math.nan, 1.0
     for _ in range(_SLAB_LIMIT):
@@ -487,13 +488,15 @@ def _slab_integral(f, tol):
             return False, math.inf
         rho = slab / prev_slab if prev_slab else math.nan  # no ratio yet: NaN compares false
         steady = abs(rho - prev_rho) <= 4 * _GL_RTOL * rho
+        if steady and rho >= 1 - 4 * _GL_RTOL:
+            return False, total
         if rho < 1:
             tail = slab * rho / (1.0 - rho)
             if steady or tail < tol * max(1.0, total):
                 return True, total + tail
-        elif steady:
-            return False, total
         prev_slab, prev_rho = slab, rho
+    if prev_rho >= 1:
+        return False, total
     raise NumericFailureError("slab refinement did not settle finiteness")
 
 
