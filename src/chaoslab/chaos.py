@@ -202,17 +202,16 @@ def rud_average(
     error.  The ratio to the all-plus pattern's (deterministic) norm is the
     empirical divergence constant.
 
-    Exact mode runs one law per coset of the shift code H (see
-    :func:`kernel.shift_code`), 2^(|keep| - rank) laws for the |keep| nonzero
-    coefficients.  Shifting the configuration by c turns pattern u into
-    u chi(c); in the transform this only negates and permutes butterfly
-    inputs, which IEEE arithmetic does exactly, so every pattern of a
-    coset has a bit-identical law and norm.  Every coset holds
-    2^(|A'| - |keep| + rank) patterns, so the average over all patterns is
-    the mean of the coset norms: their ``math.fsum``, correctly rounded,
-    divided exactly by the power of two that counts them.  The global flip
-    u -> -u is not folded in: it reorders the atoms, and the norm sums them
-    in another order, so the flipped norm may differ in the last bits.
+    Exact mode runs one law per coset of the code H spanned by the shift
+    code (see :func:`kernel.shift_code`) and the flip u -> -u, the row of a
+    fresh coordinate in every term: 2^(|keep| - rank H) laws for the |keep|
+    nonzero coefficients.  Shifting the configuration by c turns pattern u
+    into u chi(c), which negates and permutes butterfly inputs, exact in
+    IEEE arithmetic; the flip negates the law, whose norm reads the same
+    absolute law.  So every pattern of a coset has a bit-identical norm.
+    Every coset holds 2^(|A'| - |keep| + rank H) patterns, so the average
+    over all patterns is the mean of the coset norms: their ``math.fsum``,
+    correctly rounded, divided exactly by the power of two that counts them.
 
     Both modes pass every pattern they need (the coset representatives, or
     the sampled patterns and then the all-plus one) to one :func:`kernel.law`
@@ -247,9 +246,9 @@ def rud_average(
 
     check_cap(m, RUD_EXACT_MAX, "pattern bits of an exact sign average",
               "pass samples= for a Monte Carlo average")
-    # one law per coset of the shift code of the nonzero terms; a zero term's
-    # sign changes no law and doubles every coset alike, so the mean keeps it out
-    basis = kernel.shift_code(term_masks, k)
+    # one law per coset of the shift code and the flip of the nonzero terms; a zero
+    # term's sign changes no law and doubles every coset alike, so the mean keeps it out
+    basis = kernel.shift_code([t | 1 << k for t in term_masks], k + 1)
     reps = kernel.coset_reps(basis, c.size)
     coset_norms = pattern_norms(np.where((reps[:, None] >> np.arange(c.size, dtype=np.uint64)) & 1,
                                          -c, c))

@@ -34,9 +34,9 @@ class StepDistribution:
             raise InvalidArgumentError("distribution needs at least one atom")
         if values.shape != weights.shape:
             raise InvalidArgumentError("values and weights must have equal length")
-        if np.any(np.isnan(values)):
+        if np.isnan(values).any():
             raise InvalidArgumentError("atom values must not be NaN")
-        if not np.all(weights > 0):  # NaN too
+        if not (weights > 0).all():  # NaN too
             raise InvalidArgumentError("atom weights must be positive")
         total = float(weights.sum())
         if abs(total - 1.0) > WEIGHT_TOL:
@@ -80,19 +80,19 @@ class StepDistribution:
         return f"StepDistribution({len(self)} atoms on [{self.values[0]:g}, {self.values[-1]:g}])"
 
     def moment(self, p):
-        """E|X|^p exactly from the atoms."""
+        """E|X|^p exactly from the signed atoms, summed in value order."""
         return float(np.sum(np.abs(self.values) ** p * self.weights))
 
     def lp_norm(self, p):
         # scale by the largest atom so huge p cannot overflow
-        top = self.max_abs()
+        law = self.abs_distribution()
+        top = float(law.values[-1])
         if top == 0.0:
             return 0.0
-        ratios = np.abs(self.values) / top
-        return top * float(np.sum(ratios**p * self.weights)) ** (1.0 / p)
+        return top * float(np.sum((law.values / top) ** p * law.weights)) ** (1.0 / p)
 
     def max_abs(self):
-        return float(np.max(np.abs(self.values)))
+        return float(self.abs_distribution().values[-1])
 
     def scaled(self, c):
         return StepDistribution(self.values * c, self.weights)
@@ -102,7 +102,10 @@ class StepDistribution:
         return np.cumsum(self.weights)
 
     def abs_distribution(self):
-        return StepDistribution(np.abs(self.values), self.weights)
+        """The law of |X| that every norm reads: |v| ascending, weighted w(v) + w(-v),
+        a sum that does not depend on its order, so -X has this law bit for bit."""
+        values, group = np.unique(np.abs(self.values), return_inverse=True)
+        return StepDistribution(values, np.bincount(group, weights=self.weights))
 
 
 def _merge_close(values, weights):
@@ -115,10 +118,10 @@ def _merge_close(values, weights):
     """
     top = max(abs(values[0]), abs(values[-1]))  # the atoms are sorted
     tol = MERGE_TOL * top if top < np.inf else MERGE_TOL  # absolute beside an infinite atom
-    brk = np.nonzero(np.diff(values) > tol)[0] + 1
-    starts = np.concatenate([[0], brk])
-    if starts.size == values.size:
+    apart = values[1:] - values[:-1] > tol
+    if apart.all():
         return values, weights
+    starts = np.concatenate([[0], np.flatnonzero(apart) + 1])
     wsum = np.add.reduceat(weights, starts)
     vsum = np.add.reduceat(values * weights, starts)
     return vsum / wsum, wsum

@@ -183,9 +183,11 @@ class ConcaveWeight:
         return np.array(out, dtype=float).reshape(t.shape)
 
     def validate(self):
-        """Spot-check monotonicity and quasiconcavity (phi(t)/t decreasing)."""
+        """Spot-check finiteness, monotonicity and quasiconcavity (phi(t)/t decreasing)."""
         grid = np.geomspace(1e-8, 1.0, 200)
         vals = self.apply(grid)
+        if not np.all(np.isfinite(vals)):
+            raise InvalidArgumentError("weight is not finite on the spot-check grid")
         if np.any(np.diff(vals) < -1e-12):
             raise InvalidArgumentError("weight fails the monotonicity spot-check")
         ratio = vals / grid
@@ -283,12 +285,10 @@ class RearrangementStep:
 
 def decreasing_rearrangement(dist: StepDistribution) -> RearrangementStep:
     """Sort |values| descending and accumulate weights into plateaus."""
-    absdist = dist.abs_distribution()
-    vals = absdist.values[::-1].copy()
-    wts = absdist.weights[::-1].copy()
-    cuts = np.concatenate([[0.0], np.cumsum(wts)])
+    law = dist.abs_distribution()
+    cuts = np.concatenate([[0.0], np.cumsum(law.weights[::-1])])
     cuts[-1] = 1.0  # float dust
-    return RearrangementStep(cuts, vals)
+    return RearrangementStep(cuts, law.values[::-1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def check_tol(tol):
 
 
 def luxemburg_norm(dist: StepDistribution, fn: OrliczFunction, tol: float = DEFAULT_TOL) -> float:
-    """inf { lam > 0 : sum M(|v_i| / lam) w_i <= 1 } by bisection.
+    """inf { lam > 0 : sum M(|v_i| / lam) w_i <= 1 } over the absolute law, by bisection.
 
     With c = M^{-1}(1) the bracket is [||x||_1 / c, ||x||_inf / c]: at its
     right end every M(|v_i| / lam) <= M(c) = 1, and at its left end Jensen's
@@ -331,14 +331,14 @@ def luxemburg_norm(dist: StepDistribution, fn: OrliczFunction, tol: float = DEFA
     gives [0, 0] and the norm 0.
     """
     check_tol(tol)
-    vals = np.abs(dist.values)
-    wts = dist.weights
+    law = dist.abs_distribution()
+    vals, wts = law.values, law.weights
     c = fn.inverse(1.0)
 
     def feasible(lam):
         return float(np.sum(fn.apply(vals / lam) * wts)) <= 1.0
 
-    return _bisect(feasible, float(np.sum(vals * wts)) / c, float(vals.max()) / c, tol)
+    return _bisect(feasible, float(np.sum(vals * wts)) / c, float(vals[-1]) / c, tol)
 
 
 def _lorentz_norm(dist, weight):
@@ -403,11 +403,12 @@ def coincidence_check(
     Reports (i) the range of phi(t) * M^{-1}(1/t) over a log-spaced grid
     (the two-sided equivalence of the fundamental functions) and (ii) a
     numeric verdict on the finiteness of integral_0^1 M(eps / phi(t)) dt,
-    summed over halving slabs toward 0 by :func:`_slab_integral`.  Against a
-    log-power weight every stock M has a closed-form verdict
-    (:func:`_log_weight_finite`), which a slab walk in float64 can miss either
-    way: a divergent pair reports the estimate +inf, and a finite one walks
-    the slabs for the estimate alone.
+    summed over halving slabs toward 0 by :func:`_slab_integral`; for a
+    power M and eps < 1 at eps = 1, then times eps^(p/2) twice, which rounds
+    only the last product below float range.  Against a log-power weight every
+    stock M has a closed-form verdict (:func:`_log_weight_finite`), which a
+    slab walk in float64 can miss either way: a divergent pair reports the
+    estimate +inf, and a finite one walks the slabs for the estimate alone.
     """
     if not 0 < eps < math.inf:
         raise InvalidArgumentError(f"eps must be finite and positive, got {eps}")
@@ -426,8 +427,10 @@ def coincidence_check(
         ratio_min, ratio_max = float(ratio.min()), float(ratio.max())
 
         known = _log_weight_finite(fn, weight, eps)
+        at, half = (1.0, eps ** (fn.param / 2)) if fn.kind == "power" and eps < 1 else (eps, 1)
         finite, estimate = (False, math.inf) if known is False else _slab_integral(
-            lambda t: fn.apply(eps / weight.apply(t)), tol)
+            lambda t: fn.apply(at / weight.apply(t)), tol)  # M(eps u) = eps^p M(u)
+        estimate = estimate * half * half if estimate < math.inf else estimate  # not inf * 0
         if known is not None:
             finite = known
         report.add("ratio_min", ratio_min, "info")

@@ -281,9 +281,14 @@ class TestRudAverage:
 
         monkeypatch.setattr(kernel, "law", counting_law)
         # unit triangle(2, 6): m = 15 terms, shift code of rank 5 (K6 is connected)
+        # and no flip, so the all-ones word raises the rank of the code to 6
         rud_average(gen_triangle(2, 6), None, SpaceSpec.lp(2))
-        assert sum(rows) == 2**10  # one per coset; coset 0 gives the deterministic norm
+        assert sum(rows) == 2**9  # one per coset; coset 0 gives the deterministic norm
         assert len(rows) == 1  # every coset law comes from one batched call
+        # sum set N = 8: m = 12 terms, shift code of rank 7 with a flip in it already
+        rows.clear()
+        rud_average(gen_sum_set(8), None, SpaceSpec.lp(2))
+        assert sum(rows) == 2 ** (12 - 7)
         # zero-coefficient terms join the code: |keep| = 3 edges of a path, rank 3
         rows.clear()
         A = IndexSet.from_tuples([(2, 1), (3, 2), (4, 3), (4, 1), (6, 5)])

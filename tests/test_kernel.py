@@ -709,12 +709,14 @@ def test_bit_words_stay_in_the_kernel():
 
 
 def callers(name):
-    """'module: function' of every library function that calls ``name``."""
+    """'module: function' of every library function that calls ``name``: a
+    bare name or attribute (``_stages``), or a dotted one (``np.abs``)."""
     modules = sorted(Path(kernel.__file__).parent.glob("*.py"))
     return {f"{path.name}: {fn.name}" for path in modules
             for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
             for node in ast.walk(fn) if isinstance(node, ast.Call)
-            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None),
+                         ast.unparse(node.func))}
 
 
 def test_one_transform_routine():
@@ -722,6 +724,15 @@ def test_one_transform_routine():
     # integer route of law is one block loop: no second, sliced loop
     assert callers("_stages") == {"kernel.py: fwht"}
     assert not hasattr(kernel, "_sliced_laws")
+
+
+def test_one_absolute_law():
+    # every norm reads the law of |X| that abs_distribution builds, so X and -X
+    # have the same norm bit for bit; moment sums the signed atoms, and an
+    # Orlicz function is even
+    laws = {c for c in callers("np.abs") if c.startswith(("distribution.py", "symspace.py"))}
+    assert laws == {"distribution.py: abs_distribution", "distribution.py: moment",
+                    "symspace.py: apply"}
 
 
 def test_one_elimination_routine():

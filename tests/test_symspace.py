@@ -68,6 +68,45 @@ def random_laws(draw):
     return random_distribution(rng, scale=draw(st.sampled_from([1e-3, 1.0, 1e3])))
 
 
+@st.composite
+def signed_laws(draw):
+    """A random_laws law, or up to 12 magnitudes carried by +v, -v or both
+    with generic weights, so that the absolute law adds up pairs."""
+    if draw(st.booleans()):
+        return draw(random_laws())
+    mags = draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12, unique=True))
+    values = [s * v for v in mags for s in draw(st.sampled_from([(1,), (-1,), (1, -1)]))]
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(values),
+                               max_size=len(values))))
+    return StepDistribution(values, w / w.sum())
+
+
+FLIP_SPACES = [
+    SpaceSpec.lp(1),
+    SpaceSpec.lp(3.3),
+    SpaceSpec.lp(4),
+    SpaceSpec.linf(),
+    SpaceSpec.orlicz(OrliczFunction.power(3)),
+    SpaceSpec.orlicz(OrliczFunction.exponential(2)),
+    SpaceSpec.exp_lr(1.0),
+    SpaceSpec.exp_lr(2.0),
+    SpaceSpec.exp_lr(1.0, method="extrapolation"),
+    SpaceSpec.exp_lr(2.0, method="extrapolation"),
+    SpaceSpec.lorentz(LOG_HALF),
+    SpaceSpec.lorentz(ConcaveWeight.from_callable(math.sqrt, "sqrt")),
+    SpaceSpec.marcinkiewicz(LOG_HALF),
+    SpaceSpec.marcinkiewicz(ConcaveWeight.from_callable(lambda t: min(t / 0.3, 1.0), "kink")),
+]
+
+
+@pytest.mark.parametrize("space", FLIP_SPACES, ids=SpaceSpec.describe)
+@settings(max_examples=100, deadline=None)
+@given(dist=signed_laws())
+def test_sign_flip_is_exact(space, dist):
+    # every norm reads the absolute law, which X and -X share bit for bit
+    assert norm(dist.scaled(-1), space).hex() == norm(dist, space).hex()
+
+
 class TestNormOrderings:
     @settings(max_examples=80, deadline=None)
     @given(random_laws(), st.floats(1.0, 12.0))
@@ -537,6 +576,15 @@ class TestCoincidence:
         with pytest.raises(NumericFailureError, match="did not settle"):
             coincidence_check(OrliczFunction.power(2), ConcaveWeight.from_callable(phi), eps=1.0)
 
+    def test_power_against_log_weight_below_float_range(self):
+        # M(eps u) = eps^8 M(u), and at eps = 1 the integral is
+        # e Gamma(9, 1) = 8! sum_{k <= 8} 1/k! = 109601
+        M, phi = OrliczFunction.power(8), LOG_ONE
+        report = coincidence_check(M, phi, eps=1e-40)  # eps^8 is subnormal
+        assert report.quantity("integral_estimate") == pytest.approx(109601e-320, rel=1e-6)
+        report = coincidence_check(M, phi, eps=1e-45)  # eps^8 underflows to 0
+        assert report.quantity("integral_finite") == 1.0
+
     def test_slab_integral_takes_only_the_integrand_and_tol(self):
         # the slab ratio alone decides every stop: no flag switches a rule off
         params = list(inspect.signature(symspace._slab_integral).parameters)
@@ -675,6 +723,14 @@ class TestNormProperties:
         for space in (SpaceSpec.lorentz, SpaceSpec.marcinkiewicz):
             with pytest.raises(InvalidArgumentError, match="spot-check"):
                 space(convex)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_custom_weight_is_refused_by_the_spaces(self, value):
+        # differences of inf are NaN, which every monotonicity comparison passes
+        weight = ConcaveWeight.from_callable(lambda t: value, "non-finite")
+        for space in (SpaceSpec.lorentz, SpaceSpec.marcinkiewicz):
+            with pytest.raises(InvalidArgumentError, match="not finite"):
+                space(weight)
 
     def test_fundamental_matches_weight(self):
         grid = np.geomspace(1e-6, 1.0, 64)
