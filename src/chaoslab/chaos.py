@@ -104,8 +104,8 @@ def moment_table(f, p_list) -> MomentTable:
     p_list = [float(p) for p in p_list]
     if not p_list or not all(1 <= p < math.inf for p in p_list):
         raise InvalidArgumentError("p_list must be nonempty with all p finite and >= 1")
-    dist = f if isinstance(f, StepDistribution) else distribution_exact(f)
-    rows = tuple((p, dist.lp_norm(p)) for p in p_list)
+    law = (f if isinstance(f, StepDistribution) else distribution_exact(f)).abs_distribution()
+    rows = tuple((p, law.lp_norm(p)) for p in p_list)
     norms = np.array([r[1] for r in rows])
     if len(rows) < 2 or np.any(norms <= 0):
         theta = 0.0

@@ -8,6 +8,8 @@ space layer (whose norms depend only on the law of a function).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -42,12 +44,7 @@ class StepDistribution:
         if abs(total - 1.0) > WEIGHT_TOL:
             raise InvalidArgumentError(f"atom weights sum to {total!r}, not 1")
         order = np.argsort(values, kind="stable")
-        values, weights = values[order], weights[order]
-        values, weights = _merge_close(values, weights)
-        self.values = values
-        self.values.setflags(write=False)
-        self.weights = weights
-        self.weights.setflags(write=False)
+        _settle(self, values[order], weights[order])
 
     @classmethod
     def from_atoms(cls, atoms):
@@ -92,7 +89,7 @@ class StepDistribution:
         return top * float(np.sum((law.values / top) ** p * law.weights)) ** (1.0 / p)
 
     def max_abs(self):
-        return float(self.abs_distribution().values[-1])
+        return float(max(abs(self.values[0]), abs(self.values[-1])))  # the atoms are sorted
 
     def scaled(self, c):
         return StepDistribution(self.values * c, self.weights)
@@ -103,9 +100,25 @@ class StepDistribution:
 
     def abs_distribution(self):
         """The law of |X| that every norm reads: |v| ascending, weighted w(v) + w(-v),
-        a sum that does not depend on its order, so -X has this law bit for bit."""
-        values, group = np.unique(np.abs(self.values), return_inverse=True)
-        return StepDistribution(values, np.bincount(group, weights=self.weights))
+        a sum of two that does not depend on its order, so -X has this law bit for
+        bit.  A law with no negative atom (and no -0.0) is its own."""
+        if math.copysign(1.0, self.values[0]) > 0:  # no negative atom, and no -0.0
+            return self
+        values = np.abs(self.values)
+        order = np.argsort(values, kind="stable")  # two sorted runs: -v reversed, then v
+        values, weights = values[order], self.weights[order]
+        starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+        # the atoms of a checked law, sorted: only merging is left to do
+        return _settle(object.__new__(StepDistribution), values[starts],
+                       np.add.reduceat(weights, starts))
+
+
+def _settle(law, values, weights):
+    """Give ``law`` the checked atoms, sorted by value: merged and read-only."""
+    law.values, law.weights = _merge_close(values, weights)
+    law.values.setflags(write=False)
+    law.weights.setflags(write=False)
+    return law
 
 
 def _merge_close(values, weights):
@@ -124,4 +137,10 @@ def _merge_close(values, weights):
     starts = np.concatenate([[0], np.flatnonzero(apart) + 1])
     wsum = np.add.reduceat(weights, starts)
     vsum = np.add.reduceat(values * weights, starts)
+    # a sum of three or more depends on its order, which negating the law reverses;
+    # math.fsum rounds once, so -X merges to the negated atoms bit for bit
+    ends = np.append(starts[1:], values.size)
+    for g in np.flatnonzero(ends - starts > 2):
+        group = slice(starts[g], ends[g])
+        wsum[g], vsum[g] = math.fsum(weights[group]), math.fsum(values[group] * weights[group])
     return vsum / wsum, wsum

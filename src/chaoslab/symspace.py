@@ -14,6 +14,7 @@ array, so it equals the matching entry of any vectorized call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ _GL_RTOL = 1e-13
 _GL_DEPTH = 50
 DEFAULT_P_GRID = tuple(float(2**i) for i in range(11))  # 1, 2, 4, ..., 1024
 _RATIO_T_MIN = 1e-8  # left end of the coincidence ratio grid
+_TINY = sys.float_info.min  # the least normal float
 _SLAB_LIMIT = 1000  # halving slabs of the coincidence integral: down to t = 2^-1000
 
 
@@ -83,12 +85,10 @@ class OrliczFunction:
         return float(self.apply([u])[0])
 
     def apply(self, u):
-        """Vectorized evaluation on a non-negative array."""
+        """Vectorized evaluation on a non-negative array; past float range it is +inf."""
         u = np.abs(np.asarray(u, dtype=float))
-        if self.kind == "power":
-            return u**self.param
         with np.errstate(over="ignore"):
-            out = np.expm1(u**self.param)
+            out = u**self.param if self.kind == "power" else np.expm1(u**self.param)
         if self.u0 > 0:
             low = u < self.u0
             out = np.where(low, self._slope * u, out)
@@ -311,7 +311,8 @@ def norm(dist: StepDistribution, space: SpaceSpec, tol: float = DEFAULT_TOL) -> 
         return _marcinkiewicz_norm(dist, space.weight, tol)
     if space.kind == "explr":
         if space.method == "extrapolation":
-            return max(dist.lp_norm(p) / p ** (1.0 / space.r) for p in DEFAULT_P_GRID)
+            law = dist.abs_distribution()
+            return max(law.lp_norm(p) / p ** (1.0 / space.r) for p in DEFAULT_P_GRID)
         return luxemburg_norm(dist, OrliczFunction.exponential(space.r), tol)
     raise InvalidArgumentError(f"unknown space kind {space.kind!r}")
 
@@ -403,9 +404,11 @@ def coincidence_check(
     Reports (i) the range of phi(t) * M^{-1}(1/t) over a log-spaced grid
     (the two-sided equivalence of the fundamental functions) and (ii) a
     numeric verdict on the finiteness of integral_0^1 M(eps / phi(t)) dt,
-    summed over halving slabs toward 0 by :func:`_slab_integral`; for a
-    power M and eps < 1 at eps = 1, then times eps^(p/2) twice, which rounds
-    only the last product below float range.  Against a log-power weight every
+    summed over halving slabs toward 0 by :func:`_slab_integral`.  Where
+    eps^p of a power M is below the normal range, M(eps / phi) may round in
+    subnormals, so M is walked at 1 and the sum scaled by eps^(p/2) twice,
+    rounding only the last product; a walk at 1 that overflows gives way to
+    the walk at eps.  Against a log-power weight every
     stock M has a closed-form verdict (:func:`_log_weight_finite`), which a
     slab walk in float64 can miss either way: a divergent pair reports the
     estimate +inf, and a finite one walks the slabs for the estimate alone.
@@ -427,10 +430,17 @@ def coincidence_check(
         ratio_min, ratio_max = float(ratio.min()), float(ratio.max())
 
         known = _log_weight_finite(fn, weight, eps)
-        at, half = (1.0, eps ** (fn.param / 2)) if fn.kind == "power" and eps < 1 else (eps, 1)
-        finite, estimate = (False, math.inf) if known is False else _slab_integral(
-            lambda t: fn.apply(at / weight.apply(t)), tol)  # M(eps u) = eps^p M(u)
-        estimate = estimate * half * half if estimate < math.inf else estimate  # not inf * 0
+
+        def walk(at):
+            return _slab_integral(lambda t: fn.apply(at / weight.apply(t)), tol)
+
+        finite, estimate = False, math.inf
+        if known is not False and fn.kind == "power" and eps < 1 and eps**fn.param < _TINY:
+            finite, estimate = walk(1.0)  # M(eps u) = eps^p M(u)
+            half = eps ** (fn.param / 2)
+            estimate = estimate * half * half if estimate < math.inf else estimate  # not inf * 0
+        if known is not False and estimate == math.inf:
+            finite, estimate = walk(eps)
         if known is not None:
             finite = known
         report.add("ratio_min", ratio_min, "info")

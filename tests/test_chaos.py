@@ -248,6 +248,19 @@ class TestRudAverage:
             mc = rud_average(A, coeffs, spec, samples=25, seed=seed)
             assert (mc.average, mc.stderr) == rud_reference(A, coeffs, spec, 25, seed)
 
+    def test_flip_of_merged_atoms_is_exact(self):
+        # the decimal coefficients round one value of the law several ways within
+        # MERGE_TOL; -u must merge them to the negated atom, or L_1 reads u, -u apart
+        coeffs = {(2, 1): 0.1, (4, 1): 0.3, (4, 3): 0.2, (5, 1): 0.3, (5, 2): 0.3, (5, 4): 0.2}
+        A = IndexSet.from_tuples(coeffs)
+        c, keep, masks, k = index_terms(A, coeffs)
+        law, flipped = terms_law(masks, c[keep], k), terms_law(masks, -c[keep], k)
+        assert flipped.values.tolist() == (-law.values[::-1]).tolist()
+        assert flipped.weights.tolist() == law.weights[::-1].tolist()
+        for spec in (SpaceSpec.lp(1), *RUD_SPACES.values()):
+            assert norm(flipped, spec) == norm(law, spec)
+            assert rud_average(A, coeffs, spec).average == rud_reference(A, coeffs, spec)[0]
+
     def test_zero_coefficient_keeps_support(self):
         # (9, 8) has coefficient 0 and is the only element touching 8 and 9
         A = IndexSet.from_tuples([(2, 1), (3, 1), (3, 2), (9, 8)])

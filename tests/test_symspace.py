@@ -585,6 +585,24 @@ class TestCoincidence:
         report = coincidence_check(M, phi, eps=1e-45)  # eps^8 underflows to 0
         assert report.quantity("integral_finite") == 1.0
 
+    def test_power_walk_at_eps_where_the_walk_at_one_overflows(self):
+        # eps^300 is below float range, but L^300 overflows a float for L > 10.7,
+        # while (eps L)^300 does not: e Gamma(301, 1) = sum_{k <= 300} 300!/k!
+        report = coincidence_check(OrliczFunction.power(300), LOG_ONE, eps=0.01)
+        exact = sum(math.factorial(300) // math.factorial(k) for k in range(301)) / 10**600
+        assert report.quantity("integral_estimate") == pytest.approx(exact, rel=1e-9)
+        # (eps / phi)^400 = 5^400 t^-0.8 integrates to 5^401; (1 / phi)^400 overflows
+        phi = ConcaveWeight.from_callable(lambda t: 0.1 * t**0.002, "0.1 t^0.002")
+        report = coincidence_check(OrliczFunction.power(400), phi, eps=0.5)
+        assert report.quantity("integral_finite") == 1.0
+        assert report.quantity("integral_estimate") == pytest.approx(5.0**401, rel=1e-9)
+
+    def test_power_past_float_range_is_inf_without_a_warning(self):
+        # eps^8 e Gamma(9, 1) = 1e800 * 109601 is finite but past float range
+        report = coincidence_check(OrliczFunction.power(8), LOG_ONE, eps=1e100)
+        assert report.quantity("integral_estimate") == math.inf
+        assert report.quantity("integral_finite") == 1.0
+
     def test_slab_integral_takes_only_the_integrand_and_tol(self):
         # the slab ratio alone decides every stop: no flag switches a rule off
         params = list(inspect.signature(symspace._slab_integral).parameters)
