@@ -431,23 +431,43 @@ def clt_sharp(A: IndexSet, N, budget=CLT_PAIR_BUDGET):
     size = arr.shape[0]
     check_cap(size * size, budget, f"element pairs ({size}^2) of the sharp-pair search",
               "use clt_star, which counts incidences without pairs, or a smaller N")
-    elems = [tuple(int(v) for v in row) for row in arr]
-    masks = [sum(1 << v for v in t) for t in elems]  # entry set as a bitmask
-    groups = {}  # entry union -> disjoint pairs
-    for i, mi in enumerate(masks):
-        for j in range(i + 1, size):
-            mj = masks[j]
-            if not mi & mj:
-                groups.setdefault(mi | mj, []).append((i, j))
-    out = []
-    for pairs in groups.values():
-        if len(pairs) < 2:
-            continue
-        for i, j in pairs:
-            out.append((MultiIndex(elems[i]), MultiIndex(elems[j])))
-            out.append((MultiIndex(elems[j]), MultiIndex(elems[i])))
-    out.sort()
-    return out
+    if size < 2:
+        return []
+    # entry set of each element as little-endian uint64 words: bit v % 64 of word v // 64
+    words = np.zeros((size, int(arr.max()) // 64 + 1), dtype=np.uint64)
+    rows = np.arange(size)
+    for col in arr.T:  # a column repeats no row, so no cell is set twice in one buffered |=
+        words[rows, col // 64] |= np.uint64(1) << (col % 64).astype(np.uint64)
+    # disjoint pairs i < j, a block of upper-triangle rows at a time
+    firsts, seconds = [], []
+    start = 0
+    while start < size - 1:
+        stop = min(size - 1, start + max(1, (1 << 18) // (size - start)))
+        meet = np.zeros((stop - start, size - start - 1), dtype=bool)
+        for word in words.T:
+            meet |= (word[start:stop, None] & word[None, start + 1 :]) != 0
+        # column c of row r is the pair (start + r, start + 1 + c): keep c >= r
+        meet |= np.tri(*meet.shape, -1, dtype=bool)
+        r, c = np.nonzero(~meet)
+        firsts.append((r + start).astype(np.int32))
+        seconds.append((c + start + 1).astype(np.int32))
+        start = stop
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    unions = words[first] | words[second]
+    # a union recurs when it equals a neighbour in sorted order
+    order = np.lexsort(unions.T)
+    unions = unions[order]
+    same = np.all(unions[1:] == unions[:-1], axis=1)
+    recurs = np.zeros(len(order), dtype=bool)
+    recurs[1:] |= same
+    recurs[:-1] |= same
+    keep = order[recurs]
+    # rows are in lexicographic order, so sorting index pairs sorts the element pairs
+    u = np.concatenate([first[keep], second[keep]])
+    v = np.concatenate([second[keep], first[keep]])
+    by_pair = np.lexsort((v, u))
+    elems = {k: MultiIndex(arr[k]) for k in np.unique(u).tolist()}
+    return [(elems[a], elems[b]) for a, b in zip(u[by_pair].tolist(), v[by_pair].tolist())]
 
 
 def clt_criteria(A: IndexSet, N_list, star_threshold=0.15, sharp_threshold=1e-12):

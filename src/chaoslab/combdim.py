@@ -163,21 +163,28 @@ def max_density(A: IndexSet, n, universe, strategy="exhaustive"):
     if strategy == "exhaustive":
         candidates = list(itertools.combinations(range(1, universe + 1), n))
         cand_masks = [
-            [_union_mask(value_masks[i], c) for c in candidates] for i in range(d)
+            [_union_mask(value_masks[i], c) for c in candidates] for i in range(d - 1)
         ]
+        last_masks = [value_masks[-1].get(v, 0) for v in range(1, universe + 1)]
+        all_rows = functools.reduce(operator.or_, last_masks)
         best_count = -1
         best_blocks = None
-        # lexicographic iteration: the first maximum seen is the smallest witness
-        for idx in itertools.product(range(per_coord), repeat=d):
-            m = cand_masks[0][idx[0]]
-            for i in range(1, d):
-                m &= cand_masks[i][idx[i]]
-                if not m:
-                    break
-            c = m.bit_count()
+        # prefixes B_1..B_{d-1} in lexicographic order; for each, the best B_d is the
+        # n values v with the most rows N(v) in the prefix, ties to the smaller v, which
+        # is also the smallest such block: the first maximum seen is the smallest witness
+        for idx in itertools.product(range(per_coord), repeat=d - 1):
+            m = all_rows
+            for i, k in enumerate(idx):
+                m &= cand_masks[i][k]
+            if m.bit_count() <= best_count:
+                continue  # the whole prefix cannot beat the best count
+            rows_at = [(m & lm).bit_count() for lm in last_masks]
+            # a stable sort keeps equal counts in ascending order of v
+            last = sorted(range(universe), key=rows_at.__getitem__, reverse=True)[:n]
+            c = sum(rows_at[v] for v in last)
             if c > best_count:
                 best_count = c
-                best_blocks = tuple(candidates[k] for k in idx)
+                best_blocks = [candidates[k] for k in idx] + [[v + 1 for v in last]]
         return best_count, BlockChoice(best_blocks)
 
     # greedy-swap: take the first improving swap in scan order until none improves
@@ -246,8 +253,9 @@ def density_certificates(A: IndexSet, alpha, beta, n_list, universe, strategy="e
 def estimate_dimension(A: IndexSet, n_list, universe, strategy="identity-blocks"):
     """Least-squares growth exponent of the best counts against n."""
     n_list = [int(n) for n in n_list]
-    if len(n_list) < 3:
-        raise InvalidArgumentError("dimension estimation needs at least 3 block sizes")
+    if len(set(n_list)) < 3:
+        raise InvalidArgumentError(f"dimension estimation needs at least 3 distinct block sizes, "
+                                   f"got n_list {n_list}")
     rows = []
     for n in n_list:
         if strategy == "identity-blocks":

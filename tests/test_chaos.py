@@ -1,5 +1,6 @@
 """Inequality certificates: Khintchine, RUD averages, concentration, CLT."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -625,7 +626,67 @@ class TestCltStar:
         assert star.ratio < 0.05
 
 
+def sharp_reference(A, N):
+    """Pair loop over Python bitmasks, grouping disjoint pairs by entry union."""
+    elems = [tuple(int(v) for v in row) for row in A.restrict(N).to_array()]
+    masks = [sum(1 << v for v in t) for t in elems]
+    groups = {}
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(elems)):
+            if not mi & masks[j]:
+                groups.setdefault(mi | masks[j], []).append((i, j))
+    out = []
+    for pairs in groups.values():
+        if len(pairs) >= 2:
+            for i, j in pairs:
+                out += [(elems[i], elems[j]), (elems[j], elems[i])]
+    return sorted(out)
+
+
+@st.composite
+def sharp_instances(draw):
+    # subsets of the d-sets of a palette of 2d to 2d + 2 entries up to 130, so unions
+    # recur often and the entry masks span one to three 64-bit words
+    d = draw(st.integers(2, 4))
+    palette = draw(st.lists(st.integers(1, 130), min_size=2 * d, max_size=2 * d + 2,
+                            unique=True))
+    d_sets = list(itertools.combinations(sorted(palette, reverse=True), d))
+    keep = draw(st.lists(st.booleans(), min_size=len(d_sets), max_size=len(d_sets)))
+    A = IndexSet.from_tuples([t for t, k in zip(d_sets, keep) if k] or d_sets[:1])
+    # N = min(palette) - 1 leaves the restriction empty
+    N = draw(st.just(130) | st.just(min(palette) - 1) | st.sampled_from(palette))
+    return A, N
+
+
 class TestCltSharp:
+    @settings(max_examples=200, deadline=None)
+    @given(sharp_instances())
+    def test_matches_pair_loop(self, instance):
+        A, N = instance
+        pairs = clt_sharp(A, N)
+        assert [(tuple(u), tuple(v)) for u, v in pairs] == sharp_reference(A, N)
+
+    @pytest.mark.parametrize("A,N", [(gen_triangle(3, 12), 12), (gen_triangle(4, 11), 11),
+                                     (gen_triangle(2, 20), 20), (gen_sum_set(60), 60)])
+    def test_matches_pair_loop_on_stock_sets(self, A, N):
+        pairs = clt_sharp(A, N)
+        assert [(tuple(u), tuple(v)) for u, v in pairs] == sharp_reference(A, N)
+
+    def test_empty_restriction(self):
+        assert clt_sharp(IndexSet.from_tuples([(90, 70, 5), (80, 60, 3)]), 50) == []
+
+    def test_bounded_memory(self):
+        # disjoint pairs are kept as two int32 indices and one union word, and the
+        # pair walk holds at most 2^18 cells of the upper triangle at a time
+        A = gen_sum_set(60)
+        tracemalloc.start()
+        try:
+            clt_sharp(A, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
     def test_sum_set_empty(self):
         assert clt_sharp(gen_sum_set(10), 10) == []
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -135,6 +136,17 @@ class TestOtherCommands:
         assert run(["dimension", "--set", str(path), "--n-list", "8,16,32",
                     "--strategy", "identity-blocks"]) == 0
         assert "alpha_hat" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_list", ["4,4,4", "4,4,8"])
+    def test_dimension_needs_three_distinct_sizes(self, n_list, tmp_path, capsys):
+        path = tmp_path / "s.idx"
+        run(["gen-set", "--kind", "sum", "--max", "60", "--out", str(path)])
+        capsys.readouterr()
+        assert run(["dimension", "--set", str(path), "--n-list", n_list]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "3 distinct block sizes" in captured.err
+        assert f"[{n_list.replace(',', ', ')}]" in captured.err
 
     def test_density(self, tmp_path, capsys):
         path = tmp_path / "t.idx"
@@ -367,6 +379,43 @@ class TestOutputBytes:
         capsys.readouterr()
         assert run(["clt", "--set", path, "--n-list", "10,20,40"]) == 0
         assert capsys.readouterr().out == self.CLT_TABLE + "verdict: pass\n"
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+class TestGoldenOutputs:
+    """Byte-exact output of the two block and pair searches, on the CLI's own set files."""
+
+    @pytest.fixture
+    def set_file(self, tmp_path):
+        def make(*gen_args):
+            path = tmp_path / ("_".join(gen_args) + ".idx")
+            assert run(["gen-set", *gen_args, "--out", str(path)]) == 0
+            return str(path)
+
+        return make
+
+    def test_clt_sum60(self, set_file, tmp_path, capsys):
+        path, out = set_file("--kind", "sum", "--max", "60"), tmp_path / "clt.csv"
+        capsys.readouterr()
+        assert run(["clt", "--set", path, "--n-list", "20,40,60", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / "cli_clt_sum60.stdout").read_bytes()
+        assert out.read_bytes() == (GOLDEN / "cli_clt_sum60.csv").read_bytes()
+
+    def test_density_exhaustive_sum12(self, set_file, capsys):
+        path = set_file("--kind", "sum", "--max", "12")
+        capsys.readouterr()
+        assert run(["density", "--set", path, "--n", "3", "--universe", "9",
+                    "--strategy", "exhaustive"]) == 0
+        golden = GOLDEN / "cli_density_exhaustive_sum12.stdout"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+    def test_density_certificate_tri3_8(self, set_file, tmp_path):
+        path, out = set_file("--kind", "triangle", "--order", "3", "--max", "8"), tmp_path / "d.csv"
+        assert run(["density", "--set", path, "--alpha", "1", "--beta", "2", "--n-list", "2,3",
+                    "--universe", "6", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "cli_density_certificate_tri3_8.csv").read_bytes()
 
 
 class TestParseSpace:

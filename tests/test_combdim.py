@@ -1,12 +1,16 @@
 """Index-set generation, block densities, dimension fits, text format."""
 
+import functools
 import itertools
 import math
+import operator
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     BlockChoice,
@@ -167,7 +171,53 @@ def greedy_reference(A, n, universe):
     return count, tuple(tuple(b) for b in blocks)
 
 
+def exhaustive_reference(A, n, universe):
+    """Every block choice in lexicographic order; the first maximum is the witness.
+
+    Rows inside the universe are bits; a block's rows are the OR of its values'
+    masks, and a block choice's the AND of its blocks'.
+    """
+    value_masks = [{} for _ in range(A.order)]
+    for row, t in enumerate(A.restrict(universe).to_array().tolist()):
+        for masks, v in zip(value_masks, t):
+            masks[v] = masks.get(v, 0) | (1 << row)
+    candidates = list(itertools.combinations(range(1, universe + 1), n))
+    cand_masks = [[functools.reduce(operator.or_, (masks.get(v, 0) for v in c)) for c in candidates]
+                  for masks in value_masks]
+    best_count, best_idx = -1, None
+    for idx in itertools.product(range(len(candidates)), repeat=A.order):
+        c = functools.reduce(operator.and_, (cm[k] for cm, k in zip(cand_masks, idx))).bit_count()
+        if c > best_count:
+            best_count, best_idx = c, idx
+    return best_count, tuple(candidates[k] for k in best_idx)
+
+
+@st.composite
+def exhaustive_instances(draw):
+    # entries run to universe + 3, so some rows (or all) lie outside the universe
+    d = draw(st.integers(1, 3))
+    universe = draw(st.integers(d + 1, 8))
+    n = draw(st.integers(1, universe - 1))
+    assume(math.comb(universe, n) ** d <= 30_000)
+    entries = st.lists(st.integers(1, universe + 3), min_size=d, max_size=d, unique=True)
+    rows = draw(st.lists(entries, min_size=1, max_size=30))
+    return IndexSet.from_tuples({tuple(sorted(r, reverse=True)) for r in rows}), n, universe
+
+
 class TestMaxDensity:
+    @settings(max_examples=150, deadline=None)
+    @given(exhaustive_instances())
+    def test_exhaustive_matches_every_block_choice(self, instance):
+        A, n, universe = instance
+        count, witness = max_density(A, n, universe, "exhaustive")
+        assert (count, witness.blocks) == exhaustive_reference(A, n, universe)
+
+    @pytest.mark.parametrize("A,n,universe", [(gen_sum_set(12), 3, 9), (gen_triangle(3, 9), 3, 9),
+                                              (gen_triangle(2, 12), 5, 12)])
+    def test_exhaustive_matches_on_stock_sets(self, A, n, universe):
+        count, witness = max_density(A, n, universe, "exhaustive")
+        assert (count, witness.blocks) == exhaustive_reference(A, n, universe)
+
     def test_exhaustive_example(self):
         count, witness = max_density(gen_triangle(2, 4), 2, 4, "exhaustive")
         assert count == 4
@@ -304,6 +354,16 @@ class TestEstimateDimension:
     def test_needs_three_points(self):
         with pytest.raises(InvalidArgumentError):
             estimate_dimension(gen_sum_set(40), [4, 8], 40)
+
+    @pytest.mark.parametrize("n_list", [[4, 4, 4], [4, 4, 8], [8, 4, 8, 4]])
+    def test_needs_three_distinct_sizes(self, n_list):
+        # a line through fewer than 3 distinct points fits exactly and says nothing
+        with pytest.raises(InvalidArgumentError, match=re.escape(str(n_list))):
+            estimate_dimension(gen_sum_set(40), n_list, 40)
+
+    def test_repeated_sizes_beside_three_distinct(self):
+        profile = estimate_dimension(gen_sum_set(40), [4, 8, 8, 16], 40)
+        assert [r.best_count for r in profile.rows] == [2, 12, 12, 56]
 
     def test_degenerate_fit(self):
         A = IndexSet.from_tuples([(9, 8, 7)])
