@@ -163,11 +163,17 @@ def _blei_check(A, coeffs, beta, p_list, bits_cap):
 def _exceeding_patterns(basis, m, lam):
     """Number of sign patterns u over m unit terms with sup_c |sum_t u_t chi_t(c)| > lam.
 
-    The sum at c is m - 2 wt(u xor chi(c)), so u exceeds iff the
-    :func:`kernel.coset_sup` of its coset, one representative each, does.
+    The sum at c is m - 2 wt(u xor chi(c)), so u exceeds iff its coset u H
+    holds a word of weight w < t, t the number of weights w in 0..m with
+    m - 2w > lam (those are 0..t-1), or one of weight above m - t, the
+    complement of a word of weight below t in the coset of u xor 1...1.
+    Both sides read the :func:`kernel.coset_leaders` table, and every coset
+    holds 2^r patterns.
     """
-    reps = kernel.coset_reps(basis, m)
-    return int(np.count_nonzero(kernel.coset_sup(reps[:, None], basis, m) > lam)) << len(basis)
+    least = kernel.coset_leaders(basis, m)
+    nearest = np.minimum(least, kernel.coset_translate(least, basis, m, (1 << m) - 1))
+    t = sum(1 for w in range(m + 1) if m - 2 * w > lam)
+    return int(np.count_nonzero(nearest < t)) << len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +290,20 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, threshold=None):
     Shifting the configuration by c multiplies pattern u by the word chi(c)
     of the shift code H (see :func:`kernel.shift_code`), so the sup over
     configurations is a max over the coset u H: q counts the cosets that
-    hold a word of weight w with |m - 2w| > lambda, one representative
-    each, times |H|.  The sweep visits 2^m pattern x codeword cells.  At
-    any fixed configuration u -> u chi(c) is a bijection, so the pointwise
-    tail is the binomial tail P(|sum of m signs| > lambda) everywhere.
+    hold a word of weight w with |m - 2w| > lambda, times |H|.  |m - 2w| is
+    convex in w, so only the lightest and the heaviest word of a coset
+    matter, and both come from the least coset weights of
+    :func:`kernel.coset_leaders`: r passes over the 2^(m - r) cosets, r the
+    rank of H, and no pass over codewords.  At any fixed configuration
+    u -> u chi(c) is a bijection, so the pointwise tail is the binomial
+    tail P(|sum of m signs| > lambda) everywhere.
     """
     B, AB = _block_part(A, B)
     d, m, n = A.order, len(AB), B.n
     _, _, term_masks, s = index_terms(AB)
-    # the coset sweep needs only m <= 24; the support terms keep the refusal
-    # of the former pattern x configuration sweep, which bench/reference.json pins
+    # the coset table needs only m <= 24 (2^(m - r) bytes); the support terms
+    # keep the refusal of the former pattern x configuration sweep, which the
+    # benchmark's reference pins
     if m > 24 or s > 24 or m + s > _SWEEP_BITS_CAP:
         raise cap_error(m + s, _SWEEP_BITS_CAP,
                         f"pattern + configuration bits of the coset sweep ({m} + {s}, "

@@ -69,8 +69,14 @@ same order, and histogrammed row by row on a transposed copy.
   uint64 word j.  Shifting the configuration by c multiplies a pattern by
   the word chi(c) of the :func:`shift_code` H, reduced by :func:`_echelon`
   too, so a sup or a law over configurations depends only on the pattern's
-  coset.  The cosets have equal size, so :func:`coset_reps`, one word per
-  coset, and :func:`coset_sup` sweep them in place of the 2^m patterns.
+  coset.  The cosets have equal size, so one entry per coset stands for
+  the 2^m patterns: :func:`coset_reps` gives one word per coset, and
+  :func:`coset_leaders` the least weight of every coset, from a table over
+  the 2^(m - r) syndromes with one min pass per basis row and none over
+  codewords; :func:`coset_translate` reads it at the cosets of u xor w, so
+  the greatest weight is m less the least of the translate by 1...1.
+  :func:`coset_sup` sweeps given patterns against every codeword, for
+  pattern words too wide for a syndrome table.
 """
 
 from __future__ import annotations
@@ -502,3 +508,62 @@ def coset_sup(patterns, basis, m):
             np.minimum(lo, w.min(axis=1), out=lo)
             np.maximum(hi, w.max(axis=1), out=hi)
     return np.maximum(m - 2 * least.astype(np.int64), 2 * most.astype(np.int64) - m)
+
+
+def _syndrome(word, basis, free):
+    """Index of the coset of the m-bit ``word`` in :func:`coset_reps` order:
+    the word reduced by the basis rows of its pivot bits is the coset's
+    representative, and bit i of the index is its bit ``free[i]``."""
+    for p, w in basis.items():
+        if word >> p & 1:
+            word ^= w
+    return sum((word >> t & 1) << i for i, t in enumerate(free))
+
+
+def _xor_gather(table, g):
+    """A copy of table[s ^ g] for every index s of a uint8 table of 2^n
+    entries.  Bits 3 and up of g move whole uint64 words of eight entries,
+    one index entry per word, and XOR by 7, 3 or 1 reverses the bytes of
+    every 8-, 4- or 2-byte group, a byte swap of the words in memory order,
+    so bits 0 to 2 take at most three in-place swaps."""
+    if table.size < 8:
+        return table[np.arange(table.size) ^ g]
+    words = table.view(np.uint64)
+    words = words[np.arange(words.size) ^ (g >> 3)] if g >> 3 else words.copy()
+    low = g & 7
+    for mask, width in ((7, np.uint64), (3, np.uint32), (1, np.uint16)):
+        if low & (mask + 1) >> 1:  # the top bit of the mask
+            words.view(width).byteswap(inplace=True)
+            low ^= mask
+    return words.view(np.uint8)
+
+
+def coset_leaders(basis, m):
+    """Least weight of every coset of the shift code with basis ``basis`` in
+    F_2^m, as uint8 in :func:`coset_reps` order: entry s is the coset whose
+    representative has bit ``free[i]`` set where bit i of s is, ``free`` the
+    ascending non-pivot bits.
+
+    A word of coset s sets some pivot bits P and free bits f.  The row of
+    pivot p is e_p plus its free part, whose index g_p is the coset of e_p,
+    so f spells s xor (the XOR of g_p over P), and the weight is
+    |P| + wt(f).  The table starts at wt(s), P empty, and each row p in turn
+    sets D(s) <- min(D(s), D(s xor g_p) + 1): the least weights of the
+    standard array (MacWilliams and Sloane 1977, ch. 1 sec. 3) over the
+    syndromes, in r passes over the 2^(m - r) entries and no pass over
+    codewords.
+    """
+    free = [t for t in range(m) if t not in basis]
+    low = len(free) // 2  # wt(s) sums the weights of its two halves: no index per entry
+    halves = (np.bitwise_count(np.arange(1 << b, dtype=np.uint32)) for b in (len(free) - low, low))
+    least = np.add.outer(*halves).reshape(-1)
+    for p in basis:
+        np.minimum(least, _xor_gather(least, _syndrome(1 << p, basis, free)) + 1, out=least)
+    return least
+
+
+def coset_translate(table, basis, m, word):
+    """A table over the cosets, indexed as by :func:`coset_leaders`, read at
+    the translates: entry s is the entry of the coset of u xor ``word`` for
+    u in coset s."""
+    return _xor_gather(table, _syndrome(word, basis, [t for t in range(m) if t not in basis]))

@@ -14,7 +14,6 @@ array, so it equals the matching entry of any vectorized call.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ _GL_RTOL = 1e-13
 _GL_DEPTH = 50
 DEFAULT_P_GRID = tuple(float(2**i) for i in range(11))  # 1, 2, 4, ..., 1024
 _RATIO_T_MIN = 1e-8  # left end of the coincidence ratio grid
-_TINY = sys.float_info.min  # the least normal float
 _SLAB_LIMIT = 1000  # halving slabs of the coincidence integral: down to t = 2^-1000
 
 
@@ -404,11 +402,13 @@ def coincidence_check(
     Reports (i) the range of phi(t) * M^{-1}(1/t) over a log-spaced grid
     (the two-sided equivalence of the fundamental functions) and (ii) a
     numeric verdict on the finiteness of integral_0^1 M(eps / phi(t)) dt,
-    summed over halving slabs toward 0 by :func:`_slab_integral`.  Where
-    eps^p of a power M is below the normal range, M(eps / phi) may round in
-    subnormals, so M is walked at 1 and the sum scaled by eps^(p/2) twice,
-    rounding only the last product; a walk at 1 that overflows gives way to
-    the walk at eps.  Against a log-power weight every
+    summed over halving slabs toward 0 by :func:`_slab_integral`.  A power
+    M has M(eps u) = eps^p M(u), so for every eps < 1 it is walked at 1 and
+    the sum scaled by eps^(p/2) twice, rounding only the last product: the
+    verdict is that of eps = 1, which the walk's absolute stop below a total
+    of 1 could otherwise flip at a small eps, and M(eps / phi) never rounds
+    in subnormals.  A walk at 1 that overflows gives way to the walk at eps.
+    Against a log-power weight every
     stock M has a closed-form verdict (:func:`_log_weight_finite`), which a
     slab walk in float64 can miss either way: a divergent pair reports the
     estimate +inf, and a finite one walks the slabs for the estimate alone.
@@ -435,7 +435,7 @@ def coincidence_check(
             return _slab_integral(lambda t: fn.apply(at / weight.apply(t)), tol)
 
         finite, estimate = False, math.inf
-        if known is not False and fn.kind == "power" and eps < 1 and eps**fn.param < _TINY:
+        if known is not False and fn.kind == "power" and eps < 1:
             finite, estimate = walk(1.0)  # M(eps u) = eps^p M(u)
             half = eps ** (fn.param / 2)
             estimate = estimate * half * half if estimate < math.inf else estimate  # not inf * 0

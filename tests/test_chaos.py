@@ -419,6 +419,36 @@ class TestSignConcentration:
             )
             assert got == concentration_reference(list(A.block_elements(B).tuples()), lam)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(3, 7), st.data())
+    def test_matches_double_enumeration_at_boundaries(self, d, n, data):
+        # lambda = m - 2w is a value the sum takes, where > and >= part ways
+        elements = list(gen_triangle(d, n).tuples())
+        picks = data.draw(st.lists(st.sampled_from(range(len(elements))), min_size=1,
+                                   max_size=12, unique=True))
+        A = IndexSet.from_tuples([elements[i] for i in sorted(picks)])
+        B = BlockChoice.identity(d, n)
+        m = len(picks)
+        lam = float(m - 2 * data.draw(st.integers(0, m)))
+        report = sign_concentration_check(A, B, threshold=lam)
+        got = tuple(
+            report.quantity(q)
+            for q in ("sup_exceedance_fraction", "pointwise_tail_max", "pointwise_tail_min")
+        )
+        assert got == concentration_reference(list(A.block_elements(B).tuples()), lam)
+
+    def test_triangle_2_7_counts_both_ends_of_a_coset(self):
+        # 809,216 patterns exceed lambda = 12, half of them only through the
+        # heaviest word of their coset: the least weights alone count 404,608
+        A, B = gen_triangle(2, 7), BlockChoice.identity(2, 7)
+        report = sign_concentration_check(A, B, threshold=12.0)
+        assert report.quantity("sup_exceedance_fraction") == 809_216 / 2**21
+        basis, _ = shift_code(list(A.block_elements(B).tuples()))
+        assert chaos_module._exceeding_patterns(basis, 21, 12.0) == 809_216
+        # 21 - 2w > 12 for w <= 4
+        least_side = np.count_nonzero(kernel.coset_leaders(basis, 21) < 5) << len(basis)
+        assert least_side == 404_608
+
     @pytest.mark.parametrize("lam", [4.0, 10.0, None])
     def test_all_ones_in_code(self, lam):
         A, B = gen_triangle(3, 6), BlockChoice.identity(3, 6)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
@@ -491,6 +491,41 @@ class TestCosetReps:
         assert not np.any(reps & np.uint64(sum(1 << p for p in basis)))
 
 
+@st.composite
+def term_sets(draw):
+    """Up to 12 distinct terms of triangle(d, n), d <= 3 and n <= 7."""
+    d = draw(st.integers(1, 3))
+    elements = list(gen_triangle(d, draw(st.integers(d, 7))).tuples())
+    picks = draw(st.lists(st.sampled_from(range(len(elements))), min_size=1, max_size=12,
+                          unique=True))
+    return [elements[i] for i in sorted(picks)]
+
+
+def term_code(elements):
+    """(reduced basis, m) of the shift code of ``elements`` over their support."""
+    support = sorted({j for t in elements for j in t})
+    return kernel.shift_code(kernel.masks(elements, support), len(support)), len(elements)
+
+
+class TestCosetLeaders:
+    @settings(max_examples=150, deadline=None)
+    @given(term_sets())
+    @example([(1,), (2,), (3,), (5,)])  # full rank: H is all of F_2^m, one coset
+    def test_least_weight_of_every_coset(self, elements):
+        # brute force: the least popcount of rep xor h over every codeword h
+        basis, m = term_code(elements)
+        reps = kernel.coset_reps(basis, m)
+        code = kernel.span(np.array(list(basis.values()), dtype=np.uint64))
+        weights = np.bitwise_count(reps[:, None] ^ code[None, :])
+        least = kernel.coset_leaders(basis, m)
+        assert least.dtype == np.uint8 and least.size == 1 << (m - len(basis))
+        assert np.array_equal(least, weights.min(axis=1))
+        # the heaviest word of a coset is the complement of the lightest of its
+        # translate by the all-ones word
+        ones = kernel.coset_translate(least, basis, m, (1 << m) - 1)
+        assert np.array_equal(m - ones.astype(np.int64), weights.max(axis=1))
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize(
         "terms",
@@ -733,6 +768,12 @@ def test_one_absolute_law():
     laws = {c for c in callers("np.abs") if c.startswith(("distribution.py", "symspace.py"))}
     assert laws == {"distribution.py: abs_distribution", "distribution.py: moment",
                     "symspace.py: apply"}
+
+
+def test_coset_sup_serves_only_the_sampled_sup():
+    # exact concentration counts read coset_leaders; the per-pattern codeword
+    # sweep is left to the sampled patterns of averaged_sup_growth
+    assert callers("coset_sup") == {"chaos.py: averaged_sup_growth"}
 
 
 def test_one_elimination_routine():

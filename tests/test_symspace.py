@@ -576,6 +576,21 @@ class TestCoincidence:
         with pytest.raises(NumericFailureError, match="did not settle"):
             coincidence_check(OrliczFunction.power(2), ConcaveWeight.from_callable(phi), eps=1.0)
 
+    @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4, 1e-6])
+    def test_power_verdict_does_not_depend_on_eps(self, eps):
+        # M(eps u) = eps^p M(u) scales the integrand, never its finiteness:
+        # 1/(t log(e/t)) diverges with slab ratios creeping toward 1, so every
+        # eps is refused, while t^(-3/4) stays finite at 4 eps^1.5
+        slow = ConcaveWeight.from_callable(lambda t: math.sqrt(t * math.log(math.e / t)))
+        with pytest.raises(NumericFailureError, match="did not settle"):
+            coincidence_check(OrliczFunction.power(2), slow, eps=eps)
+        sqrt = ConcaveWeight.from_callable(math.sqrt, "sqrt")
+        report = coincidence_check(OrliczFunction.power(2), sqrt, eps=eps)
+        assert report.quantity("integral_finite") == 0.0
+        report = coincidence_check(OrliczFunction.power(1.5), sqrt, eps=eps)
+        assert report.quantity("integral_finite") == 1.0
+        assert report.quantity("integral_estimate") == pytest.approx(4.0 * eps**1.5, rel=1e-9)
+
     def test_power_against_log_weight_below_float_range(self):
         # M(eps u) = eps^8 M(u), and at eps = 1 the integral is
         # e Gamma(9, 1) = 8! sum_{k <= 8} 1/k! = 109601
