@@ -448,33 +448,37 @@ def clt_sharp(A: IndexSet, N, budget=CLT_PAIR_BUDGET):
     rows = np.arange(size)
     for col in arr.T:  # a column repeats no row, so no cell is set twice in one buffered |=
         words[rows, col // 64] |= np.uint64(1) << (col % 64).astype(np.uint64)
-    # disjoint pairs i < j, a block of upper-triangle rows at a time
+    # the least entry of a disjoint pair's union lies in exactly one of its two
+    # elements, so unions recur only among pairs bucketed by that entry: the
+    # elements x whose least entry it is, with the elements y of larger least entry
+    least = arr[:, -1]
     firsts, seconds = [], []
-    start = 0
-    while start < size - 1:
-        stop = min(size - 1, start + max(1, (1 << 18) // (size - start)))
-        meet = np.zeros((stop - start, size - start - 1), dtype=bool)
-        for word in words.T:
-            meet |= (word[start:stop, None] & word[None, start + 1 :]) != 0
-        # column c of row r is the pair (start + r, start + 1 + c): keep c >= r
-        meet |= np.tri(*meet.shape, -1, dtype=bool)
-        r, c = np.nonzero(~meet)
-        firsts.append((r + start).astype(np.int32))
-        seconds.append((c + start + 1).astype(np.int32))
-        start = stop
+    for m in np.unique(least).tolist():
+        xs, ys = np.flatnonzero(least == m), np.flatnonzero(least > m)
+        pairs_x, pairs_y = [], []
+        step = max(1, (1 << 18) // max(1, ys.size))
+        for start in range(0, xs.size, step):  # at most 2^18 cells at a time
+            bx = xs[start : start + step]
+            meet = np.zeros((bx.size, ys.size), dtype=bool)
+            for word in words.T:
+                meet |= (word[bx, None] & word[None, ys]) != 0
+            r, c = np.nonzero(~meet)
+            pairs_x.append(bx[r])
+            pairs_y.append(ys[c])
+        first, second = np.concatenate(pairs_x), np.concatenate(pairs_y)
+        unions = words[first] | words[second]
+        # a union recurs when it equals a neighbour in sorted order
+        order = np.lexsort(unions.T)
+        unions = unions[order]
+        same = np.all(unions[1:] == unions[:-1], axis=1)
+        recurs = np.zeros(len(order), dtype=bool)
+        recurs[1:] |= same
+        recurs[:-1] |= same
+        firsts.append(first[order[recurs]])
+        seconds.append(second[order[recurs]])
     first, second = np.concatenate(firsts), np.concatenate(seconds)
-    unions = words[first] | words[second]
-    # a union recurs when it equals a neighbour in sorted order
-    order = np.lexsort(unions.T)
-    unions = unions[order]
-    same = np.all(unions[1:] == unions[:-1], axis=1)
-    recurs = np.zeros(len(order), dtype=bool)
-    recurs[1:] |= same
-    recurs[:-1] |= same
-    keep = order[recurs]
     # rows are in lexicographic order, so sorting index pairs sorts the element pairs
-    u = np.concatenate([first[keep], second[keep]])
-    v = np.concatenate([second[keep], first[keep]])
+    u, v = np.concatenate([first, second]), np.concatenate([second, first])
     by_pair = np.lexsort((v, u))
     elems = {k: MultiIndex(arr[k]) for k in np.unique(u).tolist()}
     return [(elems[a], elems[b]) for a, b in zip(u[by_pair].tolist(), v[by_pair].tolist())]

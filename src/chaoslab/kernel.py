@@ -15,7 +15,13 @@ reduction and the caps once for all P.  Rows are transformed a block at a
 time: a (2^r, P) array with the rows on its contiguous axis, at most
 2^``LAW_BLOCK_BITS`` entries, transformed by one :func:`fwht` call in
 which every column sees the butterflies of its own 1-D transform in the
-same order, and histogrammed row by row on a transposed copy.
+same order, and histogrammed row by row on a transposed copy.  A call
+allocates its working memory once: the block, one scratch array (the
+stage buffer and transposed part of the transform, then the transposed
+copy) and the intp index of the histograms serve every block.  Arrays
+allocated per block would come from fresh pages whenever they pass the
+allocator's mmap threshold, and faulting those in cost more than the
+transform.
 
 * Integer coefficients whose absolute sum S is at most 2^31 - 1 get an
   exact law from a fast Walsh-Hadamard transform (FWHT) in the narrowest
@@ -59,10 +65,13 @@ same order, and histogrammed row by row on a transposed copy.
   ``rng.integers(0, 2, size=(m, k))`` in counter blocks of ``MC_CHUNK``
   rows straight from the raw words: each sign is bit 31 of one 32-bit
   half of a raw 64-bit word, low half first, which is the bit
-  ``integers(0, 2)`` returns.  The signs are stored as contiguous
-  columns, a term's parity is the XOR of its columns, and the terms add
-  exactly in int64 for integer coefficients, in float64 and in term
-  order otherwise.
+  ``integers(0, 2)`` returns.  A chunk draws its words in sub-blocks of
+  about 2^``_SIGN_BLOCK_BITS`` halves, an even number of rows each, so
+  the stream continues exactly from one sub-block to the next and a
+  chunk holds its signs and one sub-block of words, not all of its words.
+  The signs are stored as contiguous columns, a term's parity is the XOR
+  of its columns, and the terms add exactly in int64 for integer
+  coefficients, in float64 and in term order otherwise.
 * Sign patterns over m terms are bit words in the same convention, bit t
   set where the sign of term t is -1: :func:`random_bits` draws them, and
   :func:`random_words` packs term 64j + t into bit t of little-endian
@@ -91,11 +100,12 @@ from .parallel import map_chunks
 HARD_CAP_BITS = 26  # widest support any exact route enumerates: 2^26 configurations
 SLICE_BITS = 16  # low configuration bits transformed per slice
 MC_CHUNK = 1 << 16  # Monte Carlo rows per counter block
+_SIGN_BLOCK_BITS = 17  # log2 of the 32-bit Philox halves random_bits reads per sub-block
 SWEEP_CELL_BITS = 16  # log2 of the pattern x codeword cells per block of the coset sweep
 _DENSE_RANGE = 1 << 17  # widest value range histogrammed by bincount
 _TRANSPOSE_BITS = 10  # parts of at least 2^10 rows run their low row bits on a transposed copy
 _BLOCK_BITS = 16  # longer transforms run their low stages in parts of 2^16 float64 (512 KiB)
-LAW_BLOCK_BITS = 20  # log2 of the entries of one block of the laws of a coefficient matrix
+LAW_BLOCK_BITS = 19  # log2 of the entries of one block of the laws of a coefficient matrix
 
 
 def masks(keys, support):
@@ -126,7 +136,7 @@ def int_dtype(coeffs):
     return next(fits, None), bound
 
 
-def fwht(a, cols=1):
+def fwht(a, cols=1, work=None):
     """In-place Walsh-Hadamard transform of every column of ``a`` viewed as
     (a.size // cols, cols): a[c] <- sum_S a[S] (-1)^popcount(c & S) over rows.
 
@@ -138,33 +148,47 @@ def fwht(a, cols=1):
     2^_BLOCK_BITS float64 (one row at least), each transformed in cache
     before the stages across parts, and a part of at least
     2^_TRANSPOSE_BITS rows runs the low half of its row bits on a
-    transposed copy, so every stage works on contiguous runs.
+    transposed copy, so every stage works on contiguous runs.  ``work`` is
+    scratch of a's dtype with at least :func:`_fwht_work` entries: the
+    stage buffer, then the transposed part; None allocates it.
     """
     n = a.size // cols
     part = min(n, max(1, (8 << _BLOCK_BITS) // a.itemsize >> (cols - 1).bit_length()))
+    if work is None:
+        work = np.empty(_fwht_work(a.size, cols, a.itemsize), a.dtype)
+    stage, spare = work[: a.size // 2], work[a.size // 2 :]
     for p in a.reshape(n // part, -1):
         rows = part
         if part >= 1 << _TRANSPOSE_BITS:  # a row's cols entries move as one item
             rows = part >> (part.bit_length() - 1) // 2
             grid = p.view(np.dtype((np.void, cols * a.itemsize))).reshape(rows, -1)
-            t = np.ascontiguousarray(grid.T)
-            _stages(t.view(a.dtype), t.shape[0])
+            t = spare[: p.size].view(grid.dtype).reshape(grid.shape[::-1])
+            t[...] = grid.T
+            _stages(t.view(a.dtype), t.shape[0], stage)
             grid[...] = t.T
-        _stages(p, rows)
+        _stages(p, rows, stage)
     if n > part:
-        _stages(a, n // part)
+        _stages(a, n // part, stage)
     return a
 
 
-def _stages(a, rows):
-    """Butterflies over the row bits of ``a`` viewed as (rows, a.size // rows)."""
+def _fwht_work(size, cols, itemsize):
+    """Entries of scratch that serves an :func:`fwht` of at most ``size``
+    entries in at most ``cols`` columns: half the size for the stage buffer,
+    and a transposed part, which holds at most the bytes of 2^_BLOCK_BITS
+    float64 or one row of ``cols`` entries."""
+    return size // 2 + min(size, max((8 << _BLOCK_BITS) // itemsize, cols))
+
+
+def _stages(a, rows, buf):
+    """Butterflies over the row bits of ``a`` viewed as (rows, a.size // rows),
+    the differences held in the first a.size // 2 entries of ``buf``."""
     n = a.size
-    buf = np.empty(n // 2, a.dtype)
     h = n // rows
     while h < n:
         pairs = a.reshape(-1, 2, h)
         x, y = pairs[:, 0], pairs[:, 1]
-        diff = buf.reshape(-1, h)
+        diff = buf[: n // 2].reshape(-1, h)
         np.subtract(x, y, out=diff)
         x += y
         y[...] = diff
@@ -174,7 +198,9 @@ def _stages(a, rows):
 def values(term_masks, coeffs, k):
     """float64 values of the polynomial at all 2^k configurations."""
     _check_hard_cap(k)
-    return _transform(term_masks, np.array([coeffs], dtype=float), k, np.float64)[:, 0]
+    vals = np.zeros(1 << k)
+    vals[term_masks] = coeffs
+    return fwht(vals)
 
 
 def _check_hard_cap(k):
@@ -243,7 +269,8 @@ def law(term_masks, coeffs, k):
     sum c * chi_high(h) over the distinct low masks, a row has 2^(k' - L)
     slices, and its law merges theirs.  Slice rows are built, transformed
     and histogrammed a block at a time by :func:`_block_laws`, on the
-    calling thread.  The hard cap reads the k support bits.  Other
+    calling thread, in one block, one scratch array and one histogram index
+    allocated for the call.  The hard cap reads the k support bits.  Other
     coefficients take float64 blocks over all 2^k configurations and the
     equal runs of each sorted row, which are what ``np.unique`` gives.
     """
@@ -279,9 +306,10 @@ def law(term_masks, coeffs, k):
         signed = np.where(parity((i % slices).astype(np.uint64)[:, None], high), -c, c)
         return np.add.reduceat(signed, starts, axis=1)
 
+    index = np.empty(1 << low_bits, dtype=np.intp)  # reused by every slice row
+
     def histograms(block):  # rows by index: iterating a 2-D array costs more
-        block = np.ascontiguousarray(block.T)
-        return (_histogram(block[i], bound, bool(flip)) for i in range(len(block)))
+        return (_histogram(block[i], bound, bool(flip), index) for i in range(len(block)))
 
     laws = _block_laws(lows, len(rows) * slices, slice_rows, low_bits, dtype, histograms)
     laws = ((vals, counts << fixed) for vals, counts in map(_merge, zip(*[laws] * slices)))
@@ -290,37 +318,42 @@ def law(term_masks, coeffs, k):
 
 def _block_laws(term_masks, count, rows, k, dtype, histogram):
     """Laws of ``count`` coefficient rows over 2^k configurations, built by
-    ``rows(start, stop)`` and transformed by :func:`_transform` a block of
-    at most 2^LAW_BLOCK_BITS entries (one row at least) at a time;
-    ``histogram`` maps the (2^k, P) values of a block to its P laws."""
-    step = max(1, (1 << LAW_BLOCK_BITS) >> k)
+    ``rows(start, stop)`` a block of at most 2^LAW_BLOCK_BITS entries (one
+    row at least) at a time.  The P rows of a block are scattered to a
+    (2^k, P) array, the rows on the contiguous axis, and transformed by one
+    :func:`fwht` call; ``histogram`` maps the (P, 2^k) values of a block,
+    one row per law, to its P laws.  The block and one scratch array are
+    allocated once and reused by every block: the scratch holds the stage
+    buffer and the transposed part of the transform, and then the block's
+    transposed copy, which the histograms read."""
+    step = max(1, min(count, (1 << LAW_BLOCK_BITS) >> k))
+    size, itemsize = step << k, np.dtype(dtype).itemsize
+    copy = size if step > 1 else 0  # one row needs no transposed copy
+    buf = np.empty(size, dtype)
+    work = np.empty(max(copy, _fwht_work(size, step, itemsize)), dtype)
     for start in range(0, count, step):
-        yield from histogram(_transform(term_masks, rows(start, min(start + step, count)), k, dtype))
+        coeffs = rows(start, min(start + step, count))
+        block = buf[: coeffs.shape[0] << k].reshape(1 << k, -1)
+        block.fill(0)
+        block[term_masks] = coeffs.T
+        fwht(block.reshape(-1), block.shape[1], work)
+        vals = block.T  # contiguous for one row
+        if block.shape[1] > 1:
+            vals = work[: block.size].reshape(vals.shape)
+            vals[...] = block.T
+        yield from histogram(vals)
 
 
-def _transform(term_masks, rows, k, dtype):
-    """(2^k, P) values in ``dtype`` of the P rows of ``rows`` at every
-    configuration, the rows on the contiguous axis and transformed by one
-    :func:`fwht` call.  Callers copy the values they read to a transposed
-    array."""
-    block = np.zeros((1 << k, rows.shape[0]), dtype)
-    block[term_masks] = rows.T
-    fwht(block.reshape(-1), rows.shape[0])
-    return block
-
-
-def _sorted_runs(block):
-    """(values, counts) of each column of a float array, sorted on a
-    transposed copy: the equal runs of the sorted column, as ``np.unique``
-    finds them."""
-    block = np.ascontiguousarray(block.T)
-    block.sort(axis=1)
-    edge = np.ones(block.shape, dtype=bool)
-    np.not_equal(block[:, 1:], block[:, :-1], out=edge[:, 1:])
+def _sorted_runs(rows):
+    """(values, counts) of each row of a float array, sorted in place: the
+    equal runs of the sorted row, as ``np.unique`` finds them."""
+    rows.sort(axis=1)
+    edge = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=edge[:, 1:])
     starts = np.flatnonzero(edge)
-    counts = np.diff(starts, append=block.size)
-    cut = np.searchsorted(starts, np.arange(block.shape[1], block.size, block.shape[1]))
-    return zip(np.split(block.reshape(-1)[starts], cut), np.split(counts, cut))
+    counts = np.diff(starts, append=rows.size)
+    cut = np.searchsorted(starts, np.arange(rows.shape[1], rows.size, rows.shape[1]))
+    return zip(np.split(rows.reshape(-1)[starts], cut), np.split(counts, cut))
 
 
 def philox_key(seed):
@@ -343,13 +376,22 @@ def random_bits(seed, counter, rows, k):
     Philox hands out its 32-bit outputs as the low, then the high half of
     each raw 64-bit word.  So entry i of the row-major draw is bit 31 of
     half i of ``random_raw(ceil(rows * k / 2))``, low half first; the halves
-    are read through little-endian views, whatever the byte order.
+    are read through little-endian views, whatever the byte order.  One
+    Philox fills the columns in sub-blocks of an even number of rows,
+    about 2^_SIGN_BLOCK_BITS halves each: a sub-block reads whole raw
+    words, so successive ``random_raw`` calls continue the stream exactly,
+    and no more than one sub-block of raw words is held at a time.
     """
-    n = rows * k
-    raw = np.random.Philox(key=philox_key(seed), counter=counter).random_raw((n + 1) // 2)
-    top = (raw.astype("<u8", copy=False).view("<u4")[:n] >= np.uint32(1 << 31)).view(np.uint8)
-    del raw  # free the raw words before the transposed copy
-    return np.ascontiguousarray(top.reshape(rows, k).T)
+    out = np.empty((k, rows), dtype=np.uint8)
+    philox = np.random.Philox(key=philox_key(seed), counter=counter)
+    step = max(2, ((1 << _SIGN_BLOCK_BITS) // max(k, 1)) & ~1)
+    for start in range(0, rows, step):
+        m = min(step, rows - start)
+        raw = philox.random_raw((m * k + 1) // 2).astype("<u8", copy=False).view("<u4")
+        top = raw[: m * k] >= np.uint32(1 << 31)
+        del raw  # the next sub-block's words replace these, not join them
+        out[:, start : start + m] = top.view(np.uint8).reshape(m, k).T
+    return out
 
 
 def random_words(seed, counter, rows, k):
@@ -415,13 +457,16 @@ def sample_law(term_masks, coeffs, k, samples, seed):
     return _merge(map_chunks(run_chunk, range(0, samples, MC_CHUNK)))
 
 
-def _histogram(vals, bound, mirror=False):
+def _histogram(vals, bound, mirror=False, index=None):
     """(values, counts) of an integer array with entries in [-bound, bound];
-    with ``mirror``, of its entries and of their negatives."""
+    with ``mirror``, of its entries and of their negatives.  ``index``, an
+    intp array of vals.size entries, holds the offset values vals + bound;
+    None allocates it."""
     if 2 * bound + 1 > _DENSE_RANGE:
         law = np.unique(vals, return_counts=True)
         return _mirror(law) if mirror else law
-    counts = np.bincount(np.add(vals, bound, dtype=np.intp), minlength=2 * bound + 1)
+    counts = np.bincount(np.add(vals, bound, dtype=np.intp, out=index),
+                         minlength=2 * bound + 1)
     if mirror:
         counts += counts[::-1]
     nz = np.flatnonzero(counts)

@@ -203,16 +203,13 @@ class IndexSet:
         """Explicit IndexSet of the elements counted by :meth:`count_block`."""
         blocks = self._blocks(blocks)
         if self.is_triangle:
-            top = min(self._triangle_max, max((max(b) for b in blocks if b), default=0))
-            universe = [sorted(v for v in b if 1 <= v <= top) for b in blocks]
-            import itertools
-
-            rows = [
-                t
-                for t in itertools.product(*universe)
-                if all(a > b for a, b in zip(t, t[1:]))
-            ]
-            return IndexSet.from_tuples(rows, order=self.order)
+            rows = np.zeros((1, 0), dtype=np.int64)
+            for b in blocks:  # the product, coordinate by coordinate, kept decreasing
+                u = np.array(sorted(v for v in b if 1 <= v <= self._triangle_max), dtype=np.int64)
+                rows = np.column_stack([np.repeat(rows, u.size, axis=0), np.tile(u, len(rows))])
+                if rows.shape[1] > 1:
+                    rows = rows[rows[:, -2] > rows[:, -1]]
+            return IndexSet(self.order, array=rows)
         mask = np.ones(self._array.shape[0], dtype=bool)
         for i, b in enumerate(blocks):
             mask &= np.isin(self._array[:, i], sorted(b))

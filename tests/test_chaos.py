@@ -717,6 +717,20 @@ class TestCltSharp:
             tracemalloc.stop()
         assert peak < 24 * 2**20
 
+    def test_bounded_memory_past_the_pair_list(self):
+        # 2970 elements: their 4.04M disjoint pairs held at once take over 200
+        # MiB; bucketed by the least entry of their union, 53 buckets of at
+        # most 108 x 2862 pairs are grouped one at a time
+        A = gen_sum_set(110)
+        tracemalloc.start()
+        try:
+            pairs = clt_sharp(A, 110)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs == []
+        assert peak < 40 * 2**20
+
     def test_sum_set_empty(self):
         assert clt_sharp(gen_sum_set(10), 10) == []
 

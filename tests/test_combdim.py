@@ -135,6 +135,21 @@ class TestDensityCount:
                 blocks = [tuple(rng.choice(np.arange(1, J + 2), size=n, replace=False)) for _ in range(d)]
                 assert density_count(A, blocks) == brute_block_count(tuples, blocks)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(1, 9))
+    def test_triangle_block_elements_match_the_product(self, data, d, n):
+        # reference: itertools.product over the sorted block universes, the
+        # strictly decreasing tuples kept; blocks may be empty or reach
+        # outside [1, n]
+        assume(d <= n)
+        blocks = [data.draw(st.sets(st.integers(-2, n + 3), max_size=7)) for _ in range(d)]
+        universe = [sorted(v for v in b if 1 <= v <= n) for b in blocks]
+        rows = [t for t in itertools.product(*universe) if all(a > b for a, b in zip(t, t[1:]))]
+        got = gen_triangle(d, n).block_elements(blocks)
+        assert got == IndexSet.from_tuples(rows, order=d)
+        assert got.to_array().tolist() == sorted(map(list, rows))
+        assert len(got) == density_count(gen_triangle(d, n), blocks)
+
     def test_bounded_by_block_volume(self):
         rng = np.random.default_rng(29)
         A = gen_sum_set(15)

@@ -43,9 +43,9 @@ def fwht_shapes(monkeypatch):
     """The (rows, cols) of every later ``kernel.fwht`` call, as they run."""
     shapes, fwht = [], kernel.fwht
 
-    def recording(a, cols=1):
+    def recording(a, cols=1, work=None):
         shapes.append((a.size // cols, cols))
-        return fwht(a, cols)
+        return fwht(a, cols, work)
 
     monkeypatch.setattr(kernel, "fwht", recording)
     return shapes
@@ -191,6 +191,33 @@ class TestRouteAgreement:
         got = kernel.random_bits(11, counter, rows, k)
         assert got.dtype == np.uint8 and got.shape == (k, rows) and got.flags.c_contiguous
         assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("block_bits", [0, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "rows, k", [(1, 1), (1, 7), (9, 3), (17, 5), (41, 91), (6, 64), (13, 65)]
+    )
+    def test_sub_blocks_continue_the_stream(self, rows, k, block_bits, monkeypatch):
+        # a few halves per sub-block: two rows of odd k read an odd number of
+        # raw words, so sub-blocks end inside a 4-word Philox block, and at 2^4
+        # halves k = 3 and 5 would take 5 and 3 rows, were the count not even
+        monkeypatch.setattr(kernel, "_SIGN_BLOCK_BITS", block_bits)
+        rng = np.random.Generator(np.random.Philox(key=3, counter=7 << 64))
+        expect = rng.integers(0, 2, size=(rows, k)).T
+        assert np.array_equal(kernel.random_bits(3, 7 << 64, rows, k), expect)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sum_set_n30_sampled_law_is_pinned(self, threads, monkeypatch):
+        # 140,000 rows: three counter blocks of MC_CHUNK rows, the last partial
+        monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+        law = distribution_mc(chaos_sum(unit_coefficients(gen_sum_set(30))), 140_000, seed=2023)
+        assert law.values.tolist() == [-102, -88, -86, -84, *range(-80, 76, 2),
+                                       78, 80, 82, 94, 96, 106]
+        assert np.rint(law.weights * 140_000).astype(int).tolist() == [
+            1, 2, 1, 2, 3, 1, 1, 2, 3, 1, 6, 6, 11, 15, 11, 18, 21, 39, 40, 58, 74, 90, 119,
+            143, 203, 241, 365, 410, 611, 788, 1014, 1375, 1643, 2132, 2745, 3185, 3871, 4683,
+            5482, 6062, 6862, 7295, 7699, 8210, 8125, 8246, 7892, 7348, 6835, 6267, 5409, 4717,
+            4004, 3310, 2663, 2203, 1762, 1325, 1032, 787, 605, 453, 353, 268, 199, 164, 109,
+            91, 62, 49, 41, 35, 20, 16, 22, 7, 7, 5, 9, 3, 3, 1, 1, 2, 2, 2, 1, 1]
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**130, 1.0, "3", None])
     def test_seed_outside_the_philox_key_range(self, seed):
@@ -460,14 +487,32 @@ class TestBatchedLaws:
             assert ([float(v).hex() for v in bvals.tolist()]
                     == [float(v).hex() for v in svals.tolist()])
 
+    @pytest.mark.parametrize("block_bits, count", [(15, 13), (17, 61), (19, 300)])
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    def test_partial_blocks_reuse_the_scratch(self, block_bits, count, scale, monkeypatch):
+        # sum set N = 14: 2^12 reduced configurations in int8, or 2^14 in
+        # float64, whose parts run on transposed copies in the scratch that
+        # every block reuses; the last block is narrower than the others
+        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(14)))._kernel_input()
+        signs = np.random.default_rng(block_bits).choice([-1.0, 1.0], size=(count, len(coeffs)))
+        rows = signs * np.array(coeffs) * scale
+        monkeypatch.setattr(kernel, "LAW_BLOCK_BITS", block_bits)
+        batched = list(kernel.law(masks, rows, k))
+        assert len(batched) == count
+        for (bvals, bcounts), row in zip(batched, rows):
+            svals, scounts = kernel.law(masks, row.tolist(), k)
+            assert bvals.tobytes() == svals.tobytes() and bcounts.tolist() == scounts.tolist()
+
     def test_block_holds_the_budget(self, monkeypatch):
         # 2^12 reduced configurations (sum set N = 14: rank 13, the top bit of
-        # the flip fixed): 2^20 entries are 256 rows, one fwht call per block
+        # the flip fixed): a block of 2^LAW_BLOCK_BITS entries holds 2^(B - 12)
+        # rows, one fwht call per block, the last one partial
         shapes = fwht_shapes(monkeypatch)
         masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(14)))._kernel_input()
         rows = np.tile(coeffs, (300, 1))
         assert len(list(kernel.law(masks, rows, k))) == 300
-        assert shapes == [(1 << 12, 256), (1 << 12, 44)]
+        per = 1 << (kernel.LAW_BLOCK_BITS - 12)
+        assert 300 % per and shapes == [(1 << 12, min(per, 300 - s)) for s in range(0, 300, per)]
 
 
 @st.composite
@@ -710,6 +755,39 @@ class TestMemoryAndCaps:
             tracemalloc.stop()
         assert abs(law.weights.sum() - 1.0) < 1e-12
         assert peak < 15 * 2**20
+
+    def test_sample_law_chunk_memory(self, monkeypatch):
+        # one chunk of MC_CHUNK rows at k = 30: the (30, 2^16) uint8 signs take
+        # 1.9 MiB, next to one sub-block of Philox words at a time (512 KiB),
+        # then the int64 sums and the histogram index; all 2^20 raw words of
+        # the chunk at once, with their bool and transposed copies, took ~10 MiB
+        monkeypatch.setenv("CHAOSLAB_THREADS", "1")
+        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(30)))._kernel_input()
+        kernel.sample_law(masks, coeffs, k, 10, 0)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            vals, counts = kernel.sample_law(masks, coeffs, k, kernel.MC_CHUNK, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(counts.sum()) == kernel.MC_CHUNK
+        assert peak < 4 * 2**20
+
+    def test_sum_set_n24_law_reuses_its_buffers(self):
+        # 2^22 reduced configurations in int16, 64 slice rows of 2^16: one block
+        # (2 bytes per entry) and one scratch array (at most 3 bytes per entry:
+        # the stage buffer and the transposed part, then the transposed copy)
+        # serve every block, and 2^20 bytes cover the rest (the 2^16-entry intp
+        # histogram index and the slice rows of a block)
+        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(24)))._kernel_input()
+        tracemalloc.start()
+        try:
+            vals, counts = kernel.law(masks, coeffs, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(counts.sum()) == 1 << k
+        assert peak < 5 * (1 << kernel.LAW_BLOCK_BITS) + (1 << 20)
 
     def test_exact_law_keeps_hard_cap(self):
         f = chaos_sum(unit_coefficients(gen_sum_set(27)))
