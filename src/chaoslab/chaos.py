@@ -161,19 +161,16 @@ def _blei_check(A, coeffs, beta, p_list, bits_cap):
 
 
 def _exceeding_patterns(basis, m, lam):
-    """Number of sign patterns u over m unit terms with sup_c |sum_t u_t chi_t(c)| > lam.
+    """Number of sign patterns u over m unit terms with sup_c |sum_t u_t chi_t(c)| > lam,
+    ``basis`` the :func:`kernel.flip_code` H' of the terms.
 
-    The sum at c is m - 2 wt(u xor chi(c)), so u exceeds iff its coset u H
-    holds a word of weight w < t, t the number of weights w in 0..m with
-    m - 2w > lam (those are 0..t-1), or one of weight above m - t, the
-    complement of a word of weight below t in the coset of u xor 1...1.
-    Both sides read the :func:`kernel.coset_leaders` table, and every coset
-    holds 2^r patterns.
+    The sum at c is m - 2 wt(u xor chi(c)), and |m - 2w| > lam iff min(w, m - w) < t,
+    t the number of weights w in 0..m with m - 2w > lam.  m - w is the weight of the
+    word xor 1...1, so u exceeds iff the :func:`kernel.coset_leaders` weight of its
+    coset of H' is below t, and every coset holds 2^rank(H') patterns.
     """
-    least = kernel.coset_leaders(basis, m)
-    nearest = np.minimum(least, kernel.coset_translate(least, basis, m, (1 << m) - 1))
     t = sum(1 for w in range(m + 1) if m - 2 * w > lam)
-    return int(np.count_nonzero(nearest < t)) << len(basis)
+    return int(np.count_nonzero(kernel.coset_leaders(basis, m) < t)) << len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +206,15 @@ def rud_average(
     empirical divergence constant.
 
     Exact mode runs one law per coset of the code H spanned by the shift
-    code (see :func:`kernel.shift_code`) and the flip u -> -u, the row of a
-    fresh coordinate in every term: 2^(|keep| - rank H) laws for the |keep|
-    nonzero coefficients.  Shifting the configuration by c turns pattern u
-    into u chi(c), which negates and permutes butterfly inputs, exact in
-    IEEE arithmetic; the flip negates the law, whose norm reads the same
-    absolute law.  So every pattern of a coset has a bit-identical norm.
-    Every coset holds 2^(|A'| - |keep| + rank H) patterns, so the average
-    over all patterns is the mean of the coset norms: their ``math.fsum``,
-    correctly rounded, divided exactly by the power of two that counts them.
+    code and the flip u -> -u (see :func:`kernel.flip_code`):
+    2^(|keep| - rank H) laws for the |keep| nonzero coefficients.  Shifting
+    the configuration by c turns pattern u into u chi(c), which negates and
+    permutes butterfly inputs, exact in IEEE arithmetic; the flip negates
+    the law, whose norm reads the same absolute law.  So every pattern of a
+    coset has a bit-identical norm.  Every coset holds
+    2^(|A'| - |keep| + rank H) patterns, so the average over all patterns is
+    the mean of the coset norms: their ``math.fsum``, correctly rounded,
+    divided exactly by the power of two that counts them.
 
     Both modes pass every pattern they need (the coset representatives, or
     the sampled patterns and then the all-plus one) to one :func:`kernel.law`
@@ -254,7 +251,7 @@ def rud_average(
               "pass samples= for a Monte Carlo average")
     # one law per coset of the shift code and the flip of the nonzero terms; a zero
     # term's sign changes no law and doubles every coset alike, so the mean keeps it out
-    basis = kernel.shift_code([t | 1 << k for t in term_masks], k + 1)
+    basis = kernel.flip_code(term_masks, k)
     reps = kernel.coset_reps(basis, c.size)
     coset_norms = pattern_norms(np.where((reps[:, None] >> np.arange(c.size, dtype=np.uint64)) & 1,
                                          -c, c))
@@ -288,23 +285,21 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, threshold=None):
     at every configuration.  ``threshold`` overrides the default lambda.
 
     Shifting the configuration by c multiplies pattern u by the word chi(c)
-    of the shift code H (see :func:`kernel.shift_code`), so the sup over
-    configurations is a max over the coset u H: q counts the cosets that
-    hold a word of weight w with |m - 2w| > lambda, times |H|.  |m - 2w| is
-    convex in w, so only the lightest and the heaviest word of a coset
-    matter, and both come from the least coset weights of
-    :func:`kernel.coset_leaders`: r passes over the 2^(m - r) cosets, r the
-    rank of H, and no pass over codewords.  At any fixed configuration
+    of the shift code H, so the sup over configurations is the max of
+    |m - 2w| over the weights w of the coset u H, which is even in u -> -u:
+    q counts the cosets of H' = H + <1...1> (:func:`kernel.flip_code`) whose
+    :func:`kernel.coset_leaders` weight w has m - 2w > lambda, times |H'|, in
+    r passes over the 2^(m - r) cosets, r = rank H'.  At any fixed configuration
     u -> u chi(c) is a bijection, so the pointwise tail is the binomial
     tail P(|sum of m signs| > lambda) everywhere.
     """
     B, AB = _block_part(A, B)
     d, m, n = A.order, len(AB), B.n
     _, _, term_masks, s = index_terms(AB)
-    # the coset table needs only m <= 24 (2^(m - r) bytes); the support terms
-    # keep the refusal of the former pattern x configuration sweep, which the
-    # benchmark's reference pins
-    if m > 24 or s > 24 or m + s > _SWEEP_BITS_CAP:
+    # the coset table holds 2^(m - rank H') bytes, and m + s <= 28 keeps m <= 23, as m
+    # distinct terms need 2^s > m; the caps keep the refusal of the former pattern x
+    # configuration sweep, which the benchmark's reference pins
+    if s > 24 or m + s > _SWEEP_BITS_CAP:
         raise cap_error(m + s, _SWEEP_BITS_CAP,
                         f"pattern + configuration bits of the coset sweep ({m} + {s}, "
                         f"each part capped at 24)", "use smaller blocks")
@@ -317,9 +312,8 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, threshold=None):
         "sign-concentration",
         {"d": d, "n": n, "intersection": m, "support_bits": s, "threshold": lam},
     ) as report:
-        basis = kernel.shift_code(term_masks, s)
         patterns = float(1 << m)
-        q = _exceeding_patterns(basis, m, lam) / patterns
+        q = _exceeding_patterns(kernel.flip_code(term_masks, s), m, lam) / patterns
         tail = sum(math.comb(m, w) for w in range(m + 1) if abs(m - 2 * w) > lam) / patterns
         point_bound = 2.0 * math.exp(-(lam**2) / (2.0 * m))
         # union over the at most 2^{dn} sign vectors of the monomial family;

@@ -78,14 +78,14 @@ transform.
   uint64 word j.  Shifting the configuration by c multiplies a pattern by
   the word chi(c) of the :func:`shift_code` H, reduced by :func:`_echelon`
   too, so a sup or a law over configurations depends only on the pattern's
-  coset.  The cosets have equal size, so one entry per coset stands for
-  the 2^m patterns: :func:`coset_reps` gives one word per coset, and
-  :func:`coset_leaders` the least weight of every coset, from a table over
-  the 2^(m - r) syndromes with one min pass per basis row and none over
-  codewords; :func:`coset_translate` reads it at the cosets of u xor w, so
-  the greatest weight is m less the least of the translate by 1...1.
-  :func:`coset_sup` sweeps given patterns against every codeword, for
-  pattern words too wide for a syndrome table.
+  coset.  :func:`flip_code` adds the all-ones word, the flip u -> -u, for
+  a sup or a norm that is also even in u.  The cosets have equal size, so
+  one entry per coset stands for the 2^m patterns: :func:`coset_reps`
+  gives one word per coset, and :func:`coset_leaders` the least weight of
+  every coset, from a table over the 2^(m - r) syndromes with one min pass
+  per basis row and none over codewords.  :func:`coset_sup` sweeps given
+  patterns against every codeword, for pattern words too wide for a
+  syndrome table.
 """
 
 from __future__ import annotations
@@ -504,6 +504,13 @@ def shift_code(term_masks, s):
                     for j in range(s))
 
 
+def flip_code(term_masks, s):
+    """Reduced basis of H' = H + <1...1>, the :func:`shift_code` H and the
+    flip u -> -u: the row of a fresh coordinate s in every term.  H' = H
+    where a configuration negates every term, as in every odd-degree chaos."""
+    return shift_code([mask | 1 << s for mask in term_masks], s + 1)
+
+
 def span(gens):
     """The 2^g XOR combinations of the g rows of the uint64 array ``gens``
     in counter order: bit i of the index picks gens[i].  A row is one word
@@ -555,16 +562,6 @@ def coset_sup(patterns, basis, m):
     return np.maximum(m - 2 * least.astype(np.int64), 2 * most.astype(np.int64) - m)
 
 
-def _syndrome(word, basis, free):
-    """Index of the coset of the m-bit ``word`` in :func:`coset_reps` order:
-    the word reduced by the basis rows of its pivot bits is the coset's
-    representative, and bit i of the index is its bit ``free[i]``."""
-    for p, w in basis.items():
-        if word >> p & 1:
-            word ^= w
-    return sum((word >> t & 1) << i for i, t in enumerate(free))
-
-
 def _xor_gather(table, g):
     """A copy of table[s ^ g] for every index s of a uint8 table of 2^n
     entries.  Bits 3 and up of g move whole uint64 words of eight entries,
@@ -602,13 +599,7 @@ def coset_leaders(basis, m):
     low = len(free) // 2  # wt(s) sums the weights of its two halves: no index per entry
     halves = (np.bitwise_count(np.arange(1 << b, dtype=np.uint32)) for b in (len(free) - low, low))
     least = np.add.outer(*halves).reshape(-1)
-    for p in basis:
-        np.minimum(least, _xor_gather(least, _syndrome(1 << p, basis, free)) + 1, out=least)
+    for row in basis.values():
+        g = sum((row >> t & 1) << i for i, t in enumerate(free))  # g_p, from row p's free part
+        np.minimum(least, _xor_gather(least, g) + 1, out=least)
     return least
-
-
-def coset_translate(table, basis, m, word):
-    """A table over the cosets, indexed as by :func:`coset_leaders`, read at
-    the translates: entry s is the entry of the coset of u xor ``word`` for
-    u in coset s."""
-    return _xor_gather(table, _syndrome(word, basis, [t for t in range(m) if t not in basis]))

@@ -58,6 +58,20 @@ class MultiIndex(tuple):
         return len(self)
 
 
+def _ascending(arr):
+    """Whether each row of the int64 matrix ``arr`` is lexicographically less
+    than the next, read a column at a time into one step buffer and one mask."""
+    ordered = np.zeros(max(len(arr) - 1, 0), dtype=bool)  # consecutive rows told apart so far
+    step = np.empty(ordered.size, dtype=np.int64)
+    for col in arr.T:
+        np.subtract(col[1:], col[:-1], out=step)  # entries >= 1: no overflow
+        np.copyto(step, 1, where=ordered)
+        if step.min(initial=1) < 0:
+            return False
+        np.greater(step, 0, out=ordered)
+    return bool(ordered.all())
+
+
 class IndexSet:
     """Finite set of multi-indices of one order.
 
@@ -90,8 +104,8 @@ class IndexSet:
         if bad.size:
             raise InvalidArgumentError(f"elements must be strictly decreasing positive tuples: "
                                        f"{tuple(arr[bad[0]].tolist())}")
-        # canonical order: unique rows, lexicographic over the tuples
-        arr = np.unique(arr, axis=0) if arr.size else arr
+        # canonical order: unique rows, lexicographic over the tuples, in an array of our own
+        arr = arr.copy() if _ascending(arr) else np.unique(arr, axis=0)
         self._array = arr
         self._array.setflags(write=False)
 

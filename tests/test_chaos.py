@@ -439,13 +439,16 @@ class TestSignConcentration:
 
     def test_triangle_2_7_counts_both_ends_of_a_coset(self):
         # 809,216 patterns exceed lambda = 12, half of them only through the
-        # heaviest word of their coset: the least weights alone count 404,608
+        # heaviest word of their coset: the least weights of H alone count
+        # 404,608, those of H + <1...1> all of them
         A, B = gen_triangle(2, 7), BlockChoice.identity(2, 7)
         report = sign_concentration_check(A, B, threshold=12.0)
         assert report.quantity("sup_exceedance_fraction") == 809_216 / 2**21
-        basis, _ = shift_code(list(A.block_elements(B).tuples()))
-        assert chaos_module._exceeding_patterns(basis, 21, 12.0) == 809_216
+        elements = list(A.block_elements(B).tuples())
+        masks = kernel.masks(elements, range(1, 8))
+        assert chaos_module._exceeding_patterns(kernel.flip_code(masks, 7), 21, 12.0) == 809_216
         # 21 - 2w > 12 for w <= 4
+        basis, _ = shift_code(elements)
         least_side = np.count_nonzero(kernel.coset_leaders(basis, 21) < 5) << len(basis)
         assert least_side == 404_608
 
@@ -483,7 +486,7 @@ class TestSignConcentration:
         # sign_concentration_check still refuses these by its support terms
         m = len(elements)
         support = sorted({j for t in elements for j in t})
-        basis = kernel.shift_code(kernel.masks(elements, support), len(support))
+        basis = kernel.flip_code(kernel.masks(elements, support), len(support))
         assert len(basis) == m
         tracemalloc.start()
         try:

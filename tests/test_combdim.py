@@ -458,7 +458,41 @@ class TestTextFormat:
             load_index_set(path)
 
 
+@st.composite
+def element_rows(draw):
+    """(order, int64 rows) of strictly decreasing positive tuples, with
+    repeats, some entries near the top of int64."""
+    d = draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(1, 6), st.integers(2**63 - 4, 2**63 - 1))
+    tuples = st.lists(entry, min_size=d, max_size=d, unique=True)
+    rows = draw(st.lists(tuples.map(lambda t: sorted(t, reverse=True)), max_size=12))
+    return d, np.array(rows, dtype=np.int64).reshape(-1, d)
+
+
 class TestIndexSetOps:
+    @settings(max_examples=200, deadline=None)
+    @given(element_rows())
+    def test_rows_are_canonical(self, case):
+        # sorted input skips the sort; either way the set holds unique rows in
+        # lexicographic order, and the caller's array stays its own and writable
+        d, rows = case
+        canonical = np.unique(rows, axis=0)
+        for given_rows in (rows, canonical):
+            before = given_rows.copy()
+            got = IndexSet(d, array=given_rows).to_array()
+            assert np.array_equal(got, canonical) and not got.flags.writeable
+            assert given_rows.flags.writeable and np.array_equal(given_rows, before)
+            assert not np.shares_memory(got, given_rows)
+
+    def test_ascending_rows_skip_the_sort(self, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("ascending rows were sorted")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        rows = np.array([(3, 2, 1), (4, 2, 1), (4, 3, 1), (5, 2, 1)])  # a later column falls
+        assert np.array_equal(IndexSet(3, array=rows).to_array(), rows)
+        assert len(gen_triangle(3, 7).block_elements([range(1, 8)] * 3)) == 35
+
     def test_restrict_explicit(self):
         A = gen_sum_set(12)
         assert set(A.restrict(6).tuples()) == set(gen_sum_set(6).tuples())

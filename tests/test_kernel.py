@@ -565,10 +565,31 @@ class TestCosetLeaders:
         least = kernel.coset_leaders(basis, m)
         assert least.dtype == np.uint8 and least.size == 1 << (m - len(basis))
         assert np.array_equal(least, weights.min(axis=1))
-        # the heaviest word of a coset is the complement of the lightest of its
-        # translate by the all-ones word
-        ones = kernel.coset_translate(least, basis, m, (1 << m) - 1)
-        assert np.array_equal(m - ones.astype(np.int64), weights.max(axis=1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_sets())
+    @example(list(gen_triangle(3, 5).tuples()))  # odd degree: the flip is in H already
+    @example(list(gen_triangle(2, 5).tuples()))  # triangle(2, 5): it is not
+    def test_flip_code_leaders(self, elements):
+        # brute force: every pattern u against every codeword h of H, the least
+        # min(wt, m - wt) of u xor h, read at the coset of u in H' = H + <1...1>
+        support = sorted({j for t in elements for j in t})
+        masks, m = kernel.masks(elements, support), len(elements)
+        shift, flip = kernel.shift_code(masks, len(support)), kernel.flip_code(masks, len(support))
+        code = kernel.span(np.array(list(shift.values()), dtype=np.uint64))
+        u = np.arange(1 << m, dtype=np.uint64)
+        weights = np.bitwise_count(u[:, None] ^ code[None, :]).astype(np.int64)
+        nearest = np.minimum(weights, m - weights).min(axis=1)
+        rep = u  # reduced by the rows of its pivot bits: the free part names the coset
+        for p, row in flip.items():
+            rep = np.where(rep >> np.uint64(p) & 1, rep ^ np.uint64(row), rep)
+        free = [t for t in range(m) if t not in flip]
+        index = sum(((rep >> np.uint64(t) & 1) << np.uint64(i) for i, t in enumerate(free)),
+                    np.zeros_like(u))
+        least = kernel.coset_leaders(flip, m)
+        assert least.size == 1 << (m - len(flip))
+        assert np.array_equal(least[index.astype(np.intp)], nearest)
+        assert len(flip) == len(shift) + ((1 << m) - 1 not in code.tolist())
 
 
 class TestMonteCarlo:
@@ -848,15 +869,18 @@ def test_one_absolute_law():
                     "symspace.py: apply"}
 
 
-def test_coset_sup_serves_only_the_sampled_sup():
-    # exact concentration counts read coset_leaders; the per-pattern codeword
-    # sweep is left to the sampled patterns of averaged_sup_growth
-    assert callers("coset_sup") == {"chaos.py: averaged_sup_growth"}
-
-
 def test_one_elimination_routine():
     # the pivots and flip of a law and the shift code reduce one way over F2
     assert callers("_echelon") == {"kernel.py: pivot_bits", "kernel.py: shift_code"}
+
+
+def test_one_flip_code():
+    # the two exact sign-pattern certificates build H + <1...1> one way, and
+    # concentration reads its coset leaders alone, with no table translate; the
+    # per-pattern codeword sweep is left to the sampled patterns of averaged_sup_growth
+    assert callers("flip_code") == {"chaos.py: rud_average", "chaos.py: sign_concentration_check"}
+    assert not hasattr(kernel, "coset_translate")
+    assert callers("coset_sup") == {"chaos.py: averaged_sup_growth"}
 
 
 def xor_span(words):
