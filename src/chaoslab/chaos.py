@@ -332,15 +332,15 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
     For each n the chaos runs over the full triangle on {1..n}, m terms.
     The deterministic sup-norm is m: every monomial is +1 at the all-plus
     configuration.  The averaged one is estimated from seeded sign
-    patterns u, whose sup is the :func:`kernel.coset_sup` of the coset u H, a
-    sweep of mc_samples x 2^rank(H) cells.  The report checks that the ratio R(n)
-    increases along n_list within three standard errors.
+    patterns u, whose sups :func:`kernel.max_abs` reads off one transform of
+    2^r' configurations each, r' the rank after the fold by a flip.  The
+    report checks that R(n) increases along n_list within three standard errors.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InvalidArgumentError("n_list must be strictly increasing with >= 2 entries")
     check_cap(n_list[-1], 20, "triangle size n of the sup-growth sweep",
-              "end n_list at n <= 20; each n sweeps mc_samples x 2^rank(H) cells")
+              "end n_list at n <= 20; each n transforms mc_samples x 2^rank configurations")
     mc_samples = int(mc_samples)
     if mc_samples < 2:
         raise InvalidArgumentError("need at least 2 samples")
@@ -352,9 +352,9 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
         for idx, n in enumerate(n_list):
             term_masks = index_terms(gen_triangle(d, n))[2]  # support 1..n
             m = len(term_masks)
-            patterns = kernel.random_words(seed, idx << 96, mc_samples, m)
+            signs = np.where(kernel.random_bits(seed, idx << 96, mc_samples, m).T, -1.0, 1.0)
             # float32 sups: their mean and std accumulate in float32
-            sups = kernel.coset_sup(patterns, kernel.shift_code(term_masks, n), m).astype(np.float32)
+            sups = kernel.max_abs(term_masks, signs, n).astype(np.float32)
             det = float(m)
             avg = float(sups.mean())
             se = float(sups.std(ddof=1) / math.sqrt(mc_samples))

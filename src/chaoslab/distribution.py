@@ -81,6 +81,8 @@ class StepDistribution:
         return float(np.sum(np.abs(self.values) ** p * self.weights))
 
     def lp_norm(self, p):
+        if not p >= 1:  # NaN too
+            raise InvalidArgumentError(f"L_p needs p >= 1, got {p}")
         # scale by the largest atom so huge p cannot overflow
         law = self.abs_distribution()
         top = float(law.values[-1])

@@ -15,8 +15,9 @@ reduction and the caps once for all P.  Rows are transformed a block at a
 time: a (2^r, P) array with the rows on its contiguous axis, at most
 2^``LAW_BLOCK_BITS`` entries, transformed by one :func:`fwht` call in
 which every column sees the butterflies of its own 1-D transform in the
-same order, and histogrammed row by row on a transposed copy.  A call
-allocates its working memory once: the block, one scratch array (the
+same order, and histogrammed row by row on a transposed copy; the sups of
+:func:`max_abs` halve the block's configuration rows by max in place.  A
+call allocates its working memory once: the block, one scratch array (the
 stage buffer and transposed part of the transform, then the transposed
 copy) and the intp index of the histograms serve every block.  Arrays
 allocated per block would come from fresh pages whenever they pass the
@@ -74,8 +75,8 @@ transform.
   coefficients, in float64 and in term order otherwise.
 * Sign patterns over m terms are bit words in the same convention, bit t
   set where the sign of term t is -1: :func:`random_bits` draws them, and
-  :func:`random_words` packs term 64j + t into bit t of little-endian
-  uint64 word j.  Shifting the configuration by c multiplies a pattern by
+  a drawn pattern is the +-1 coefficient row whose sup :func:`max_abs`
+  transforms.  Shifting the configuration by c multiplies a pattern by
   the word chi(c) of the :func:`shift_code` H, reduced by :func:`_echelon`
   too, so a sup or a law over configurations depends only on the pattern's
   coset.  :func:`flip_code` adds the all-ones word, the flip u -> -u, for
@@ -83,9 +84,7 @@ transform.
   one entry per coset stands for the 2^m patterns: :func:`coset_reps`
   gives one word per coset, and :func:`coset_leaders` the least weight of
   every coset, from a table over the 2^(m - r) syndromes with one min pass
-  per basis row and none over codewords.  :func:`coset_sup` sweeps given
-  patterns against every codeword, for pattern words too wide for a
-  syndrome table.
+  per basis row and none over codewords.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ HARD_CAP_BITS = 26  # widest support any exact route enumerates: 2^26 configurat
 SLICE_BITS = 16  # low configuration bits transformed per slice
 MC_CHUNK = 1 << 16  # Monte Carlo rows per counter block
 _SIGN_BLOCK_BITS = 17  # log2 of the 32-bit Philox halves random_bits reads per sub-block
-SWEEP_CELL_BITS = 16  # log2 of the pattern x codeword cells per block of the coset sweep
 _DENSE_RANGE = 1 << 17  # widest value range histogrammed by bincount
 _TRANSPOSE_BITS = 10  # parts of at least 2^10 rows run their low row bits on a transposed copy
 _BLOCK_BITS = 16  # longer transforms run their low stages in parts of 2^16 float64 (512 KiB)
@@ -254,25 +252,14 @@ def law(term_masks, coeffs, k):
     matrix ``coeffs``, an iterator over the laws of its P rows in order.
 
     Coefficients that ``int_dtype`` transforms exactly run an integer FWHT
-    in its dtype over the 2^r configurations of the r :func:`pivot_bits` of
-    the masks, the other k - r signs fixed to +1, and scale its counts by
-    2^(k - r).  The values depend only on the parities of the terms, a
-    linear map of the configuration of rank r, and restricted to the pivot
-    coordinates that map is one-to-one onto its image, so every reduced
-    configuration stands for a fibre of 2^(k - r) configurations, and
-    distinct masks stay distinct.  Where the same elimination finds a flip
-    c* that negates every term, the sign of the top bit of c* is fixed to
-    +1 too, and the law over the 2^(r - 1) configurations left is folded
-    by v -> -v, since c and c xor c* have opposite values; masks that then
-    coincide add their coefficients.  The k' reduced bits are cut at
-    L = min(k', SLICE_BITS): slice h of a row is the row of coefficients
-    sum c * chi_high(h) over the distinct low masks, a row has 2^(k' - L)
-    slices, and its law merges theirs.  Slice rows are built, transformed
-    and histogrammed a block at a time by :func:`_block_laws`, on the
-    calling thread, in one block, one scratch array and one histogram index
-    allocated for the call.  The hard cap reads the k support bits.  Other
-    coefficients take float64 blocks over all 2^k configurations and the
-    equal runs of each sorted row, which are what ``np.unique`` gives.
+    in its dtype over the slice rows of :func:`_reduced`, a block at a time
+    by :func:`_block_laws` on the calling thread, in one block, one scratch
+    array and one histogram index allocated for the call; a row's slice
+    histograms, folded by v -> -v where a flip negates every term, merge,
+    and its counts scale by 2^(k - r).  The hard cap reads the k support
+    bits.  Other coefficients take float64 blocks over all 2^k
+    configurations and the equal runs of each sorted row, which are what
+    ``np.unique`` gives.
     """
     _check_hard_cap(k)
     rows = np.asarray(coeffs, dtype=float)
@@ -281,8 +268,57 @@ def law(term_masks, coeffs, k):
     dtype, bound = int_dtype(rows)
     if dtype is None:
         laws = _block_laws(term_masks, len(rows), lambda i, j: rows[i:j], k, np.float64,
-                           _sorted_runs)
+                           lambda block, work: _sorted_runs(_rows(block, work)))
         return next(laws) if single else laws
+    lows, low_bits, slices, slice_rows, folded, fixed = _reduced(term_masks, rows, k)
+    index = np.empty(1 << low_bits, dtype=np.intp)  # reused by every slice row
+
+    def histograms(block, work):  # rows by index: iterating a 2-D array costs more
+        vals = _rows(block, work)
+        return (_histogram(vals[i], bound, folded, index) for i in range(len(vals)))
+
+    laws = _block_laws(lows, len(rows) * slices, slice_rows, low_bits, dtype, histograms)
+    laws = ((vals, counts << fixed) for vals, counts in map(_merge, zip(*[laws] * slices)))
+    return next(laws) if single else laws
+
+
+def max_abs(term_masks, coeffs, k):
+    """Max over the 2^k configurations of |value| of each row of the (P, T)
+    integer matrix ``coeffs``, as int64, from the slice rows of
+    :func:`_reduced` (the fold keeps the sup, as c xor c* negates the value
+    at c) and the blocks of :func:`_block_laws`; refuses other coefficients."""
+    _check_hard_cap(k)
+    rows = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    dtype, _ = int_dtype(rows)
+    if dtype is None:
+        raise InvalidArgumentError("max_abs needs integer coefficients whose absolute "
+                                   "sum is at most 2**31 - 1")
+    lows, low_bits, slices, slice_rows, _, _ = _reduced(term_masks, rows, k)
+
+    def tops(block, work):  # halving the rows in place reads contiguous runs at any P
+        top = np.abs(block, out=block)  # |v| <= S, which the dtype holds
+        h = len(top)
+        while h > 1:
+            h //= 2
+            np.maximum(top[:h], top[h : 2 * h], out=top[:h])
+        return top[0]
+
+    out = np.fromiter(_block_laws(lows, len(rows) * slices, slice_rows, low_bits, dtype, tops),
+                      dtype=np.int64, count=len(rows) * slices)
+    return out.reshape(len(rows), slices).max(axis=1)
+
+
+def _reduced(term_masks, rows, k):
+    """(lows, low_bits, slices, slice_rows, folded, fixed) of the integer
+    route: the signs off the r :func:`pivot_bits` of the masks, ``fixed`` =
+    k - r, are +1, and where a flip c* negates every term (``folded``) so is
+    the sign of its top bit; masks that then coincide add their coefficients.
+    The k' bits left are cut at ``low_bits`` = min(k', SLICE_BITS), and
+    ``slice_rows(start, stop)`` gives rows start..stop of the slice matrix:
+    row p * slices + h of it, slices = 2^(k' - low_bits), sums
+    c * chi_high(h) over the terms of each distinct low mask in ``lows``,
+    exactly, for row p of the float matrix ``rows``.
+    """
     pivots, flip = pivot_bits(term_masks)
     fixed = k - len(pivots)
     if flip:  # the top bit of flip is a pivot: fix its sign to +1 too, and fold
@@ -299,21 +335,12 @@ def law(term_masks, coeffs, k):
     rows = rows[:, order]
 
     def slice_rows(start, stop):
-        # slice h of row p, row p * slices + h of the slice matrix, sums
-        # c * chi_high(h) over the terms of each distinct low mask, exactly
         i = np.arange(start, stop)
         c = rows[i // slices]
         signed = np.where(parity((i % slices).astype(np.uint64)[:, None], high), -c, c)
         return np.add.reduceat(signed, starts, axis=1)
 
-    index = np.empty(1 << low_bits, dtype=np.intp)  # reused by every slice row
-
-    def histograms(block):  # rows by index: iterating a 2-D array costs more
-        return (_histogram(block[i], bound, bool(flip), index) for i in range(len(block)))
-
-    laws = _block_laws(lows, len(rows) * slices, slice_rows, low_bits, dtype, histograms)
-    laws = ((vals, counts << fixed) for vals, counts in map(_merge, zip(*[laws] * slices)))
-    return next(laws) if single else laws
+    return lows, low_bits, slices, slice_rows, bool(flip), fixed
 
 
 def _block_laws(term_masks, count, rows, k, dtype, histogram):
@@ -321,11 +348,12 @@ def _block_laws(term_masks, count, rows, k, dtype, histogram):
     ``rows(start, stop)`` a block of at most 2^LAW_BLOCK_BITS entries (one
     row at least) at a time.  The P rows of a block are scattered to a
     (2^k, P) array, the rows on the contiguous axis, and transformed by one
-    :func:`fwht` call; ``histogram`` maps the (P, 2^k) values of a block,
-    one row per law, to its P laws.  The block and one scratch array are
+    :func:`fwht` call; ``histogram(block, work)`` maps the transformed
+    block to its P laws, or to another reading of each row, and may
+    overwrite both arrays.  The block and one scratch array ``work`` are
     allocated once and reused by every block: the scratch holds the stage
-    buffer and the transposed part of the transform, and then the block's
-    transposed copy, which the histograms read."""
+    buffer and the transposed part of the transform, and then at least the
+    block's size for P > 1, room for the transposed copy of :func:`_rows`."""
     step = max(1, min(count, (1 << LAW_BLOCK_BITS) >> k))
     size, itemsize = step << k, np.dtype(dtype).itemsize
     copy = size if step > 1 else 0  # one row needs no transposed copy
@@ -337,11 +365,17 @@ def _block_laws(term_masks, count, rows, k, dtype, histogram):
         block.fill(0)
         block[term_masks] = coeffs.T
         fwht(block.reshape(-1), block.shape[1], work)
-        vals = block.T  # contiguous for one row
-        if block.shape[1] > 1:
-            vals = work[: block.size].reshape(vals.shape)
-            vals[...] = block.T
-        yield from histogram(vals)
+        yield from histogram(block, work)
+
+
+def _rows(block, work):
+    """The P rows of a transformed (2^k, P) block as a contiguous (P, 2^k)
+    array: a transposed copy in ``work``, or the block itself for one row."""
+    if block.shape[1] == 1:
+        return block.T
+    rows = work[: block.size].reshape(block.shape[::-1])
+    rows[...] = block.T
+    return rows
 
 
 def _sorted_runs(rows):
@@ -392,14 +426,6 @@ def random_bits(seed, counter, rows, k):
         del raw  # the next sub-block's words replace these, not join them
         out[:, start : start + m] = top.view(np.uint8).reshape(m, k).T
     return out
-
-
-def random_words(seed, counter, rows, k):
-    """(rows, ceil(k / 64)) uint64 words of the :func:`random_bits` patterns:
-    bit t of word j of row r is entry 64j + t of pattern r."""
-    bits = np.zeros((rows, -(-k // 64) * 64), dtype=np.uint8)
-    bits[:, :k] = random_bits(seed, counter, rows, k).T
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
 
 def _xor_columns(bits, cols):
@@ -512,10 +538,9 @@ def flip_code(term_masks, s):
 
 
 def span(gens):
-    """The 2^g XOR combinations of the g rows of the uint64 array ``gens``
-    in counter order: bit i of the index picks gens[i].  A row is one word
-    or a row of words, as from :func:`random_words`."""
-    out = np.zeros((1, *gens.shape[1:]), dtype=np.uint64)
+    """The 2^g XOR combinations of the g words of the uint64 array ``gens``
+    in counter order: bit i of the index picks gens[i]."""
+    out = np.zeros(1, dtype=np.uint64)
     for g in gens:
         out = np.concatenate([out, out ^ g])
     return out
@@ -528,38 +553,6 @@ def coset_reps(basis, m):
     2^len(basis) patterns, so a mean over the representatives is the mean
     over all 2^m patterns."""
     return span(np.array([1 << t for t in range(m) if t not in basis], dtype=np.uint64))
-
-
-def coset_sup(patterns, basis, m):
-    """sup of |m - 2 wt(u xor h)| over the codewords h of the shift code with
-    basis ``basis``, as int64, for each row u of the (N, width) uint64 words
-    ``patterns`` of m-bit sign patterns.  |m - 2w| is convex in w, so the
-    sup is max(m - 2 least, 2 most - m) over the least and the greatest
-    weight of the coset u H.  Patterns and codewords are streamed in blocks
-    of 2^SWEEP_CELL_BITS pattern x codeword cells, and a block holds fewer
-    than 2^(SWEEP_CELL_BITS + 1) codeword words."""
-    width = patterns.shape[1]
-    gens = b"".join(w.to_bytes(8 * width, "little") for w in basis.values())
-    gens = np.frombuffer(gens, dtype="<u8").astype(np.uint64).reshape(-1, width)
-    dtype = np.min_scalar_type(64 * width)
-    code_bits = min(len(gens), max(0, SWEEP_CELL_BITS - (width - 1).bit_length()))
-    low = span(gens[:code_bits]).T.copy()  # word-major: row j holds word j of each codeword
-    offsets = span(gens[code_bits:])
-    rows = 1 << (SWEEP_CELL_BITS - code_bits)
-    words = np.ascontiguousarray(patterns.T)
-    least = np.full(patterns.shape[0], 64 * width, dtype=dtype)
-    most = np.zeros(patterns.shape[0], dtype=dtype)
-    for start in range(0, patterns.shape[0], rows):
-        block = words[:, start : start + rows, None]
-        lo, hi = least[start : start + rows], most[start : start + rows]
-        for off in offsets:
-            code = low ^ off[:, None]
-            w = np.bitwise_count(block[0] ^ code[0])
-            for j in range(1, width):
-                w = np.add(w, np.bitwise_count(block[j] ^ code[j]), dtype=dtype)
-            np.minimum(lo, w.min(axis=1), out=lo)
-            np.maximum(hi, w.max(axis=1), out=hi)
-    return np.maximum(m - 2 * least.astype(np.int64), 2 * most.astype(np.int64) - m)
 
 
 def _xor_gather(table, g):

@@ -552,22 +552,25 @@ class TestShiftCode:
         for p, b in basis.items():
             assert (b >> p) & 1 and all(not (b >> q) & 1 for q in basis if q != p)
 
-    # triangle(2, 12) has 66 terms, so its patterns span two words
-    @pytest.mark.parametrize("d, n", [(1, 6), (2, 6), (3, 7), (2, 12)])
-    def test_coset_sup_is_the_max_over_configurations(self, d, n):
+    # d = 1 and 3 have a flip, d = 2 and 4 none; slice bits 2 cut every
+    # reduced configuration into several slices
+    @pytest.mark.parametrize("d, n, slice_bits", [(1, 6, 16), (2, 6, 16), (3, 7, 16), (4, 7, 16),
+                                                  (2, 12, 16), (2, 8, 2), (3, 8, 2)])
+    def test_max_abs_is_the_max_over_configurations(self, d, n, slice_bits, monkeypatch):
+        monkeypatch.setattr(kernel, "SLICE_BITS", slice_bits)
         elements = list(gen_triangle(d, n).tuples())
-        m, width = len(elements), -(-len(elements) // 64)
+        m = len(elements)
         masks = kernel.masks(elements, range(1, n + 1))
-        basis = kernel.shift_code(masks, n)
         rng = np.random.default_rng(d * 100 + n)
-        us = [0, (1 << m) - 1] + [sum(int(b) << t for t, b in enumerate(rng.integers(0, 2, m)))
-                                  for _ in range(60)]
-        patterns = np.array([[(u >> 64 * j) & (2**64 - 1) for j in range(width)] for u in us],
-                            dtype=np.uint64)
-        signs = np.array([[1 - 2 * ((u >> t) & 1) for t in range(m)] for u in us], dtype=np.float32)
-        sums = signs @ sign_rows(masks, 0, 1 << n).T
+        signs = np.vstack([np.ones(m), -np.ones(m), 1 - 2 * rng.integers(0, 2, (60, m))])
+        sums = signs.astype(np.float32) @ sign_rows(masks, 0, 1 << n).T
         expect = np.abs(sums).max(axis=1)
-        assert np.array_equal(kernel.coset_sup(patterns, basis, m), expect)
+        got = kernel.max_abs(masks, signs.astype(np.int64), n)
+        assert got.dtype == np.int64 and np.array_equal(got, expect)
+
+    def test_max_abs_refuses_floats(self):
+        with pytest.raises(InvalidArgumentError):
+            kernel.max_abs([1, 2, 3], [[0.5, 1.0, -1.0]], 2)
 
 
 class TestAveragedSupGrowth:
@@ -608,10 +611,11 @@ class TestAveragedSupGrowth:
         assert peak < 16 * 2**20
 
     def test_blocks_match_one_matrix(self, monkeypatch):
-        # the coset sweep streams small blocks of patterns and codewords, over
-        # patterns of one to three words; sups equal the one-matrix sweep
+        # small blocks and slices: each call spans several blocks of patterns,
+        # and each pattern several slices; sups equal the one-matrix sweep
         samples, seed = 40, 9
-        monkeypatch.setattr(kernel, "SWEEP_CELL_BITS", 3)
+        monkeypatch.setattr(kernel, "LAW_BLOCK_BITS", 6)
+        monkeypatch.setattr(kernel, "SLICE_BITS", 3)
         for d, n_list in ((3, [8, 11]), (2, [5, 12]), (1, [4, 9])):  # m = 56, 165; 10, 66
             report = averaged_sup_growth(d, n_list, mc_samples=samples, seed=seed)
             for idx, n in enumerate(n_list):

@@ -876,11 +876,15 @@ def test_one_elimination_routine():
 
 def test_one_flip_code():
     # the two exact sign-pattern certificates build H + <1...1> one way, and
-    # concentration reads its coset leaders alone, with no table translate; the
-    # per-pattern codeword sweep is left to the sampled patterns of averaged_sup_growth
+    # concentration reads its coset leaders alone, with no table translate; a
+    # sampled pattern's sup reads the block transform of the laws, reduced,
+    # folded and sliced by one helper, with no codeword sweep or packed words
     assert callers("flip_code") == {"chaos.py: rud_average", "chaos.py: sign_concentration_check"}
     assert not hasattr(kernel, "coset_translate")
-    assert callers("coset_sup") == {"chaos.py: averaged_sup_growth"}
+    for name in ("coset_sup", "random_words", "SWEEP_CELL_BITS"):
+        assert not hasattr(kernel, name)
+    assert callers("pivot_bits") == {"kernel.py: _reduced"}
+    assert callers("_reduced") == {"kernel.py: law", "kernel.py: max_abs"}
 
 
 def xor_span(words):

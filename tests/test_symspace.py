@@ -196,6 +196,14 @@ class TestNorms:
         zero = StepDistribution.point_mass(0.0)
         assert norm(zero, SpaceSpec.marcinkiewicz(kink)) == 0.0
 
+    def test_lp_norm_refuses_p_below_one(self):
+        # refused before the zero law returns, as SpaceSpec.lp refuses them
+        for law in (self.two_signs, StepDistribution.point_mass(0.0)):
+            for p in (0, -1, 0.5, math.nan):
+                with pytest.raises(InvalidArgumentError, match="p >= 1"):
+                    law.lp_norm(p)
+        assert self.two_signs.lp_norm(math.inf) == self.two_signs.max_abs()
+
     def test_no_atoms(self):
         with pytest.raises(InvalidArgumentError, match="at least one atom"):
             StepDistribution.from_atoms([])
