@@ -252,9 +252,7 @@ def rud_average(
     # one law per coset of the shift code and the flip of the nonzero terms; a zero
     # term's sign changes no law and doubles every coset alike, so the mean keeps it out
     basis = kernel.flip_code(term_masks, k)
-    reps = kernel.coset_reps(basis, c.size)
-    coset_norms = pattern_norms(np.where((reps[:, None] >> np.arange(c.size, dtype=np.uint64)) & 1,
-                                         -c, c))
+    coset_norms = pattern_norms(np.where(kernel.coset_reps(basis, c.size), -c, c))
     avg = math.fsum(coset_norms) / len(coset_norms)
     det = coset_norms[0]  # the all-plus pattern represents coset 0
     return RudAverage(avg, det, det / avg, None, "exact")
@@ -297,12 +295,12 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, threshold=None):
     d, m, n = A.order, len(AB), B.n
     _, _, term_masks, s = index_terms(AB)
     # the coset table holds 2^(m - rank H') bytes, and m + s <= 28 keeps m <= 23, as m
-    # distinct terms need 2^s > m; the caps keep the refusal of the former pattern x
+    # distinct terms need 2^s > m; the cap keeps the refusal of the former pattern x
     # configuration sweep, which the benchmark's reference pins
-    if s > 24 or m + s > _SWEEP_BITS_CAP:
+    if m + s > _SWEEP_BITS_CAP:
         raise cap_error(m + s, _SWEEP_BITS_CAP,
-                        f"pattern + configuration bits of the coset sweep ({m} + {s}, "
-                        f"each part capped at 24)", "use smaller blocks")
+                        f"pattern + configuration bits of the coset sweep ({m} + {s})",
+                        "use smaller blocks")
     delta = math.log(m) / math.log(n) if n > 1 else 0.0
     lam = math.sqrt(2.0 * d * n * m) if threshold is None else float(threshold)
     if not math.isfinite(lam):

@@ -101,12 +101,12 @@ def gen_sum_set(max_entry):
     largest = 1 + math.isqrt(4 * _MATERIALIZE_CAP + 3)  # largest N within the cap
     check_cap((N - 1) ** 2 // 4, _MATERIALIZE_CAP, "rows of the sum set",
               f"use a smaller max entry (CLI --max), at most {largest}")
-    j = np.arange(2, N)
-    per_j = np.minimum(j - 1, N - j)  # i runs over 1..per_j
-    rows = np.empty((per_j.sum(), 3), dtype=np.int64)  # columns i + j, j, i
-    rows[:, 1] = np.repeat(j, per_j)
-    rows[:, 2] = np.arange(1, len(rows) + 1) - np.repeat(np.cumsum(per_j) - per_j, per_j)
-    rows[:, 0] = rows[:, 1] + rows[:, 2]
+    s = np.arange(3, N + 1)
+    per_s = (s - 1) // 2  # j runs over s // 2 + 1..s - 1: lexicographic rows, by s then j
+    rows = np.empty((per_s.sum(), 3), dtype=np.int64)  # columns i + j, j, i
+    rows[:, 0] = np.repeat(s, per_s)
+    rows[:, 1] = np.arange(1, len(rows) + 1) + np.repeat(s // 2 - np.cumsum(per_s) + per_s, per_s)
+    rows[:, 2] = rows[:, 0] - rows[:, 1]
     return IndexSet(3, array=rows)
 
 

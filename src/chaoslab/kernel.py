@@ -82,7 +82,8 @@ transform.
   coset.  :func:`flip_code` adds the all-ones word, the flip u -> -u, for
   a sup or a norm that is also even in u.  The cosets have equal size, so
   one entry per coset stands for the 2^m patterns: :func:`coset_reps`
-  gives one word per coset, and :func:`coset_leaders` the least weight of
+  gives one per coset as a uint8 bit row, the +-1 coefficient row of a
+  pattern by ``np.where``, and :func:`coset_leaders` the least weight of
   every coset, from a table over the 2^(m - r) syndromes with one min pass
   per basis row and none over codewords.
 """
@@ -125,9 +126,9 @@ def int_dtype(coeffs):
 
     (None, None) for non-integer coefficients, (None, S) when S > 2^31 - 1.
     """
-    mags = np.abs(np.array(coeffs, dtype=float, ndmin=2))
-    tops = mags.max(axis=0)
-    if not ((np.trunc(mags) == mags).all() and np.isfinite(tops).all()):  # NaN, inf
+    rows = np.atleast_2d(np.asarray(coeffs, dtype=float))  # a float array is not copied
+    tops = np.maximum(rows.max(axis=0), -rows.min(axis=0))
+    if not ((np.trunc(rows) == rows).all() and np.isfinite(tops).all()):  # NaN, inf
         return None, None
     bound = sum(map(int, tops.tolist()))
     fits = (t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max)
@@ -537,22 +538,17 @@ def flip_code(term_masks, s):
     return shift_code([mask | 1 << s for mask in term_masks], s + 1)
 
 
-def span(gens):
-    """The 2^g XOR combinations of the g words of the uint64 array ``gens``
-    in counter order: bit i of the index picks gens[i]."""
-    out = np.zeros(1, dtype=np.uint64)
-    for g in gens:
-        out = np.concatenate([out, out ^ g])
-    return out
-
-
 def coset_reps(basis, m):
     """One representative per coset of the shift code with basis ``basis``:
-    the 2^(m - len(basis)) m-bit words zero on every pivot bit, as uint64
-    words in counter order over the free bits.  Every coset holds
-    2^len(basis) patterns, so a mean over the representatives is the mean
-    over all 2^m patterns."""
-    return span(np.array([1 << t for t in range(m) if t not in basis], dtype=np.uint64))
+    the 2^(m - len(basis)) m-bit words zero on every pivot bit, as the rows of
+    a uint8 bit matrix, bit t of a word in column t, in counter order over the
+    free bits: bit i of the row index is the i-th non-pivot bit.  Every coset
+    holds 2^len(basis) patterns, so a mean over the representatives is the
+    mean over all 2^m patterns."""
+    free = [t for t in range(m) if t not in basis]
+    bits = np.zeros((1 << len(free), m), dtype=np.uint8)
+    bits[:, free] = np.arange(1 << len(free))[:, None] >> np.arange(len(free)) & 1
+    return bits
 
 
 def _xor_gather(table, g):

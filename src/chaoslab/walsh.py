@@ -78,7 +78,9 @@ class IndexSet:
     Backed either by an explicit (size, d) integer array with unique,
     lexicographically sorted rows, or implicitly by the full triangle
     {(j1, ..., jd) : J >= j1 > ... > jd >= 1}, which for large J is far
-    too big to materialize but still supports exact counting.
+    too big to materialize but still supports exact counting.  A triangle's
+    rows, its rows in a block product and their count all come from one
+    recursion over sorted blocks, :func:`_descents`.
     """
 
     __slots__ = ("order", "_array", "_triangle_max")
@@ -143,9 +145,7 @@ class IndexSet:
     def max_index(self):
         if self.is_triangle:
             return self._triangle_max
-        if self._array.shape[0] == 0:
-            return 0
-        return int(self._array[:, 0].max())
+        return int(self._array[-1, 0]) if len(self._array) else 0  # rows ascend
 
     def __contains__(self, item):
         try:
@@ -175,14 +175,9 @@ class IndexSet:
         """Explicit (size, d) row array; materializes an implicit triangle."""
         if not self.is_triangle:
             return self._array
-        size = len(self)
-        check_cap(size, _MATERIALIZE_CAP, "triangle elements to materialize",
+        check_cap(len(self), _MATERIALIZE_CAP, "triangle elements to materialize",
                   "count them with count_leq or count_block instead")
-        import itertools
-
-        rows = list(itertools.combinations(range(self._triangle_max, 0, -1), self.order))
-        rows.reverse()  # combinations of a decreasing range arrive lex-descending
-        return np.array(rows, dtype=np.int64).reshape(size, self.order)
+        return _decreasing_rows([np.arange(1, self._triangle_max + 1)] * self.order)
 
     def tuples(self):
         """Iterate elements as MultiIndex values (canonical order)."""
@@ -211,48 +206,57 @@ class IndexSet:
         """Exact |A ∩ (B_1 × ... × B_d)| for per-coordinate blocks."""
         if not self.is_triangle:
             return len(self.block_elements(blocks))
-        return _triangle_block_count(self.order, self._triangle_max, self._blocks(blocks))
+        return _decreasing_count(self._blocks(blocks))
 
     def block_elements(self, blocks):
         """Explicit IndexSet of the elements counted by :meth:`count_block`."""
         blocks = self._blocks(blocks)
         if self.is_triangle:
-            rows = np.zeros((1, 0), dtype=np.int64)
-            for b in blocks:  # the product, coordinate by coordinate, kept decreasing
-                u = np.array(sorted(v for v in b if 1 <= v <= self._triangle_max), dtype=np.int64)
-                rows = np.column_stack([np.repeat(rows, u.size, axis=0), np.tile(u, len(rows))])
-                if rows.shape[1] > 1:
-                    rows = rows[rows[:, -2] > rows[:, -1]]
-            return IndexSet(self.order, array=rows)
+            return IndexSet(self.order, array=_decreasing_rows(blocks))
         mask = np.ones(self._array.shape[0], dtype=bool)
         for i, b in enumerate(blocks):
-            mask &= np.isin(self._array[:, i], sorted(b))
+            mask &= np.isin(self._array[:, i], b)
         return IndexSet(self.order, array=self._array[mask])
 
     def _blocks(self, blocks):
-        """``blocks`` as one frozenset of ints per coordinate of the set."""
-        blocks = [frozenset(int(v) for v in b) for b in blocks]
+        """``blocks`` as sorted int64 arrays of distinct values, cut to [1, max_index]."""
+        top = self.max_index
+        blocks = [np.array(sorted({v for v in map(int, b) if 1 <= v <= top}), dtype=np.int64)
+                  for b in blocks]
         if len(blocks) != self.order:
             raise InvalidArgumentError(f"order mismatch: set order {self.order}, blocks {len(blocks)}")
         return blocks
 
 
-def _triangle_block_count(d, top, blocks):
-    """Count strictly decreasing d-tuples with entry i in blocks[i], entries <= top.
+def _descents(blocks):
+    """The one recursion over the rows j_1 > ... > j_d, j_i in the sorted block
+    B_i: for each block b after the first, (b, below), a row ending at value i
+    of the block before extending to the first below[i] values of b."""
+    for top, b in zip(blocks, blocks[1:]):
+        yield b, np.searchsorted(b, top)
 
-    Dynamic program over the value axis: h[i] counts ways to fill
-    coordinates i.. using values processed so far (descending positions
-    get larger values later, so we sweep v upward and extend at the front).
-    """
-    sets = [frozenset(v for v in b if 1 <= v <= top) for b in blocks]
-    hi = max((max(s) for s in sets if s), default=0)
-    h = [0] * (d + 1)
-    h[d] = 1
-    for v in range(1, hi + 1):
-        for i in range(d):  # h[i+1] still holds the value for v-1 here
-            if v in sets[i]:
-                h[i] += h[i + 1]
-    return h[0]
+
+def _decreasing_rows(blocks):
+    """The (size, d) array of the rows of :func:`_descents` in lexicographic
+    order: a row, held by the index ``at`` of its last entry in its block, is
+    repeated once per value of the next block under it, in ascending order."""
+    rows, at = blocks[0][:, None], np.arange(blocks[0].size)
+    for b, below in _descents(blocks):
+        n = below[at]
+        at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        rows = np.column_stack([np.repeat(rows, n, axis=0), b[at]])
+    return rows
+
+
+def _decreasing_count(blocks):
+    """The number of rows of :func:`_descents` as an exact Python int: the rows
+    ending at value v of b sum those ending at each value i of the block before
+    with below[i] > v, a suffix as ``below`` ascends, in Python ints."""
+    ends = np.ones(blocks[0].size, dtype=object)
+    for b, below in _descents(blocks):
+        above = np.append(np.cumsum(ends[::-1])[::-1], 0)  # rows ending at value i or later
+        ends = above[np.searchsorted(below, np.arange(b.size), side="right")]
+    return int(ends.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,9 @@ def shift_code(elements):
     """Reduced basis of the shift code of ``elements`` and its 2^r codewords."""
     support = sorted({j for t in elements for j in t})
     basis = kernel.shift_code(kernel.masks(elements, support), len(support))
-    words = kernel.span(np.array(list(basis.values()), dtype=np.uint64))
+    words = np.zeros(1, dtype=np.uint64)
+    for w in basis.values():  # every XOR combination of the basis words
+        words = np.concatenate([words, words ^ np.uint64(w)])
     return basis, words
 
 
@@ -401,6 +403,17 @@ class TestSignConcentration:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             sign_concentration_check(gen_triangle(2, 10), BlockChoice.identity(2, 10))
+
+    def test_few_terms_over_a_wide_support(self):
+        # two disjoint 13-tuples: m + s = 2 + 26 is within the cap, and the coset
+        # table holds 2^(m - rank) entries however wide the support; the two signs
+        # are independent, so |u_1 r_1 + u_2 r_2| reaches only 2 < lambda
+        A = IndexSet.from_tuples([range(26, 13, -1), range(13, 0, -1)])
+        report = sign_concentration_check(A, BlockChoice.identity(13, 26))
+        assert (report.inputs["intersection"], report.inputs["support_bits"]) == (2, 26)
+        assert report.verdict
+        assert report.quantity("sup_exceedance_fraction") == 0.0
+        assert report.quantity("pointwise_tail_max") == 0.0
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_double_enumeration(self, d):

@@ -63,6 +63,31 @@ class TestGenerators:
             explicit = IndexSet.from_tuples(itertools.combinations(range(J, 0, -1), d))
             assert lazy == explicit
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.integers(1, min(n, 4)), st.just(n))))
+    def test_triangle_rows_are_the_combinations(self, case):
+        d, n = case
+        rows = sorted(c[::-1] for c in itertools.combinations(range(1, n + 1), d))
+        got = gen_triangle(d, n).to_array()
+        assert got.dtype == np.int64 and got.shape == (math.comb(n, d), d)
+        assert got.tolist() == [list(r) for r in rows]
+
+    def test_triangle_count_past_int64(self):
+        full = [range(1, 10**4 + 1)] * 6
+        assert density_count(gen_triangle(6, 10**4), full) == math.comb(10**4, 6) > 2**63
+
+    @pytest.mark.parametrize("d, n", [(3, 120), (2, 1000)])
+    def test_triangle_rows_allocate_about_their_bytes(self, d, n):
+        # every row is placed once: no overshoot to filter, no list of tuples
+        tracemalloc.start()
+        try:
+            rows = gen_triangle(d, n).to_array()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (math.comb(n, d), d)
+        assert peak < 3 * rows.nbytes
+
     def test_huge_triangle_stays_cheap(self):
         A = gen_triangle(3, 1100)
         assert len(A) == math.comb(1100, 3)
@@ -492,6 +517,7 @@ class TestIndexSetOps:
         rows = np.array([(3, 2, 1), (4, 2, 1), (4, 3, 1), (5, 2, 1)])  # a later column falls
         assert np.array_equal(IndexSet(3, array=rows).to_array(), rows)
         assert len(gen_triangle(3, 7).block_elements([range(1, 8)] * 3)) == 35
+        assert len(gen_sum_set(12)) == 30  # the generator builds its rows in order
 
     def test_restrict_explicit(self):
         A = gen_sum_set(12)

@@ -523,14 +523,25 @@ def shift_codes(draw):
     return kernel.shift_code(term_masks, s), len(term_masks)
 
 
+def span(basis):
+    """The 2^r codewords spanned by the r words of a reduced basis, as uint64."""
+    return np.array(sorted(xor_span(basis.values())), dtype=np.uint64)
+
+
+def rep_words(basis, m):
+    """The rows of :func:`kernel.coset_reps` as uint64 words, column t as bit t."""
+    bits = kernel.coset_reps(basis, m)
+    assert bits.dtype == np.uint8 and bits.shape == (1 << (m - len(basis)), m)
+    return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(m, dtype=np.uint64))
+
+
 class TestCosetReps:
     @settings(max_examples=100, deadline=None)
     @given(shift_codes())
     def test_cosets_partition_the_patterns(self, case):
         # equal cosets are what lets a mean over representatives stand for all patterns
         basis, m = case
-        reps = kernel.coset_reps(basis, m)
-        code = kernel.span(np.array(list(basis.values()), dtype=np.uint64))
+        reps, code = rep_words(basis, m), span(basis)
         patterns = np.sort((reps[:, None] ^ code[None, :]).ravel())
         assert np.array_equal(patterns, np.arange(1 << m, dtype=np.uint64))
         assert not np.any(reps & np.uint64(sum(1 << p for p in basis)))
@@ -559,8 +570,7 @@ class TestCosetLeaders:
     def test_least_weight_of_every_coset(self, elements):
         # brute force: the least popcount of rep xor h over every codeword h
         basis, m = term_code(elements)
-        reps = kernel.coset_reps(basis, m)
-        code = kernel.span(np.array(list(basis.values()), dtype=np.uint64))
+        reps, code = rep_words(basis, m), span(basis)
         weights = np.bitwise_count(reps[:, None] ^ code[None, :])
         least = kernel.coset_leaders(basis, m)
         assert least.dtype == np.uint8 and least.size == 1 << (m - len(basis))
@@ -576,7 +586,7 @@ class TestCosetLeaders:
         support = sorted({j for t in elements for j in t})
         masks, m = kernel.masks(elements, support), len(elements)
         shift, flip = kernel.shift_code(masks, len(support)), kernel.flip_code(masks, len(support))
-        code = kernel.span(np.array(list(shift.values()), dtype=np.uint64))
+        code = span(shift)
         u = np.arange(1 << m, dtype=np.uint64)
         weights = np.bitwise_count(u[:, None] ^ code[None, :]).astype(np.int64)
         nearest = np.minimum(weights, m - weights).min(axis=1)
@@ -722,6 +732,18 @@ class TestDtypeBoundaries:
         law = distribution_exact(f)
         assert (law.values[0], law.values[-1]) == (-float(bound), float(bound))
         assert as_counts(law, 8) == parity_law(f)
+
+    def test_reads_a_float_matrix_in_place(self):
+        # the (1000, 91) +-1 patterns of averaged_sup_growth(2, (10, 12, 14), 1000):
+        # column tops from max and min and one integrality pass, no copy of the matrix
+        rows = np.where(np.random.default_rng(7).integers(0, 2, (1000, 91)), -1.0, 1.0)
+        tracemalloc.start()
+        try:
+            assert kernel.int_dtype(rows) == (np.int8, 91)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * rows.nbytes
 
     def test_non_integer_takes_float_path(self):
         assert kernel.int_dtype([1.0, 2.5]) == (None, None)
@@ -881,10 +903,21 @@ def test_one_flip_code():
     # folded and sliced by one helper, with no codeword sweep or packed words
     assert callers("flip_code") == {"chaos.py: rud_average", "chaos.py: sign_concentration_check"}
     assert not hasattr(kernel, "coset_translate")
-    for name in ("coset_sup", "random_words", "SWEEP_CELL_BITS"):
+    for name in ("coset_sup", "random_words", "SWEEP_CELL_BITS", "span"):
         assert not hasattr(kernel, name)
     assert callers("pivot_bits") == {"kernel.py: _reduced"}
     assert callers("_reduced") == {"kernel.py: law", "kernel.py: max_abs"}
+
+
+def test_one_triangle_recursion():
+    # a triangle's rows, its block rows and its block counts all come from one
+    # recursion over sorted blocks: no combinations, product filter or second count
+    assert callers("_descents") == {"walsh.py: _decreasing_rows", "walsh.py: _decreasing_count"}
+    assert callers("_decreasing_rows") == {"walsh.py: to_array", "walsh.py: block_elements"}
+    assert callers("_decreasing_count") == {"walsh.py: count_block"}
+    assert not any(c.startswith("walsh.py") for c in callers("np.tile"))
+    source = (Path(kernel.__file__).parent / "walsh.py").read_text()
+    assert "itertools" not in source and "_triangle_block_count" not in source
 
 
 def xor_span(words):
