@@ -27,7 +27,7 @@ class StepDistribution:
     weights : ndarray of float, positive, summing to 1 within 1e-12
     """
 
-    __slots__ = ("values", "weights")
+    __slots__ = ("values", "weights", "_abs")
 
     def __init__(self, values, weights):
         values = np.asarray(values, dtype=float).ravel()
@@ -103,20 +103,24 @@ class StepDistribution:
     def abs_distribution(self):
         """The law of |X| that every norm reads: |v| ascending, weighted w(v) + w(-v),
         a sum of two that does not depend on its order, so -X has this law bit for
-        bit.  A law with no negative atom (and no -0.0) is its own."""
+        bit.  A law with no negative atom (and no -0.0) is its own; another law
+        builds it on the first read and keeps it for the next."""
         if math.copysign(1.0, self.values[0]) > 0:  # no negative atom, and no -0.0
             return self
-        values = np.abs(self.values)
-        order = np.argsort(values, kind="stable")  # two sorted runs: -v reversed, then v
-        values, weights = values[order], self.weights[order]
-        starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
-        # the atoms of a checked law, sorted: only merging is left to do
-        return _settle(object.__new__(StepDistribution), values[starts],
-                       np.add.reduceat(weights, starts))
+        if self._abs is None:
+            values = np.abs(self.values)
+            order = np.argsort(values, kind="stable")  # two sorted runs: -v reversed, then v
+            values, weights = values[order], self.weights[order]
+            starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+            # the atoms of a checked law, sorted: only merging is left to do
+            self._abs = _settle(object.__new__(StepDistribution), values[starts],
+                                np.add.reduceat(weights, starts))
+        return self._abs
 
 
 def _settle(law, values, weights):
     """Give ``law`` the checked atoms, sorted by value: merged and read-only."""
+    law._abs = None
     law.values, law.weights = _merge_close(values, weights)
     law.values.setflags(write=False)
     law.weights.setflags(write=False)

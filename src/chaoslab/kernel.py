@@ -108,7 +108,10 @@ LAW_BLOCK_BITS = 19  # log2 of the entries of one block of the laws of a coeffic
 
 
 def masks(keys, support):
-    """Mask (a Python int) of each monomial key over the ascending support."""
+    """Mask (a Python int) of each monomial key over the ascending support;
+    the rows of an int64 key array take their bits at once."""
+    if isinstance(keys, np.ndarray):  # a row's indices are distinct: its bits add
+        return np.left_shift(1, np.searchsorted(support, keys), dtype=np.int64).sum(axis=1).tolist()
     bit = {j: 1 << b for b, j in enumerate(support)}
     return [sum(map(bit.__getitem__, key)) for key in keys]  # a key's indices are distinct
 
@@ -324,15 +327,16 @@ def _reduced(term_masks, rows, k):
     fixed = k - len(pivots)
     if flip:  # the top bit of flip is a pivot: fix its sign to +1 too, and fold
         pivots.remove(flip.bit_length() - 1)
+    words = np.array(term_masks, dtype=np.uint64)  # k <= HARD_CAP_BITS: every mask fits
     for j in sorted(set(range(k)) - pivots, reverse=True):  # drop bit j: sign j is +1
-        term_masks = [(m & ((1 << j) - 1)) | (m >> (j + 1) << j) for m in term_masks]
+        words = words & ((1 << j) - 1) | words >> (j + 1) << j
     k = len(pivots)
     low_bits = min(k, SLICE_BITS)
     slices = 1 << (k - low_bits)
-    low = np.array([m & ((1 << low_bits) - 1) for m in term_masks], dtype=np.intp)
+    low = (words & ((1 << low_bits) - 1)).astype(np.intp)
     order = np.argsort(low, kind="stable")
     lows, starts = np.unique(low[order], return_index=True)
-    high = np.array([m >> low_bits for m in term_masks], dtype=np.uint64)[order]
+    high = (words >> low_bits)[order]
     rows = rows[:, order]
 
     def slice_rows(start, stop):

@@ -9,7 +9,6 @@ The CHAOSLAB_THREADS environment variable caps the number of workers.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count() -> int:
@@ -36,5 +35,6 @@ def map_chunks(fn, chunks):
     workers = worker_count()
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: only where a pool runs
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))

@@ -58,6 +58,20 @@ class MultiIndex(tuple):
         return len(self)
 
 
+def _key_rows(keys):
+    """The keys of a coefficient map as one (size, d) int64 array, read by ``int``
+    as :class:`MultiIndex` reads them and checked at once: equal length d >= 1,
+    strictly decreasing, entries >= 1.  None for any other map (bare ints too)."""
+    try:
+        (d,) = set(map(len, keys))  # a bare int, unequal lengths or no key raise
+        rows = np.fromiter([j for key in keys for j in key], np.int64).reshape(-1, d)
+    except (TypeError, ValueError, OverflowError):  # so do d = 0 and a huge or odd entry
+        return None
+    if rows[:, -1].min() < 1 or (rows[:, 1:] >= rows[:, :-1]).any():
+        return None
+    return rows
+
+
 def _ascending(arr):
     """Whether each row of the int64 matrix ``arr`` is lexicographically less
     than the next, read a column at a time into one step buffer and one mask."""
@@ -110,6 +124,14 @@ class IndexSet:
         arr = arr.copy() if _ascending(arr) else np.unique(arr, axis=0)
         self._array = arr
         self._array.setflags(write=False)
+
+    @classmethod
+    def _canonical(cls, order, rows):
+        """The set of int64 rows built canonical, adopted read-only unchecked."""
+        rows.setflags(write=False)
+        index_set = object.__new__(cls)
+        index_set.order, index_set._array, index_set._triangle_max = order, rows, None
+        return index_set
 
     @classmethod
     def from_tuples(cls, tuples, order=None):
@@ -193,7 +215,7 @@ class IndexSet:
                 return IndexSet(self.order, array=np.empty((0, self.order), dtype=np.int64))
             return IndexSet.triangle(self.order, m)
         keep = self._array[:, 0] <= max_entry  # leading entry is the max
-        return IndexSet(self.order, array=self._array[keep])
+        return IndexSet._canonical(self.order, self._array[keep])
 
     def count_leq(self, n):
         """|A restricted to entries <= n| without materializing."""
@@ -212,11 +234,11 @@ class IndexSet:
         """Explicit IndexSet of the elements counted by :meth:`count_block`."""
         blocks = self._blocks(blocks)
         if self.is_triangle:
-            return IndexSet(self.order, array=_decreasing_rows(blocks))
+            return IndexSet._canonical(self.order, _decreasing_rows(blocks))
         mask = np.ones(self._array.shape[0], dtype=bool)
         for i, b in enumerate(blocks):
             mask &= np.isin(self._array[:, i], b)
-        return IndexSet(self.order, array=self._array[mask])
+        return IndexSet._canonical(self.order, self._array[mask])
 
     def _blocks(self, blocks):
         """``blocks`` as sorted int64 arrays of distinct values, cut to [1, max_index]."""
@@ -397,13 +419,27 @@ def chaos_sum(coeffs):
 
     Keys must be multi-indices of one common order (they form an index
     set); mixed-order combinations can be built with SignFunction algebra.
+    The terms, in the map's order, and the support are read from one int64
+    key array (:func:`_key_rows`); a map that makes none is read one
+    :class:`MultiIndex` per key, which names its first bad key.
     """
     if not coeffs:
         raise EmptyInputError("coefficient map is empty")
-    keys = [MultiIndex(k) for k in coeffs]
-    if len({k.order for k in keys}) > 1:
-        raise InvalidArgumentError("coefficient map keys must share one order")
-    return SignFunction({k: float(c) for k, c in zip(keys, coeffs.values())})
+    if (rows := _key_rows(coeffs)) is not None:
+        terms = dict(zip(map(tuple, rows.tolist()), map(float, coeffs.values())))
+    if rows is None or len(terms) < len(rows):  # or keys that int() reads alike
+        keys = [MultiIndex(k) for k in coeffs]
+        if len({k.order for k in keys}) > 1:
+            raise InvalidArgumentError("coefficient map keys must share one order")
+        return SignFunction({k: float(c) for k, c in zip(keys, coeffs.values())})
+    c = np.array(list(terms.values()))
+    if (bad := np.flatnonzero(~np.isfinite(c))).size:  # as SignFunction refuses them
+        raise InvalidArgumentError(f"coefficient of {tuple(rows[bad[0]].tolist())} is "
+                                   f"{c[bad[0]]}; it must be finite")
+    f, keep = object.__new__(SignFunction), c != 0.0
+    f.terms = terms if keep.all() else {k: v for k, v in terms.items() if v != 0.0}
+    f.support = tuple(np.unique(rows[keep]).tolist())
+    return f
 
 
 def randomize_signs(coeffs, flips):
@@ -471,7 +507,8 @@ def index_terms(A, coeffs=None, bits_cap=None):
     the indices ``keep`` of the nonzero ones, their :func:`kernel.masks` over
     the ascending support of those rows, and its width k, refused past
     ``bits_cap`` as by :func:`distribution_exact`.  ``coeffs`` is None (all
-    1), a sequence in canonical order, or a map keyed by exactly A.
+    1), a sequence in canonical order, or a map keyed by exactly A, whose
+    :func:`_key_rows` array is lexsorted and matched against A's rows at once.
     """
     rows = A.to_array()
     size = rows.shape[0]
@@ -480,13 +517,18 @@ def index_terms(A, coeffs=None, bits_cap=None):
     if coeffs is None:
         coeffs = np.ones(size)
     elif isinstance(coeffs, Mapping):
-        given = {MultiIndex(t): float(v) for t, v in coeffs.items()}
-        keys = [tuple(r) for r in rows.tolist()]
-        missing = sum(t not in given for t in keys)
-        if missing or len(given) > size:
-            raise InvalidArgumentError(f"coefficient map misses {missing} elements of the set "
-                                       f"and has {len(given) - size + missing} keys outside it")
-        coeffs = [given[t] for t in keys]
+        keys = _key_rows(coeffs)
+        order = np.lexsort(keys.T[::-1]) if keys is not None and keys.shape == rows.shape else None
+        if order is not None and np.array_equal(keys[order], rows):
+            coeffs = np.array(list(map(float, coeffs.values())))[order]
+        else:  # one key at a time: names the first bad key, or counts the keys missed and outside
+            given = {MultiIndex(t): float(v) for t, v in coeffs.items()}
+            keys = [tuple(r) for r in rows.tolist()]
+            missing = sum(t not in given for t in keys)
+            if missing or len(given) > size:
+                raise InvalidArgumentError(f"coefficient map misses {missing} elements of the set "
+                                           f"and has {len(given) - size + missing} keys outside it")
+            coeffs = [given[t] for t in keys]
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (size,):
         raise InvalidArgumentError(f"{c.size} coefficients for {size} elements")
@@ -497,7 +539,7 @@ def index_terms(A, coeffs=None, bits_cap=None):
     support = np.unique(rows[keep])
     if bits_cap is not None:
         _check_bits(support.size, bits_cap)
-    return c, keep, kernel.masks(rows[keep].tolist(), support.tolist()), support.size
+    return c, keep, kernel.masks(rows[keep], support), support.size
 
 
 def law_of(A, coeffs=None, bits_cap=DEFAULT_BITS_CAP):

@@ -527,6 +527,18 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_thread_pool():
+    # concurrent.futures, and the logging it loads, is imported where a pool runs
+    src = os.path.dirname(os.path.dirname(chaoslab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chaoslab.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("argv, cause", [
     (["norm", "--set", "TRI", "--coeffs", "nan,1,1,1,1,1", "--space", "lp:2"], "finite"),
     (["norm", "--set", "TRI", "--coeffs", "inf,1,1,1,1,1", "--space", "lp:2"], "finite"),

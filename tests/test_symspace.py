@@ -107,6 +107,25 @@ def test_sign_flip_is_exact(space, dist):
     assert norm(dist.scaled(-1), space).hex() == norm(dist, space).hex()
 
 
+RUD_SPACES = [SpaceSpec.lp(4), SpaceSpec.linf(), SpaceSpec.exp_lr(2.0), SpaceSpec.lorentz(LOG_HALF)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=signed_laws())
+def test_absolute_law_is_kept(dist):
+    # a law builds its absolute law once and keeps it: the kept one is the
+    # law a fresh build gives, bit for bit, and X and -X still share each norm
+    law = dist.abs_distribution()
+    assert dist.abs_distribution() is law
+    fresh = StepDistribution(dist.values, dist.weights).abs_distribution()
+    assert law.values.tobytes() == fresh.values.tobytes()
+    assert law.weights.tobytes() == fresh.weights.tobytes()
+    flipped = dist.scaled(-1)
+    for space in RUD_SPACES:
+        for _ in range(2):  # the second reads take the kept absolute laws
+            assert norm(flipped, space).hex() == norm(dist, space).hex()
+
+
 class TestNormOrderings:
     @settings(max_examples=80, deadline=None)
     @given(random_laws(), st.floats(1.0, 12.0))

@@ -459,3 +459,135 @@ class TestNonFiniteCoefficients:
         law = law_of(A, [1e300, -5e-324])
         assert np.all(np.isfinite(law.values))
         assert distribution_exact(chaos_sum({(1,): 1e300})).values.tolist() == [-1e300, 1e300]
+
+
+def per_key_chaos_sum(coeffs):
+    """``chaos_sum`` reading its map one MultiIndex per key: the reference of
+    the key array."""
+    if not coeffs:
+        raise EmptyInputError("coefficient map is empty")
+    keys = [MultiIndex(k) for k in coeffs]
+    if len({k.order for k in keys}) > 1:
+        raise InvalidArgumentError("coefficient map keys must share one order")
+    return SignFunction({k: float(c) for k, c in zip(keys, coeffs.values())})
+
+
+def per_key_index_terms(A, coeffs):
+    """``index_terms`` of a map read one MultiIndex per key and handed on as
+    the sequence of its values in canonical order."""
+    given = {MultiIndex(t): float(v) for t, v in coeffs.items()}
+    keys = [tuple(r) for r in A.to_array().tolist()]
+    missing = sum(t not in given for t in keys)
+    if missing or len(given) > len(keys):
+        raise InvalidArgumentError(f"coefficient map misses {missing} elements of the set "
+                                   f"and has {len(given) - len(keys) + missing} keys outside it")
+    return index_terms(A, [given[t] for t in keys])
+
+
+def outcome(fn, *args):
+    """("ok", result) or (exception type, message) of one call."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # any exception: its type and message are compared
+        return type(exc), str(exc)
+
+
+KEY_FORMS = {
+    "tuple": lambda row: row,
+    "int64": lambda row: tuple(np.int64(j) for j in row),
+    "int32": lambda row: tuple(np.int32(j) for j in row),
+    "multi": MultiIndex,
+    "bare": lambda row: row[0],  # order 1 only
+    "bare_int64": lambda row: np.int64(row[0]),
+}
+FAULTS = ("none", "mixed", "nondecreasing", "zero", "nonfinite", "missing", "extra")
+
+
+@st.composite
+def coefficient_maps(draw):
+    """(A, map, fault): a map keyed by the rows of A (order 1..4, entries <= 40)
+    in drawn order, each key a tuple of ints, of numpy ints, a MultiIndex or,
+    at order 1, a bare int; values 0.0, -0.0, ints or floats; then one fault."""
+    d = draw(st.integers(1, 4))
+    element = st.lists(st.integers(1, 40), min_size=d, max_size=d, unique=True)
+    rows = draw(st.lists(element.map(lambda t: tuple(sorted(t, reverse=True))), min_size=1,
+                         max_size=12, unique=True))
+    forms = sorted(KEY_FORMS) if d == 1 else ["tuple", "int64", "int32", "multi"]
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-5, 5),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    items = [(KEY_FORMS[draw(st.sampled_from(forms))](row), draw(value)) for row in rows]
+    fault = draw(st.sampled_from(FAULTS))
+    at = draw(st.integers(0, len(items)))
+    bad_key = {"mixed": tuple(range(d + 1, 0, -1)), "nondecreasing": tuple(range(1, d + 2)),
+               "zero": tuple(range(d - 1, -1, -1)), "extra": tuple(range(40 + d, 40, -1))}
+    if fault in bad_key:
+        items.insert(at, (bad_key[fault], 1.0))
+    elif fault == "nonfinite":
+        items[at % len(items)] = (items[at % len(items)][0],
+                                  draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+    elif fault == "missing":
+        del items[at % len(items)]
+    return IndexSet.from_tuples(rows), dict(items), fault
+
+
+class TestKeyArray:
+    """A coefficient map reaches the kernel as one int64 key array, with the
+    results and refusals of reading it one MultiIndex per key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient_maps())
+    def test_matches_the_per_key_reading(self, case):
+        A, coeffs, _ = case
+        got, want = outcome(chaos_sum, coeffs), outcome(per_key_chaos_sum, coeffs)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            f, g = got[1], want[1]
+            assert [(k, v.hex()) for k, v in f.terms.items()] == \
+                [(k, v.hex()) for k, v in g.terms.items()]
+            assert all(type(j) is int for key in f.terms for j in key)
+            assert f.support == g.support and all(type(j) is int for j in f.support)
+        else:
+            assert got[1] == want[1]
+        got, want = outcome(index_terms, A, coeffs), outcome(per_key_index_terms, A, coeffs)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            (c, keep, masks, k), (c0, keep0, masks0, k0) = got[1], want[1]
+            assert c.tobytes() == c0.tobytes() and np.array_equal(keep, keep0)
+            assert masks == masks0 and k == k0
+        else:
+            assert got[1] == want[1]
+
+    def test_no_multi_index_per_key(self, monkeypatch):
+        A20, A18 = gen_triangle(2, 20), gen_triangle(2, 18)
+        m20 = unit_coefficients(A20)
+        m18 = dict(reversed([(t, float(i % 5 - 2)) for i, t in enumerate(A18.tuples())]))
+        built = []
+        new = MultiIndex.__new__
+        monkeypatch.setattr(MultiIndex, "__new__",
+                            lambda cls, entries: built.append(entries) or new(cls, entries))
+        MultiIndex((2, 1))
+        assert built == [(2, 1)]  # the counter counts
+        built.clear()
+        assert len(m20) == 190 and len(chaos_sum(m20).terms) == 190
+        assert len(m18) == 153 and len(index_terms(A18, m18)[2]) == 153 * 4 // 5
+        assert built == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_block_rows_are_canonical(data, n, seed):
+    # the rows block_elements adopts unchecked: strictly decreasing, positive,
+    # unique and in lexicographic order, as the checked constructor keeps them
+    d = data.draw(st.integers(1, min(4, n)))
+    blocks = [data.draw(st.sets(st.integers(1, n), max_size=8)) for _ in range(d)]
+    tri = IndexSet.triangle(d, n)
+    rows = tri.to_array()
+    explicit = IndexSet(d, array=rows[np.random.default_rng(seed).random(len(rows)) < 0.5])
+    for got in (tri.block_elements(blocks), explicit.block_elements(blocks)):
+        rows = got.to_array()
+        assert rows.dtype == np.int64 and rows.shape == (len(got), d)
+        assert not rows.flags.writeable
+        assert (rows[:, -1] >= 1).all() and (np.diff(rows, axis=1) < 0).all()
+        keys = [tuple(r) for r in rows.tolist()]
+        assert keys == sorted(set(keys))
+        assert np.array_equal(IndexSet(d, array=rows)._array, rows)
