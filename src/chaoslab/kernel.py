@@ -108,9 +108,8 @@ LAW_BLOCK_BITS = 19  # log2 of the entries of one block of the laws of a coeffic
 
 
 def masks(keys, support):
-    """Mask (a Python int) of each monomial key over the ascending support;
-    the rows of an int64 key array take their bits at once."""
-    if isinstance(keys, np.ndarray):  # a row's indices are distinct: its bits add
+    """Mask (a Python int) of each monomial key over the ascending support."""
+    if isinstance(keys, np.ndarray) and len(support) <= 62:  # a row's distinct bits add in int64
         return np.left_shift(1, np.searchsorted(support, keys), dtype=np.int64).sum(axis=1).tolist()
     bit = {j: 1 << b for b, j in enumerate(support)}
     return [sum(map(bit.__getitem__, key)) for key in keys]  # a key's indices are distinct

@@ -59,17 +59,20 @@ class MultiIndex(tuple):
 
 
 def _key_rows(keys):
-    """The keys of a coefficient map as one (size, d) int64 array, read by ``int``
-    as :class:`MultiIndex` reads them and checked at once: equal length d >= 1,
-    strictly decreasing, entries >= 1.  None for any other map (bare ints too)."""
+    """A coefficient map's keys read by ``int`` as :class:`MultiIndex` reads them, a bare
+    int k as (k,), into one (size, d) int64 array checked at once: equal length d >= 1,
+    strictly decreasing, entries >= 1.  None for any other map."""
     try:
-        (d,) = set(map(len, keys))  # a bare int, unequal lengths or no key raise
+        lengths = set(map(len, keys))
+    except TypeError:  # a key with no length: read a bare int k as (k,), as MultiIndex does
+        keys = [(k,) if isinstance(k, (int, np.integer)) else k for k in keys]
+        return _key_rows(keys) if all(isinstance(k, tuple) for k in keys) else None
+    try:
+        (d,) = lengths  # unequal lengths or no key raise
         rows = np.fromiter([j for key in keys for j in key], np.int64).reshape(-1, d)
     except (TypeError, ValueError, OverflowError):  # so do d = 0 and a huge or odd entry
         return None
-    if rows[:, -1].min() < 1 or (rows[:, 1:] >= rows[:, :-1]).any():
-        return None
-    return rows
+    return None if rows[:, -1].min() < 1 or (rows[:, 1:] >= rows[:, :-1]).any() else rows
 
 
 def _ascending(arr):
@@ -419,9 +422,8 @@ def chaos_sum(coeffs):
 
     Keys must be multi-indices of one common order (they form an index
     set); mixed-order combinations can be built with SignFunction algebra.
-    The terms, in the map's order, and the support are read from one int64
-    key array (:func:`_key_rows`); a map that makes none is read one
-    :class:`MultiIndex` per key, which names its first bad key.
+    Terms (in map order) and support come from one int64 key array, :func:`_key_rows`;
+    a map it refuses is read one :class:`MultiIndex` per key, naming its first bad key.
     """
     if not coeffs:
         raise EmptyInputError("coefficient map is empty")
@@ -433,9 +435,8 @@ def chaos_sum(coeffs):
             raise InvalidArgumentError("coefficient map keys must share one order")
         return SignFunction({k: float(c) for k, c in zip(keys, coeffs.values())})
     c = np.array(list(terms.values()))
-    if (bad := np.flatnonzero(~np.isfinite(c))).size:  # as SignFunction refuses them
-        raise InvalidArgumentError(f"coefficient of {tuple(rows[bad[0]].tolist())} is "
-                                   f"{c[bad[0]]}; it must be finite")
+    if not np.isfinite(c).all():  # the constructor refuses them, naming the first
+        return SignFunction(terms)
     f, keep = object.__new__(SignFunction), c != 0.0
     f.terms = terms if keep.all() else {k: v for k, v in terms.items() if v != 0.0}
     f.support = tuple(np.unique(rows[keep]).tolist())

@@ -518,7 +518,9 @@ def coefficient_maps(draw):
     items = [(KEY_FORMS[draw(st.sampled_from(forms))](row), draw(value)) for row in rows]
     fault = draw(st.sampled_from(FAULTS))
     at = draw(st.integers(0, len(items)))
-    bad_key = {"mixed": tuple(range(d + 1, 0, -1)), "nondecreasing": tuple(range(1, d + 2)),
+    # of order d, rising or with a repeated entry; at order 1 no such key exists
+    rising = draw(st.sampled_from([tuple(range(1, d + 1)), (d,) * d])) if d > 1 else (1, 2)
+    bad_key = {"mixed": tuple(range(d + 1, 0, -1)), "nondecreasing": rising,
                "zero": tuple(range(d - 1, -1, -1)), "extra": tuple(range(40 + d, 40, -1))}
     if fault in bad_key:
         items.insert(at, (bad_key[fault], 1.0))
@@ -570,8 +572,19 @@ class TestKeyArray:
         built.clear()
         assert len(m20) == 190 and len(chaos_sum(m20).terms) == 190
         assert len(m18) == 153 and len(index_terms(A18, m18)[2]) == 153 * 4 // 5
+        bare = {j: float(j % 3) for j in range(20, 0, -1)}  # order 1 keyed by bare ints
+        assert len(chaos_sum(bare).terms) == 14 and len(index_terms(gen_triangle(1, 20), bare)[2]) == 14
         assert built == []
 
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 70])
+    def test_masks_of_wide_supports_are_exact(self, n):
+        # int64 masks hold 62 bits here; wider supports take Python ints
+        rows = gen_triangle(2, n).to_array()
+        support = np.unique(rows)
+        got = kernel.masks(rows, support)
+        assert got == kernel.masks(rows.tolist(), support.tolist())
+        assert max(got) == 3 << (n - 2) and all(type(m) is int for m in got)
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 12), st.integers(0, 2**32 - 1))
