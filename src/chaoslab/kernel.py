@@ -17,12 +17,16 @@ time: a (2^r, P) array with the rows on its contiguous axis, at most
 which every column sees the butterflies of its own 1-D transform in the
 same order, and histogrammed row by row on a transposed copy; the sups of
 :func:`max_abs` halve the block's configuration rows by max in place.  A
-call allocates its working memory once: the block, one scratch array (the
-stage buffer and transposed part of the transform, then the transposed
-copy) and the intp index of the histograms serve every block.  Arrays
-allocated per block would come from fresh pages whenever they pass the
-allocator's mmap threshold, and faulting those in cost more than the
-transform.
+worker allocates its working memory once per call: the block, one scratch
+array (the stage buffer and transposed part of the transform, then the
+transposed copy) and the intp index of the histograms serve every block it
+runs.  Arrays allocated per block would come from fresh pages whenever they
+pass the allocator's mmap threshold, and faulting those in cost more than
+the transform.  The blocks of a matrix, and a law of one block, stream on
+the calling thread; the blocks of one row's slice rows, where they fill
+more than one, run on the :func:`~chaoslab.parallel.map_chunks` pool, one
+set of buffers per worker, and merge in block order, so the law does not
+depend on the worker count.
 
 * Integer coefficients whose absolute sum S is at most 2^31 - 1 get an
   exact law from a fast Walsh-Hadamard transform (FWHT) in the narrowest
@@ -91,6 +95,7 @@ transform.
 from __future__ import annotations
 
 import operator
+import threading
 
 import numpy as np
 
@@ -256,13 +261,14 @@ def law(term_masks, coeffs, k):
 
     Coefficients that ``int_dtype`` transforms exactly run an integer FWHT
     in its dtype over the slice rows of :func:`_reduced`, a block at a time
-    by :func:`_block_laws` on the calling thread, in one block, one scratch
-    array and one histogram index allocated for the call; a row's slice
-    histograms, folded by v -> -v where a flip negates every term, merge,
-    and its counts scale by 2^(k - r).  The hard cap reads the k support
-    bits.  Other coefficients take float64 blocks over all 2^k
-    configurations and the equal runs of each sorted row, which are what
-    ``np.unique`` gives.
+    by :func:`_block_laws`, in one block, one scratch array and one
+    histogram index per worker: the blocks of a matrix stream on the
+    calling thread, and those of one row, where its slice rows fill more
+    than one, run on the worker pool.  A row's slice histograms, folded by
+    v -> -v where a flip negates every term, merge in block order, and its
+    counts scale by 2^(k - r).  The hard cap reads the k support bits.
+    Other coefficients take float64 blocks over all 2^k configurations and
+    the equal runs of each sorted row, which are what ``np.unique`` gives.
     """
     _check_hard_cap(k)
     rows = np.asarray(coeffs, dtype=float)
@@ -271,16 +277,21 @@ def law(term_masks, coeffs, k):
     dtype, bound = int_dtype(rows)
     if dtype is None:
         laws = _block_laws(term_masks, len(rows), lambda i, j: rows[i:j], k, np.float64,
-                           lambda block, work: _sorted_runs(_rows(block, work)))
+                           lambda: _sorted_runs)
         return next(laws) if single else laws
     lows, low_bits, slices, slice_rows, folded, fixed = _reduced(term_masks, rows, k)
-    index = np.empty(1 << low_bits, dtype=np.intp)  # reused by every slice row
 
-    def histograms(block, work):  # rows by index: iterating a 2-D array costs more
-        vals = _rows(block, work)
-        return (_histogram(vals[i], bound, folded, index) for i in range(len(vals)))
+    def histograms():  # one intp index per worker, reused by every slice row it reads
+        index = np.empty(1 << low_bits, dtype=np.intp)
 
-    laws = _block_laws(lows, len(rows) * slices, slice_rows, low_bits, dtype, histograms)
+        def read(block, work):  # rows by index: iterating a 2-D array costs more
+            vals = _rows(block, work)
+            return (_histogram(vals[i], bound, folded, index) for i in range(len(vals)))
+
+        return read
+
+    laws = _block_laws(lows, len(rows) * slices, slice_rows, low_bits, dtype, histograms,
+                       pool=single)
     laws = ((vals, counts << fixed) for vals, counts in map(_merge, zip(*[laws] * slices)))
     return next(laws) if single else laws
 
@@ -306,7 +317,8 @@ def max_abs(term_masks, coeffs, k):
             np.maximum(top[:h], top[h : 2 * h], out=top[:h])
         return top[0]
 
-    out = np.fromiter(_block_laws(lows, len(rows) * slices, slice_rows, low_bits, dtype, tops),
+    out = np.fromiter(_block_laws(lows, len(rows) * slices, slice_rows, low_bits, dtype,
+                                  lambda: tops),
                       dtype=np.int64, count=len(rows) * slices)
     return out.reshape(len(rows), slices).max(axis=1)
 
@@ -347,29 +359,39 @@ def _reduced(term_masks, rows, k):
     return lows, low_bits, slices, slice_rows, bool(flip), fixed
 
 
-def _block_laws(term_masks, count, rows, k, dtype, histogram):
+def _block_laws(term_masks, count, rows, k, dtype, reader, pool=False):
     """Laws of ``count`` coefficient rows over 2^k configurations, built by
     ``rows(start, stop)`` a block of at most 2^LAW_BLOCK_BITS entries (one
     row at least) at a time.  The P rows of a block are scattered to a
     (2^k, P) array, the rows on the contiguous axis, and transformed by one
-    :func:`fwht` call; ``histogram(block, work)`` maps the transformed
-    block to its P laws, or to another reading of each row, and may
-    overwrite both arrays.  The block and one scratch array ``work`` are
-    allocated once and reused by every block: the scratch holds the stage
-    buffer and the transposed part of the transform, and then at least the
-    block's size for P > 1, room for the transposed copy of :func:`_rows`."""
+    :func:`fwht` call; ``read(block, work)`` maps the transformed block to
+    its P laws, or to another reading of each row, and may overwrite both
+    arrays.  A worker allocates its block, one scratch array ``work`` and
+    ``read = reader()`` once and reuses them for every block it runs: the
+    scratch holds the stage buffer and the transposed part of the
+    transform, and then at least the block's size for P > 1, room for the
+    transposed copy of :func:`_rows`.  The blocks stream one after another
+    on the calling thread, or, with ``pool`` and more than one block, run
+    through :func:`map_chunks`; either way the laws come in block order."""
     step = max(1, min(count, (1 << LAW_BLOCK_BITS) >> k))
     size, itemsize = step << k, np.dtype(dtype).itemsize
     copy = size if step > 1 else 0  # one row needs no transposed copy
-    buf = np.empty(size, dtype)
-    work = np.empty(max(copy, _fwht_work(size, step, itemsize)), dtype)
-    for start in range(0, count, step):
+    held = threading.local()  # one worker's block, scratch and reader
+
+    def run(start):
+        if not hasattr(held, "buf"):
+            held.buf = np.empty(size, dtype)
+            held.work = np.empty(max(copy, _fwht_work(size, step, itemsize)), dtype)
+            held.read = reader()
         coeffs = rows(start, min(start + step, count))
-        block = buf[: coeffs.shape[0] << k].reshape(1 << k, -1)
+        block = held.buf[: coeffs.shape[0] << k].reshape(1 << k, -1)
         block.fill(0)
         block[term_masks] = coeffs.T
-        fwht(block.reshape(-1), block.shape[1], work)
-        yield from histogram(block, work)
+        fwht(block.reshape(-1), block.shape[1], held.work)
+        return list(held.read(block, held.work))
+
+    for laws in (map_chunks if pool and count > step else map)(run, range(0, count, step)):
+        yield from laws
 
 
 def _rows(block, work):
@@ -382,9 +404,11 @@ def _rows(block, work):
     return rows
 
 
-def _sorted_runs(rows):
-    """(values, counts) of each row of a float array, sorted in place: the
-    equal runs of the sorted row, as ``np.unique`` finds them."""
+def _sorted_runs(block, work):
+    """(values, counts) of each row of a transformed float block, sorted in
+    place in :func:`_rows`: the equal runs of the sorted row, as
+    ``np.unique`` finds them."""
+    rows = _rows(block, work)
     rows.sort(axis=1)
     edge = np.ones(rows.shape, dtype=bool)
     np.not_equal(rows[:, 1:], rows[:, :-1], out=edge[:, 1:])

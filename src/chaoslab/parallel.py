@@ -1,4 +1,5 @@
-"""Deterministic chunked map-reduce for the Monte Carlo chunks of sampled laws.
+"""Deterministic chunked map-reduce for the Monte Carlo chunks of sampled
+laws and the transform blocks of one wide exact law.
 
 Work is split into fixed chunks whose boundaries never depend on the worker
 count, and partial results are merged in chunk order, so results are
@@ -29,7 +30,9 @@ def map_chunks(fn, chunks):
 
     ``chunks`` must be a sequence (its order defines the merge order).
     numpy releases the GIL on large array ops, such as the sign reads and
-    parities of a Monte Carlo chunk of ``kernel.MC_CHUNK`` rows.
+    parities of a Monte Carlo chunk of ``kernel.MC_CHUNK`` rows, or the
+    butterflies and histograms of a block of 2^``kernel.LAW_BLOCK_BITS``
+    entries.
     """
     chunks = list(chunks)
     workers = worker_count()

@@ -1,24 +1,31 @@
 """Configuration kernel: independent routes to a law agree exactly."""
 
 import ast
+import itertools
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
     InvalidArgumentError,
     ResourceLimitError,
     SignFunction,
+    SpaceSpec,
+    averaged_sup_growth,
     chaos_sum,
     distribution_exact,
     distribution_mc,
     evaluate_dyadic,
     gen_sum_set,
     gen_triangle,
+    normalized_sum_cdf,
+    rud_average,
     unit_coefficients,
 )
 from chaoslab import kernel
@@ -206,10 +213,11 @@ class TestRouteAgreement:
         assert np.array_equal(kernel.random_bits(3, 7 << 64, rows, k), expect)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_sum_set_n30_sampled_law_is_pinned(self, threads, monkeypatch):
+    def test_sum_set_n30_sampled_law_is_pinned(self, threads, monkeypatch, pool_calls):
         # 140,000 rows: three counter blocks of MC_CHUNK rows, the last partial
         monkeypatch.setenv("CHAOSLAB_THREADS", threads)
         law = distribution_mc(chaos_sum(unit_coefficients(gen_sum_set(30))), 140_000, seed=2023)
+        assert [(chunks, len(ids)) for chunks, ids in pool_calls] == [(3, int(threads))]
         assert law.values.tolist() == [-102, -88, -86, -84, *range(-80, 76, 2),
                                        78, 80, 82, 94, 96, 106]
         assert np.rint(law.weights * 140_000).astype(int).tolist() == [
@@ -669,8 +677,51 @@ class TestHomogeneity:
         assert law.lp_norm(4) / scale == pytest.approx(25.9891403306, rel=1e-10)
 
 
+def sum_set_law(N, scale=1.0):
+    """Exact (values, counts) lists of the unit sum set of order N, scaled."""
+    masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(N)))._kernel_input()
+    vals, counts = kernel.law(masks, np.array(coeffs) * scale, k)
+    return vals.tolist(), counts.tolist()
+
+
+def small_triangle_law(n):
+    """Exact (values, counts) lists of triangle(2, n) with seeded {-3..3} coefficients."""
+    tuples = list(gen_triangle(2, n).tuples())
+    c = np.random.default_rng(n).integers(-3, 4, size=len(tuples)).astype(float)
+    masks, coeffs, k = chaos_sum(dict(zip(tuples, c)))._kernel_input()
+    assert k == n
+    vals, counts = kernel.law(masks, coeffs, k)
+    return vals.tolist(), counts.tolist()
+
+
+def normalized_sum_hex(N):
+    """float.hex of every number of normalized_sum_cdf(gen_sum_set(N), N)."""
+    res = normalized_sum_cdf(gen_sum_set(N), N)
+    floats = [*res.distribution.values.tolist(), *res.distribution.weights.tolist(),
+              res.l2_norm, res.ks_distance]
+    return [float(x).hex() for x in floats], res.size
+
+
+# name: (law, blocks of 2^LAW_BLOCK_BITS entries, slice and block bits or None)
+WIDE_LAWS = {
+    # 2^20 reduced configurations in int8: 16 slice rows of 2^16, 8 per block
+    "sum_set_22": (lambda: sum_set_law(22), 2, None),
+    # 2^22 in int16: 64 slice rows, the exact-laws p90
+    "sum_set_24": (lambda: sum_set_law(24), 8, None),
+    "normalized_sum_22": (lambda: normalized_sum_hex(22), 2, None),
+    # rank 21 and no flip: 2^21 configurations in int16 (S = sum |c| > 127)
+    "triangle_2_22": (lambda: small_triangle_law(22), 4, None),
+    # S = 110 * 300 > 32767: int32
+    "sum_set_22_times_300": (lambda: sum_set_law(22, 300.0), 2, None),
+    # 2^12 reduced configurations: 256 slice rows of 2^4, 4 per block of 2^6
+    "sum_set_14_small_blocks": (lambda: sum_set_law(14), 64, (4, 6)),
+    # rank 10 and no flip: 64 slice rows of 2^4, 2 per block of 2^5
+    "triangle_2_11_small_blocks": (lambda: small_triangle_law(11), 32, (4, 5)),
+}
+
+
 class TestWorkerCount:
-    def test_exact_and_mc_laws(self, monkeypatch):
+    def test_exact_and_mc_laws(self, monkeypatch, pool_calls):
         f = chaos_sum(unit_coefficients(gen_sum_set(12)))
         g = SignFunction({(2, 1): 1.5, (5, 3): -0.25, (4,): 1.0})
         masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
@@ -690,6 +741,8 @@ class TestWorkerCount:
         single = laws()
         monkeypatch.delenv("CHAOSLAB_THREADS")
         assert laws() == single
+        # the two sampled laws of each run map their chunks, on one thread, then on more
+        assert [len(threads) > 1 for _, threads in pool_calls] == [False, False, True, True]
 
     def test_integer_slices_run_inline(self, monkeypatch):
         f = chaos_sum(unit_coefficients(gen_sum_set(12)))
@@ -703,6 +756,90 @@ class TestWorkerCount:
         monkeypatch.setattr(kernel, "SLICE_BITS", 4)
         assert len(f.support) > kernel.SLICE_BITS
         assert law_counts(f) == whole
+
+    @pytest.mark.parametrize("name", list(WIDE_LAWS))
+    def test_one_wide_law_at_every_worker_count(self, name, monkeypatch, pool_calls):
+        # one row of several blocks maps them, one block, scratch and index
+        # per worker; any buffer two workers shared would change the law
+        law, blocks, bits = WIDE_LAWS[name]
+        if bits:
+            monkeypatch.setattr(kernel, "SLICE_BITS", bits[0])
+            monkeypatch.setattr(kernel, "LAW_BLOCK_BITS", bits[1])
+        laws = {}
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("CHAOSLAB_THREADS", threads)
+            pool_calls.clear()
+            laws[threads] = law()
+            assert [(n, len(ids) > 1) for n, ids in pool_calls] == [(blocks, threads != "1")]
+        assert laws["2"] == laws["1"] and laws["3"] == laws["1"]
+
+    def test_small_blocks_on_more_workers_than_cores(self, monkeypatch, pool_calls):
+        # 32 blocks on 4 workers that switch every microsecond (numpy keeps
+        # the interpreter lock on blocks this small).  The first two blocks of
+        # a law wait for each other after their transforms, so a block that
+        # two workers shared would hold one transform for both.
+        law, blocks, (slice_bits, block_bits) = WIDE_LAWS["triangle_2_11_small_blocks"]
+        monkeypatch.setattr(kernel, "SLICE_BITS", slice_bits)
+        monkeypatch.setattr(kernel, "LAW_BLOCK_BITS", block_bits)
+        monkeypatch.setenv("CHAOSLAB_THREADS", "1")
+        single = law()
+        monkeypatch.setenv("CHAOSLAB_THREADS", "4")
+        fwht, laws, interval = kernel.fwht, [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                meet, order = threading.Barrier(2, timeout=60), itertools.count()
+
+                def transform(a, cols=1, work=None, meet=meet, order=order):
+                    fwht(a, cols, work)
+                    if next(order) < 2:
+                        meet.wait()
+                    return a
+
+                monkeypatch.setattr(kernel, "fwht", transform)
+                laws.append(law())
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(pooled == single for pooled in laws)
+        assert [(n, len(ids) > 1) for n, ids in pool_calls] == [(blocks, False)] + [(blocks, True)] * 5
+
+    @pytest.mark.parametrize("caller", ["rud_exact", "rud_mc", "sup_growth", "rows_200"])
+    def test_matrix_laws_stay_inline(self, caller, monkeypatch, pool_calls):
+        # the laws and sups of a coefficient matrix stream their blocks on
+        # the calling thread, at the default sizes or with many small blocks
+        if caller == "rows_200":  # test_slice_rows_follow_the_block_cap's law
+            masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(22)))._kernel_input()
+            signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(200, len(coeffs)))
+            assert len(list(kernel.law(masks, signs * np.array(coeffs), k))) == 200
+        else:
+            shapes = fwht_shapes(monkeypatch)
+            monkeypatch.setattr(kernel, "SLICE_BITS", 3)
+            monkeypatch.setattr(kernel, "LAW_BLOCK_BITS", 5)
+            if caller == "sup_growth":
+                averaged_sup_growth(2, (6, 7), mc_samples=40, seed=1)
+            else:
+                samples = 40 if caller == "rud_mc" else None
+                rud_average(gen_triangle(2, 6), None, SpaceSpec.lp(4), samples=samples, seed=2)
+            assert len(shapes) > 1
+        assert pool_calls == []
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(functions(int_coeff), edge_functions(rank_deficient_keys())),
+           st.integers(1, 9), st.integers(0, 8))
+    def test_one_row_law_maps_only_several_blocks(self, pool_calls, f, slice_bits,
+                                                  block_bits):
+        # a one-block law runs inline; a law of several blocks maps them in
+        # one map_chunks call, on the default pool of up to 4 workers
+        masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
+        pool_calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            shapes = fwht_shapes(mp)
+            mp.setattr(kernel, "SLICE_BITS", slice_bits)
+            mp.setattr(kernel, "LAW_BLOCK_BITS", block_bits)
+            vals, counts = kernel.law(masks, coeffs, len(f.support))
+        assert dict(zip(vals.tolist(), counts.tolist())) == parity_law(f)
+        assert [n for n, _ in pool_calls] == ([len(shapes)] if len(shapes) > 1 else [])
 
 
 class TestDtypeBoundaries:
@@ -816,12 +953,13 @@ class TestMemoryAndCaps:
         assert int(counts.sum()) == kernel.MC_CHUNK
         assert peak < 4 * 2**20
 
-    def test_sum_set_n24_law_reuses_its_buffers(self):
+    def test_sum_set_n24_law_reuses_its_buffers(self, monkeypatch):
         # 2^22 reduced configurations in int16, 64 slice rows of 2^16: one block
         # (2 bytes per entry) and one scratch array (at most 3 bytes per entry:
         # the stage buffer and the transposed part, then the transposed copy)
         # serve every block, and 2^20 bytes cover the rest (the 2^16-entry intp
         # histogram index and the slice rows of a block)
+        monkeypatch.setenv("CHAOSLAB_THREADS", "1")
         masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(24)))._kernel_input()
         tracemalloc.start()
         try:
@@ -831,6 +969,21 @@ class TestMemoryAndCaps:
             tracemalloc.stop()
         assert int(counts.sum()) == 1 << k
         assert peak < 5 * (1 << kernel.LAW_BLOCK_BITS) + (1 << 20)
+
+    def test_sum_set_n24_law_holds_buffers_per_worker(self, monkeypatch, pool_calls):
+        # the same law on two workers: each holds its own block, scratch array
+        # and histogram index, so the bound above holds per worker
+        monkeypatch.setenv("CHAOSLAB_THREADS", "2")
+        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(24)))._kernel_input()
+        tracemalloc.start()
+        try:
+            vals, counts = kernel.law(masks, coeffs, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(counts.sum()) == 1 << k
+        assert [(n, len(ids)) for n, ids in pool_calls] == [(8, 2)]
+        assert peak < 2 * 5 * (1 << kernel.LAW_BLOCK_BITS) + (1 << 20)
 
     def test_exact_law_keeps_hard_cap(self):
         f = chaos_sum(unit_coefficients(gen_sum_set(27)))

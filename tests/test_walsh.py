@@ -218,7 +218,7 @@ class TestDistributionMC:
         law = distribution_mc(SignFunction(terms), 100_000, seed=3)
         assert law.atoms() == [(value, 1.0)]
 
-    def test_worker_count_invariance(self, monkeypatch):
+    def test_worker_count_invariance(self, monkeypatch, pool_calls):
         # chunk boundaries are fixed, so the law is identical for any pool size
         f = chaos_sum({(2, 1): 1.0, (3, 2): -0.5})
         monkeypatch.setenv("CHAOSLAB_THREADS", "1")
@@ -226,6 +226,7 @@ class TestDistributionMC:
         monkeypatch.setenv("CHAOSLAB_THREADS", "4")
         par = distribution_mc(f, 200_000, seed=77)
         assert seq.atoms() == par.atoms()
+        assert [len(threads) > 1 for _, threads in pool_calls] == [False, True]
 
 
 class TestEvaluateDyadic:
