@@ -24,7 +24,6 @@ from .symspace import SpaceSpec, fundamental_function, norm
 from .walsh import (DEFAULT_BITS_CAP, IndexSet, MultiIndex, distribution_exact, index_terms,
                     law_of, terms_law)
 
-KHINTCHINE_MAX_COEFFS = 20
 RUD_EXACT_MAX = 20
 _SWEEP_BITS_CAP = 28  # pattern bits + configuration bits, see sign_concentration_check
 CLT_PAIR_BUDGET = 10_000_000
@@ -77,13 +76,11 @@ def khintchine_check(a, p) -> CertificateReport:
     a = [float(x) for x in a]
     if not a:
         raise InvalidArgumentError("coefficient list is empty")
-    check_cap(len(a), KHINTCHINE_MAX_COEFFS, "coefficients of an exact Khintchine check",
-              "sample the law of chaos_sum with distribution_mc and take its lp_norm")
     p = float(p)
     if not p >= 1:
         raise InvalidArgumentError(f"need p >= 1, got {p}")
     with timed_report("khintchine", {"k": len(a), "p": p}) as report:
-        value = law_of(IndexSet.triangle(1, len(a)), a, bits_cap=len(a)).lp_norm(p)
+        value = law_of(IndexSet.triangle(1, len(a)), a, bits_cap=None).lp_norm(p)
         l2 = math.sqrt(sum(c * c for c in a))
         report.add("norm_l2_coeffs", l2, "info")
         report.add("moment", value, ">=", l2 / math.sqrt(2.0), tol=1e-12)
@@ -207,7 +204,9 @@ def rud_average(
 
     Exact mode runs one law per coset of the code H spanned by the shift
     code and the flip u -> -u (see :func:`kernel.flip_code`):
-    2^(|keep| - rank H) laws for the |keep| nonzero coefficients.  Shifting
+    2^(|keep| - rank H) laws for the |keep| nonzero coefficients, each of
+    2^(rank H - 1) configurations, so 2^(|keep| - 1) in all; the mode refuses
+    more than ``RUD_EXACT_MAX`` nonzero coefficients.  Shifting
     the configuration by c turns pattern u into u chi(c), which negates and
     permutes butterfly inputs, exact in IEEE arithmetic; the flip negates
     the law, whose norm reads the same absolute law.  So every pattern of a
@@ -247,7 +246,7 @@ def rud_average(
         se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
         return RudAverage(avg, det, det / avg, se, "mc")
 
-    check_cap(m, RUD_EXACT_MAX, "pattern bits of an exact sign average",
+    check_cap(c.size, RUD_EXACT_MAX, "nonzero terms of an exact sign average",
               "pass samples= for a Monte Carlo average")
     # one law per coset of the shift code and the flip of the nonzero terms; a zero
     # term's sign changes no law and doubles every coset alike, so the mean keeps it out

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InvalidArgumentError, check_cap
 from .report import timed_report, write_text
-from .walsh import _MATERIALIZE_CAP, IndexSet
+from .walsh import _MATERIALIZE_CAP, IndexSet, _index_entries
 
 EXHAUSTIVE_BUDGET = 1_000_000
 STRATEGIES = ("exhaustive", "greedy-swap", "identity-blocks")
@@ -33,7 +33,7 @@ class BlockChoice:
     blocks: tuple
 
     def __init__(self, blocks):
-        blocks = tuple(tuple(sorted({int(v) for v in b})) for b in blocks)
+        blocks = tuple(tuple(sorted(set(_index_entries(b)))) for b in blocks)
         if not blocks:
             raise InvalidArgumentError("block choice needs at least one block")
         n = len(blocks[0])

@@ -25,6 +25,7 @@ which may exceed the support width, against the kernel's cap.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -38,13 +39,23 @@ DEFAULT_BITS_CAP = 24
 _MATERIALIZE_CAP = 5_000_000  # rows when materializing an implicit set
 
 
+def _index_entries(key):
+    """The entries of ``key`` read by ``operator.index``, Python's rule for sequence
+    indices: ints, numpy ints and bools pass; 2.5, 2.0, "3" and None are refused,
+    naming the key, so no two distinct tuple keys read as one monomial."""
+    try:
+        return tuple(map(operator.index, key))
+    except TypeError as exc:
+        raise InvalidArgumentError(f"index entries must be integers: {key!r}") from exc
+
+
 class MultiIndex(tuple):
     """Strictly decreasing tuple of positive integers (j1 > j2 > ... >= 1)."""
 
     def __new__(cls, entries):
         if isinstance(entries, (int, np.integer)):
             entries = (entries,)
-        t = tuple(int(j) for j in entries)
+        t = _index_entries(entries)
         if not t:
             raise InvalidArgumentError("multi-index needs at least one entry")
         if t[-1] < 1:
@@ -59,18 +70,20 @@ class MultiIndex(tuple):
 
 
 def _key_rows(keys):
-    """A coefficient map's keys read by ``int`` as :class:`MultiIndex` reads them, a bare
-    int k as (k,), into one (size, d) int64 array checked at once: equal length d >= 1,
-    strictly decreasing, entries >= 1.  None for any other map."""
+    """A coefficient map's keys read by ``operator.index`` as :class:`MultiIndex` reads
+    them, a map of bare ints k as (k,), into one (size, d) int64 array checked at once:
+    equal length d >= 1, strictly decreasing, entries >= 1.  None for any other map."""
     try:
         lengths = set(map(len, keys))
-    except TypeError:  # a key with no length: read a bare int k as (k,), as MultiIndex does
-        keys = [(k,) if isinstance(k, (int, np.integer)) else k for k in keys]
-        return _key_rows(keys) if all(isinstance(k, tuple) for k in keys) else None
+    except TypeError:  # a key with no length: a map of bare ints k reads as (k,), as MultiIndex
+        # does; a bare k beside the tuple (k,) reads per key, where the later one wins
+        bare = all(isinstance(k, (int, np.integer)) for k in keys)
+        return _key_rows([(k,) for k in keys]) if bare else None
     try:
         (d,) = lengths  # unequal lengths or no key raise
-        rows = np.fromiter([j for key in keys for j in key], np.int64).reshape(-1, d)
-    except (TypeError, ValueError, OverflowError):  # so do d = 0 and a huge or odd entry
+        entries = [operator.index(j) for key in keys for j in key]
+        rows = np.fromiter(entries, np.int64).reshape(-1, d)
+    except (TypeError, ValueError, OverflowError):  # so do d = 0, a non-integer and a huge entry
         return None
     return None if rows[:, -1].min() < 1 or (rows[:, 1:] >= rows[:, :-1]).any() else rows
 
@@ -111,12 +124,13 @@ class IndexSet:
             self._array = None
             return
         self._triangle_max = None
-        try:
-            arr = np.asarray(array, dtype=np.int64)
-        except OverflowError as exc:
-            raise InvalidArgumentError(f"element entries must fit in int64: {exc}") from exc
+        arr = np.asarray(array)
         if arr.size == 0:
-            arr = arr.reshape(0, self.order)
+            arr = np.empty((0, self.order), dtype=np.int64)
+        elif not np.can_cast(arr.dtype, np.int64):  # floats, strings, objects, uint64
+            raise InvalidArgumentError(f"element entries must be integers and must fit in int64, "
+                                       f"got dtype {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2 or arr.shape[1] != self.order:
             raise InvalidArgumentError("element array must have shape (size, order)")
         bad = np.flatnonzero((arr[:, -1] < 1) | np.any(np.diff(arr, axis=1) >= 0, axis=1))
@@ -148,7 +162,7 @@ class IndexSet:
             raise InvalidArgumentError("all elements must share one order")
         if order is not None and order != d:
             raise InvalidArgumentError(f"declared order {order} != element order {d}")
-        return cls(d, array=np.array(elems, dtype=np.int64))
+        return cls(d, array=elems)
 
     @classmethod
     def triangle(cls, order, max_index):
@@ -246,7 +260,7 @@ class IndexSet:
     def _blocks(self, blocks):
         """``blocks`` as sorted int64 arrays of distinct values, cut to [1, max_index]."""
         top = self.max_index
-        blocks = [np.array(sorted({v for v in map(int, b) if 1 <= v <= top}), dtype=np.int64)
+        blocks = [np.array(sorted({v for v in _index_entries(b) if 1 <= v <= top}), dtype=np.int64)
                   for b in blocks]
         if len(blocks) != self.order:
             raise InvalidArgumentError(f"order mismatch: set order {self.order}, blocks {len(blocks)}")
@@ -304,17 +318,17 @@ class SignFunction:
     def __init__(self, terms):
         clean = {}
         for key, coeff in terms.items():
+            raw = _index_entries(key)  # read first: a bad key is refused whatever its coefficient
             coeff = float(coeff)
             if coeff == 0.0:
                 continue
             if not math.isfinite(coeff):
                 raise InvalidArgumentError(f"coefficient of {key} is {coeff}; it must be finite")
-            raw = key
-            key = tuple(sorted({int(j) for j in raw}, reverse=True))
+            key = tuple(sorted(set(raw), reverse=True))
             if key and key[-1] < 1:
                 raise InvalidArgumentError(f"Rademacher indices must be >= 1: {key}")
             if len(key) < len(raw):  # eps_j^2 = 1: an index repeated evenly often cancels
-                key = tuple(j for j in key if sum(int(i) == j for i in raw) % 2)
+                key = tuple(j for j in key if raw.count(j) % 2)
             clean[key] = clean.get(key, 0.0) + coeff
         self.terms = {k: c for k, c in clean.items() if c != 0.0}
         self.support = tuple(sorted({j for k in self.terms for j in k}))
@@ -406,10 +420,7 @@ class SignFunction:
 
 def rademacher(j):
     """The j-th Rademacher function r_j, j >= 1."""
-    j = int(j)
-    if j < 1:
-        raise InvalidArgumentError(f"Rademacher index must be a positive integer, got {j}")
-    return SignFunction({(j,): 1.0})
+    return SignFunction({MultiIndex((j,)): 1.0})
 
 
 def chaos_monomial(index):
@@ -427,13 +438,12 @@ def chaos_sum(coeffs):
     """
     if not coeffs:
         raise EmptyInputError("coefficient map is empty")
-    if (rows := _key_rows(coeffs)) is not None:
-        terms = dict(zip(map(tuple, rows.tolist()), map(float, coeffs.values())))
-    if rows is None or len(terms) < len(rows):  # or keys that int() reads alike
+    if (rows := _key_rows(coeffs)) is None:
         keys = [MultiIndex(k) for k in coeffs]
         if len({k.order for k in keys}) > 1:
             raise InvalidArgumentError("coefficient map keys must share one order")
         return SignFunction({k: float(c) for k, c in zip(keys, coeffs.values())})
+    terms = dict(zip(map(tuple, rows.tolist()), map(float, coeffs.values())))
     c = np.array(list(terms.values()))
     if not np.isfinite(c).all():  # the constructor refuses them, naming the first
         return SignFunction(terms)
@@ -448,8 +458,6 @@ def randomize_signs(coeffs, flips):
 
     ``flips`` must assign +-1 to every key of ``coeffs``.
     """
-    if not coeffs:
-        raise EmptyInputError("coefficient map is empty")
     flipped = {}
     norm_flips = {MultiIndex(k): v for k, v in flips.items()}
     for key, c in coeffs.items():

@@ -143,8 +143,15 @@ class TestKhintchine:
         assert report.quantity("moment") == pytest.approx(2.0, rel=1e-14)
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            khintchine_check([1.0] * 21, 2)
+        # the kernel's hard cap of 2^26 configurations is the one guard
+        with pytest.raises(ResourceLimitError, match="distribution_mc") as err:
+            khintchine_check([1.0] * 27, 2)
+        assert (err.value.required, err.value.budget) == (27, 26)
+
+    def test_24_integer_coefficients_run(self):
+        a = [j % 5 + 1 for j in range(24)]
+        want = law_of(IndexSet.triangle(1, 24), a, bits_cap=None).lp_norm(3)
+        assert khintchine_check(a, 3).quantity("moment") == want
 
     def test_invalid_p(self):
         with pytest.raises(InvalidArgumentError):
@@ -354,6 +361,17 @@ class TestRudAverage:
         A = gen_triangle(2, 8)  # 28 elements
         with pytest.raises(ResourceLimitError):
             rud_average(A, None, SpaceSpec.lp(2))
+
+    def test_exact_cap_counts_nonzero_terms(self):
+        # 21 elements, 7 of them with zero coefficients: the 14 terms enumerated are under the cap
+        A = gen_triangle(2, 7)
+        coeffs = [0.0 if i % 3 == 0 else 1.0 + i for i in range(len(A))]
+        rows = A.to_array()[np.flatnonzero(coeffs)]
+        want = rud_average(IndexSet(2, array=rows), [c for c in coeffs if c], SpaceSpec.lp(4))
+        assert rud_average(A, coeffs, SpaceSpec.lp(4)) == want
+        with pytest.raises(ResourceLimitError) as err:
+            rud_average(A, [1.0] * len(A), SpaceSpec.lp(4))
+        assert (err.value.required, err.value.budget) == (21, 20)
 
     def test_missing_coefficients(self):
         with pytest.raises(InvalidArgumentError):
@@ -980,3 +998,30 @@ def test_blei_p_list_as_moment_table(p_list):
 def test_non_finite_and_out_of_range_parameters_refused(call):
     with pytest.raises(InvalidArgumentError):
         call()
+
+
+@pytest.mark.parametrize("call, cause", [
+    (lambda: khintchine_check([], 2), "coefficient list is empty"),
+    (lambda: rud_average(gen_triangle(2, 4)), "a SpaceSpec is required"),
+    (lambda: rud_average(gen_triangle(2, 4), space=SpaceSpec.lp(2), samples=0),
+     "sample count must be >= 1"),
+    (lambda: averaged_sup_growth(2, [6, 7], mc_samples=1), "need at least 2 samples"),
+    (lambda: lower_bound_check(gen_triangle(2, 4), [[1, 2], [3, 4]], SpaceSpec.lp(2)),
+     "A does not meet the block product"),
+    (lambda: sign_concentration_check(gen_triangle(2, 4), [[1, 2], [3, 4]]),
+     "A does not meet the block product"),
+    (lambda: clt_star(gen_sum_set(20), 2), "need N >= 3, got 2"),
+    (lambda: clt_star(IndexSet.from_tuples([(9, 5, 4)]), 8), "entries <= 8 is empty"),
+    (lambda: normalized_sum_cdf(IndexSet.from_tuples([(9, 5, 4)]), 8), "entries <= 8 is empty"),
+], ids=["khintchine-empty", "rud-no-space", "rud-no-samples", "sup-growth-one-sample",
+        "lower-bound-misses", "concentration-misses", "clt-star-small-n", "clt-star-empty",
+        "normalized-sum-empty"])
+def test_input_refusals_name_their_cause(call, cause):
+    with pytest.raises(InvalidArgumentError, match=cause):
+        call()
+
+
+def test_lower_bound_check_takes_raw_blocks():
+    A, space = gen_triangle(2, 4), SpaceSpec.lp(2)
+    raw = lower_bound_check(A, [[1, 2, 3, 4]] * 2, space)
+    assert raw.checks == lower_bound_check(A, BlockChoice.identity(2, 4), space).checks

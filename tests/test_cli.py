@@ -68,7 +68,7 @@ class TestKhintchine:
         assert run(["khintchine", "--p", "4"]) == 2
 
     def test_resource_exit(self):
-        coeffs = ",".join(["1"] * 25)
+        coeffs = ",".join(["1"] * 27)  # past the kernel's 2^26 configurations
         assert run(["khintchine", "--coeffs", coeffs, "--p", "2"]) == 3
 
     def test_io_failure_exit(self, tmp_path):
@@ -265,6 +265,15 @@ class TestOtherCommands:
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
 
+    def test_other_library_error_exits_3(self, tmp_path, capsys):
+        # a degenerate fit is neither a refusal of the input nor a resource limit
+        path = tmp_path / "s.idx"
+        run(["gen-set", "--kind", "sum", "--max", "12", "--out", str(path)])
+        capsys.readouterr()
+        assert run(["dimension", "--set", str(path), "--n-list", "1,2,3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: best count at n=1 is zero; log-log fit is degenerate\n"
+
     @pytest.mark.parametrize(
         "flag,text",
         [
@@ -276,6 +285,7 @@ class TestOtherCommands:
             ("--weight", "log:1:5"),
             ("--orlicz", "power:3:1"),
             ("--orlicz", "exp:2:1:3"),
+            ("--weight", "sqrt:2"),
         ],
     )
     def test_coincidence_malformed_descriptor(self, flag, text, capsys):
@@ -437,7 +447,8 @@ class TestParseSpace:
 
     @pytest.mark.parametrize("text", ["l3", "lp", "orlicz-exp", "explr:2:magic",
                                       "lp:4:7", "linf:3", "explr:2:extrapolation:9",
-                                      "orlicz-power:3:1", "orlicz-exp:2:1:3", "lorentz-log:1:5"])
+                                      "orlicz-power:3:1", "orlicz-exp:2:1:3", "lorentz-log:1:5",
+                                      "lorentz-sqrt:1"])
     def test_invalid(self, text):
         with pytest.raises(InvalidArgumentError):
             parse_space(text)
@@ -632,6 +643,10 @@ def test_norm_far_below_l1_is_bracketed(r, tmp_path, capsys):
     (["concentration", "--order", "0", "--n", "3"], "order >= 1"),
     (["norm", "--set", "SET", "--space", "lorentz-log:1.5"], "gamma <= 1"),
     (["norm", "--set", "SET", "--space", "marcinkiewicz-log:2"], "gamma <= 1"),
+    (["concentration", "--n", "3"], "need --set or --order"),
+    (["density", "--set", "SET", "--universe", "6", "--alpha", "1"], "certificate mode needs"),
+    (["density", "--set", "SET", "--universe", "6", "--alpha", "1", "--beta", "2"],
+     "certificate mode needs"),
 ])
 def test_non_finite_and_out_of_range_numbers_are_usage_errors(argv, cause, tmp_path, capsys):
     path = tmp_path / "sum12.idx"

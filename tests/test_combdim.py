@@ -318,6 +318,11 @@ class TestMaxDensity:
         with pytest.raises(InvalidArgumentError):
             max_density(gen_sum_set(6), 2, 6, "magic")
 
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_block_size_out_of_range(self, n):
+        with pytest.raises(InvalidArgumentError, match=f"need 1 <= n <= universe, got n={n}"):
+            max_density(gen_sum_set(6), n, 6)
+
     def test_monotone_identity_counts(self):
         A = gen_sum_set(30)
         counts = [max_density(A, n, 30, "identity-blocks")[0] for n in range(3, 15)]
@@ -325,6 +330,10 @@ class TestMaxDensity:
 
 
 class TestDensityCertificates:
+    def test_empty_n_list(self):
+        with pytest.raises(InvalidArgumentError, match="n_list is empty"):
+            density_certificates(gen_sum_set(12), 1.0, 2.0, [], 12)
+
     def test_sum_set_super_2(self):
         # identity blocks give floor((n-1)^2/4) elements; the worst ratio on
         # {4..12} is 2/16 at n=4
@@ -423,6 +432,12 @@ class TestBlockChoice:
     def test_positive_entries(self):
         with pytest.raises(InvalidArgumentError):
             BlockChoice(((0, 1), (2, 3)))
+
+    @pytest.mark.parametrize("blocks, cause", [((), "at least one block"),
+                                               (((), ()), "blocks must be nonempty")])
+    def test_empty_refused(self, blocks, cause):
+        with pytest.raises(InvalidArgumentError, match=cause):
+            BlockChoice(blocks)
 
 
 class TestTextFormat:
@@ -527,6 +542,8 @@ class TestIndexSetOps:
         A = gen_triangle(3, 50)
         R = A.restrict(5)
         assert R.is_triangle and len(R) == math.comb(5, 3)
+        E = A.restrict(2)  # below the order: no row fits
+        assert not E.is_triangle and len(E) == 0 and E.order == 3
 
     def test_membership(self):
         A = gen_sum_set(10)

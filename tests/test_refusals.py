@@ -44,7 +44,7 @@ SITES = [
      "resolution 3"),
     ("IndexSet.to_array", lambda: IndexSet.triangle(3, 400).to_array(),
      (math.comb(400, 3), 5_000_000), "count_block"),
-    ("khintchine_check", lambda: khintchine_check([1.0] * 21, 4), (21, 20), "distribution_mc"),
+    ("khintchine_check", lambda: khintchine_check([1.0] * 27, 4), (27, 26), "distribution_mc"),
     ("rud_average", lambda: rud_average(gen_triangle(2, 7), space=SpaceSpec.lp(2)),
      (21, 20), "samples="),
     ("averaged_sup_growth", lambda: averaged_sup_growth(2, [10, 21]), (21, 20), "n <= 20"),

@@ -26,6 +26,13 @@ class TestAdd:
             r.add("x", 1.0, comparison)
         assert r.checks == []
 
+    def test_quantity_of_a_missing_row(self):
+        r = CertificateReport("rows")
+        r.add("a", 1.0, "info")
+        assert r.quantity("a") == 1.0
+        with pytest.raises(KeyError, match="b"):
+            r.quantity("b")
+
     def test_unknown_comparison_refused(self):
         r = CertificateReport("comparisons")
         with pytest.raises(InvalidArgumentError, match="unknown comparison"):

@@ -227,6 +227,18 @@ class TestNorms:
         with pytest.raises(InvalidArgumentError, match="at least one atom"):
             StepDistribution.from_atoms([])
 
+    @pytest.mark.parametrize("values, weights, cause", [
+        ([1.0, 2.0], [1.0], "equal length"),
+        ([1.0, 2.0], [0.25, 0.5], "atom weights sum to 0.75, not 1"),
+    ], ids=["lengths", "total"])
+    def test_weights_refused(self, values, weights, cause):
+        with pytest.raises(InvalidArgumentError, match=cause):
+            StepDistribution(values, weights)
+
+    def test_unknown_space_kind(self):
+        with pytest.raises(InvalidArgumentError, match="unknown space kind 'lq'"):
+            norm(self.two_signs, SpaceSpec("lq"))
+
     def test_nan_atoms_are_refused(self):
         # a NaN value would sort last and merge with the atoms before it
         nan = math.nan
@@ -300,8 +312,28 @@ class TestOrliczFunction:
 
     def test_weight_validation(self):
         assert LOG_HALF.validate()
-        with pytest.raises(InvalidArgumentError):
-            ConcaveWeight.from_callable(lambda t: t * t, "convex").validate()
+
+    @pytest.mark.parametrize("fn, cause", [(lambda t: t * t, r"phi\(t\)/t monotonicity"),
+                                           (lambda t: 1.0 - t, "weight fails the monotonicity"),
+                                           (lambda t: math.inf, "not finite")],
+                             ids=["convex", "decreasing", "infinite"])
+    def test_weight_validation_refuses(self, fn, cause):
+        with pytest.raises(InvalidArgumentError, match=cause):
+            ConcaveWeight.from_callable(fn).validate()
+
+    def test_inverse_at_zero(self):
+        # M^{-1}(v) = 0 for v <= 0, where the formulas give complex, negative or no values
+        for M in (OrliczFunction.power(3), OrliczFunction.exponential(0.5),
+                  OrliczFunction.exponential(2)):
+            assert M.inverse(0) == 0.0 and M.inverse(-1.0) == 0.0
+
+    @pytest.mark.parametrize("M, cause", [
+        (OrliczFunction("power", 0.0), "vanish at 0"),  # u^0 = 1 at u = 0
+        (OrliczFunction("exponential", 0.5), "convexity"),  # no splice below the tangency
+    ], ids=["power0", "unspliced"])
+    def test_orlicz_validation_refuses(self, M, cause):
+        with pytest.raises(InvalidArgumentError, match=cause):
+            M.validate()
 
 
 def _orlicz_reference(M, u):
@@ -693,6 +725,8 @@ class TestFubini:
             fubini_orlicz_check(np.ones((3, 4)), OrliczFunction.power(2))
         with pytest.raises(InvalidArgumentError):
             fubini_orlicz_check(np.empty((0, 0)), OrliczFunction.power(2))
+        with pytest.raises(InvalidArgumentError, match="2-d matrix"):
+            fubini_orlicz_check(np.ones(4), OrliczFunction.power(2))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_kernel_is_refused(self, bad):

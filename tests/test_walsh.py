@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
+    BlockChoice,
     EmptyInputError,
     IndexSet,
     InvalidArgumentError,
@@ -21,6 +23,7 @@ from chaoslab import (
     distribution_exact,
     distribution_mc,
     evaluate_dyadic,
+    gen_sum_set,
     gen_triangle,
     law_of,
     rademacher,
@@ -51,10 +54,17 @@ class TestMultiIndex:
     def test_int_shorthand(self):
         assert tuple(MultiIndex(5)) == (5,)
 
-    @pytest.mark.parametrize("bad", [(), (1, 2), (2, 2), (1, 0), (0,), (3, 1, 1)])
+    @pytest.mark.parametrize("bad", [(), (1, 2), (2, 2), (1, 0), (0,), (3, 1, 1), ("3", "1"),
+                                     (2.5, 1), (2.0, 1.0), (3, None), 2.5, "31"])
     def test_invalid(self, bad):
         with pytest.raises(InvalidArgumentError):
             MultiIndex(bad)
+
+    def test_integer_types(self):
+        # operator.index reads numpy ints and bools as the ints they are
+        got = MultiIndex((np.int64(5), np.int32(3), True))
+        assert got == (5, 3, 1) and all(type(j) is int for j in got)
+        assert MultiIndex(np.int32(4)) == (4,)
 
 
 class TestRademacher:
@@ -67,10 +77,14 @@ class TestRademacher:
     def test_fair_sign(self):
         assert distribution_exact(rademacher(3)).atoms() == [(-1.0, 0.5), (1.0, 0.5)]
 
-    @pytest.mark.parametrize("j", [0, -2])
+    @pytest.mark.parametrize("j", [0, -2, 2.5, 2.0, "3", None, (3, 2)])
     def test_invalid_index(self, j):
         with pytest.raises(InvalidArgumentError):
             rademacher(j)
+
+    def test_integer_types(self):
+        assert rademacher(np.int32(3)).terms == rademacher(np.int64(3)).terms == {(3,): 1.0}
+        assert rademacher(True).terms == {(1,): 1.0}
 
 
 class TestChaosMonomial:
@@ -473,6 +487,11 @@ def per_key_chaos_sum(coeffs):
     return SignFunction({k: float(c) for k, c in zip(keys, coeffs.values())})
 
 
+def per_key_sign_function(coeffs):
+    """``SignFunction`` of a map read one MultiIndex per key."""
+    return SignFunction({MultiIndex(k): v for k, v in coeffs.items()})
+
+
 def per_key_index_terms(A, coeffs):
     """``index_terms`` of a map read one MultiIndex per key and handed on as
     the sequence of its values in canonical order."""
@@ -497,18 +516,27 @@ KEY_FORMS = {
     "tuple": lambda row: row,
     "int64": lambda row: tuple(np.int64(j) for j in row),
     "int32": lambda row: tuple(np.int32(j) for j in row),
+    "bool": lambda row: tuple(True if j == 1 else j for j in row),
     "multi": MultiIndex,
     "bare": lambda row: row[0],  # order 1 only
     "bare_int64": lambda row: np.int64(row[0]),
 }
-FAULTS = ("none", "mixed", "nondecreasing", "zero", "nonfinite", "missing", "extra")
+# a key beside the key of a row: 2.5 or "3" that int() would read as that key, or past int64
+ENTRY_FAULTS = {
+    "half": lambda row: (row[0] + 0.5,) + row[1:],
+    "string": lambda row: tuple(str(j) for j in row),
+    "big": lambda row: tuple(j + 2**63 for j in row),
+}
+FAULTS = ("none", "mixed", "nondecreasing", "zero", "nonfinite", "missing", "extra", "float",
+          *ENTRY_FAULTS)
 
 
 @st.composite
 def coefficient_maps(draw):
     """(A, map, fault): a map keyed by the rows of A (order 1..4, entries <= 40)
-    in drawn order, each key a tuple of ints, of numpy ints, a MultiIndex or,
-    at order 1, a bare int; values 0.0, -0.0, ints or floats; then one fault."""
+    in drawn order, each key a tuple of ints, of numpy ints, of ints and True,
+    a MultiIndex or, at order 1, a bare int; values 0.0, -0.0, ints or floats;
+    then one fault.  An entry fault adds a key built from a drawn row."""
     d = draw(st.integers(1, 4))
     element = st.lists(st.integers(1, 40), min_size=d, max_size=d, unique=True)
     rows = draw(st.lists(element.map(lambda t: tuple(sorted(t, reverse=True))), min_size=1,
@@ -525,6 +553,11 @@ def coefficient_maps(draw):
                "zero": tuple(range(d - 1, -1, -1)), "extra": tuple(range(40 + d, 40, -1))}
     if fault in bad_key:
         items.insert(at, (bad_key[fault], 1.0))
+    elif fault in ENTRY_FAULTS:
+        items.insert(at, (ENTRY_FAULTS[fault](rows[at % len(rows)]), draw(value)))
+    elif fault == "float":  # 2.0 in place of 2: the two are one dict key
+        i = at % len(items)
+        items[i] = (tuple(map(float, rows[i])), items[i][1])
     elif fault == "nonfinite":
         items[at % len(items)] = (items[at % len(items)][0],
                                   draw(st.sampled_from([math.nan, math.inf, -math.inf])))
@@ -533,15 +566,86 @@ def coefficient_maps(draw):
     return IndexSet.from_tuples(rows), dict(items), fault
 
 
+class TestIndexEntries:
+    """Every reader takes an index entry by operator.index: integers, numpy
+    integers and bools pass; 2.5, 2.0, "3" and None are refused, not truncated."""
+
+    ALIASED = {(2.5, 1): 1.0, (2, 1): 2.0}  # int() reads both keys as (2, 1)
+
+    @pytest.mark.parametrize("read", [chaos_sum, SignFunction, per_key_chaos_sum])
+    def test_coefficient_maps_refuse_the_entry(self, read):
+        with pytest.raises(InvalidArgumentError, match=re.escape("integers: (2.5, 1)")):
+            read(self.ALIASED)
+        with pytest.raises(InvalidArgumentError, match=re.escape("integers: ('2', '1')")):
+            read({("2", "1"): 1.0, (3, 1): 1.0})
+
+    def test_law_of_refuses_a_key_outside_the_set(self):
+        A = IndexSet.from_tuples([(2, 1), (3, 1)])
+        with pytest.raises(InvalidArgumentError, match=re.escape("integers: (2.5, 1)")):
+            law_of(A, {(2, 1): 1.0, (3, 1): 2.0, (2.5, 1): 5.0})
+        with pytest.raises(InvalidArgumentError, match=re.escape("integers: (3.0, 1.0)")):
+            law_of(A, {(2, 1): 1.0, (3.0, 1.0): 2.0})
+
+    @pytest.mark.parametrize("array", [[[2.5, 1.0]], [[2.0, 1.0]], [["3", "1"]], [[3, None]],
+                                       np.array([[3, 1]], dtype=np.uint64), [[2**70, 1]],
+                                       [[2**63, 1]]])
+    def test_index_set_arrays_must_hold_int64(self, array):
+        with pytest.raises(InvalidArgumentError, match="must be integers and must fit in int64"):
+            IndexSet(2, array=array)
+
+    def test_index_set_integer_arrays(self):
+        want = np.array([[2, 1], [3, 1]])
+        for array in (want.astype(np.int32), want.astype(np.uint8), [[True + 1, True], [3, 1]]):
+            assert np.array_equal(IndexSet(2, array=array).to_array(), want)
+        assert IndexSet(2, array=np.empty((0, 2))).to_array().dtype == np.int64
+        with pytest.raises(InvalidArgumentError, match="int64"):
+            IndexSet.from_tuples([(2**70, 1)])
+
+    @pytest.mark.parametrize("A", [gen_triangle(2, 6), gen_sum_set(8)], ids=["triangle", "sum"])
+    def test_blocks_refuse_the_entry(self, A):
+        blocks = [[4.9, 3], [2, 1]] + [[1, 2]] * (A.order - 2)
+        for call in (A.count_block, A.block_elements, BlockChoice):
+            with pytest.raises(InvalidArgumentError, match=re.escape("integers: [4.9, 3]")):
+                call(blocks)
+        with pytest.raises(InvalidArgumentError, match=re.escape("integers: [1.5, 2]")):
+            BlockChoice([[1.5, 2]])
+        assert A.count_block([[np.int64(5), 4], [np.int32(2), True]] + [[1, 2]] * (A.order - 2)) \
+            == A.count_block([[5, 4], [2, 1]] + [[1, 2]] * (A.order - 2))
+
+    def test_membership_does_not_truncate(self):
+        A = IndexSet.from_tuples([(2, 1)])
+        assert (2, 1) in A and (np.int64(2), True) in A
+        assert (2.5, 1) not in A and ("2", "1") not in A and 2.5 not in A
+
+    def test_bare_int_beside_its_tuple(self):
+        # the one pair of distinct keys that reads as one monomial: read per key, the later wins
+        for coeffs in ({2: 1.0, (2,): 3.0}, {(2,): 1.0, 2: 0.0}):
+            f, g = chaos_sum(coeffs), per_key_chaos_sum(coeffs)
+            assert f.terms == g.terms and f.support == g.support
+
+
+@pytest.mark.parametrize("call, error, cause", [
+    (lambda: IndexSet(0, array=[]), InvalidArgumentError, "order must be >= 1"),
+    (lambda: IndexSet(2, array=[[3, 2, 1]]), InvalidArgumentError, "shape (size, order)"),
+    (lambda: IndexSet.from_tuples([]), InvalidArgumentError, "order required for an empty"),
+    (lambda: IndexSet.from_tuples([(2, 1), (3,)]), InvalidArgumentError, "share one order"),
+    (lambda: IndexSet.from_tuples([(2, 1)], order=3), InvalidArgumentError,
+     "declared order 3 != element order 2"),
+    (lambda: rademacher(1).value({1: 0}), InvalidArgumentError, "index 1 must be +-1, got 0"),
+    (lambda: randomize_signs({}, {}), EmptyInputError, "coefficient map is empty"),
+], ids=["order-zero", "row-width", "empty-no-order", "mixed-orders", "declared-order",
+        "sign-value", "randomize-empty"])
+def test_input_refusals_name_their_cause(call, error, cause):
+    with pytest.raises(error, match=re.escape(cause)):
+        call()
+
+
 class TestKeyArray:
     """A coefficient map reaches the kernel as one int64 key array, with the
     results and refusals of reading it one MultiIndex per key."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(coefficient_maps())
-    def test_matches_the_per_key_reading(self, case):
-        A, coeffs, _ = case
-        got, want = outcome(chaos_sum, coeffs), outcome(per_key_chaos_sum, coeffs)
+    @staticmethod
+    def assert_same_sign_function(got, want):
         assert got[0] == want[0]
         if got[0] == "ok":
             f, g = got[1], want[1]
@@ -551,6 +655,19 @@ class TestKeyArray:
             assert f.support == g.support and all(type(j) is int for j in f.support)
         else:
             assert got[1] == want[1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(coefficient_maps())
+    def test_matches_the_per_key_reading(self, case):
+        A, coeffs, fault = case
+        self.assert_same_sign_function(outcome(chaos_sum, coeffs),
+                                       outcome(per_key_chaos_sum, coeffs))
+        # SignFunction reads any order and sorts entries, so it is compared where
+        # the keys are tuples and their entries decide the reading
+        if fault in ("none", "mixed", "float", *ENTRY_FAULTS) and \
+                all(isinstance(k, tuple) for k in coeffs):
+            self.assert_same_sign_function(outcome(SignFunction, coeffs),
+                                           outcome(per_key_sign_function, coeffs))
         got, want = outcome(index_terms, A, coeffs), outcome(per_key_index_terms, A, coeffs)
         assert got[0] == want[0]
         if got[0] == "ok":
