@@ -21,8 +21,8 @@ from .distribution import StepDistribution
 from .errors import InvalidArgumentError, cap_error, check_cap
 from .report import CertificateReport, timed_report
 from .symspace import SpaceSpec, fundamental_function, norm
-from .walsh import (DEFAULT_BITS_CAP, IndexSet, MultiIndex, distribution_exact, index_terms,
-                    law_of, terms_law)
+from .walsh import (DEFAULT_BITS_CAP, IndexSet, MultiIndex, distribution_exact, index_coeffs,
+                    index_terms, law_of, terms_law)
 
 RUD_EXACT_MAX = 20
 _SWEEP_BITS_CAP = 28  # pattern bits + configuration bits, see sign_concentration_check
@@ -119,7 +119,7 @@ def blei_bound_check(
     The sharp constant in the p^(beta/2) moment bound is not pinned down,
     so the certificate only records the ratios and asserts that their
     maximum is finite and attained at a recorded p.  ``coeffs`` as in
-    :func:`index_terms`, ``p_list`` as in :func:`moment_table`.
+    :func:`index_coeffs`, ``p_list`` as in :func:`moment_table`.
     """
     return _blei_check(A, coeffs, beta, p_list, bits_cap)[0]
 
@@ -134,13 +134,14 @@ def _blei_check(A, coeffs, beta, p_list, bits_cap):
     with timed_report(
         "blei-moment-bound", {"size": len(A), "beta": beta, "p_list": tuple(p_list)}
     ) as report:
-        c, keep, term_masks, k = index_terms(A, coeffs, bits_cap)
+        c = index_coeffs(A, coeffs)
+        terms = index_terms(A, c, bits_cap)
         l2 = math.sqrt(sum(x * x for x in c.tolist()))
         if l2 == 0.0:
             raise InvalidArgumentError("all coefficients are zero, so the ratios to ||a||_2 "
                                        "are undefined")
         best, best_p = -math.inf, None
-        table = moment_table(terms_law(term_masks, c[keep], k), p_list)
+        table = moment_table(terms_law(terms, c[c != 0]), p_list)
         for p, lp in table.rows:
             ratio = lp / (p ** (beta / 2.0) * l2)
             report.add(f"ratio_p{p:g}", ratio, "info")
@@ -197,7 +198,7 @@ def rud_average(
 ) -> RudAverage:
     """Average over sign patterns u of || sum_j u_j a_j r_j ||_X.
 
-    ``coeffs`` as in :func:`index_terms`.  Exact mode (samples=None) averages
+    ``coeffs`` as in :func:`index_coeffs`.  Exact mode (samples=None) averages
     over all 2^|A'| patterns, Monte Carlo mode over seeded ones with a standard
     error.  The ratio to the all-plus pattern's (deterministic) norm is the
     empirical divergence constant.
@@ -225,15 +226,16 @@ def rud_average(
     if space is None:
         raise InvalidArgumentError("a SpaceSpec is required")
     # pattern laws drop zero-coefficient terms, which then widen no support
-    base, keep, term_masks, k = index_terms(Aprime, coeffs, bits_cap)
-    m = base.size
+    base = index_coeffs(Aprime, coeffs)
+    terms = index_terms(Aprime, base, bits_cap)
+    m, keep = base.size, np.flatnonzero(base)
     if keep.size == 0:
         raise InvalidArgumentError("all coefficients are zero, so the ratio to the "
                                    "deterministic norm is undefined")
     c = base[keep]
 
     def pattern_norms(signed):
-        return [norm(law, space, tol) for law in terms_law(term_masks, signed, k)]
+        return [norm(law, space, tol) for law in terms_law(terms, signed)]
 
     if samples is not None:
         samples = int(samples)
@@ -250,7 +252,7 @@ def rud_average(
               "pass samples= for a Monte Carlo average")
     # one law per coset of the shift code and the flip of the nonzero terms; a zero
     # term's sign changes no law and doubles every coset alike, so the mean keeps it out
-    basis = kernel.flip_code(term_masks, k)
+    basis = kernel.flip_code(terms)
     coset_norms = pattern_norms(np.where(kernel.coset_reps(basis, c.size), -c, c))
     avg = math.fsum(coset_norms) / len(coset_norms)
     det = coset_norms[0]  # the all-plus pattern represents coset 0
@@ -292,7 +294,8 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, threshold=None):
     """
     B, AB = _block_part(A, B)
     d, m, n = A.order, len(AB), B.n
-    _, _, term_masks, s = index_terms(AB)
+    terms = index_terms(AB)
+    s = terms.k
     # the coset table holds 2^(m - rank H') bytes, and m + s <= 28 keeps m <= 23, as m
     # distinct terms need 2^s > m; the cap keeps the refusal of the former pattern x
     # configuration sweep, which the benchmark's reference pins
@@ -310,7 +313,7 @@ def sign_concentration_check(A: IndexSet, B: BlockChoice, threshold=None):
         {"d": d, "n": n, "intersection": m, "support_bits": s, "threshold": lam},
     ) as report:
         patterns = float(1 << m)
-        q = _exceeding_patterns(kernel.flip_code(term_masks, s), m, lam) / patterns
+        q = _exceeding_patterns(kernel.flip_code(terms), m, lam) / patterns
         tail = sum(math.comb(m, w) for w in range(m + 1) if abs(m - 2 * w) > lam) / patterns
         point_bound = 2.0 * math.exp(-(lam**2) / (2.0 * m))
         # union over the at most 2^{dn} sign vectors of the monomial family;
@@ -347,11 +350,11 @@ def averaged_sup_growth(d, n_list, mc_samples=1000, seed=0):
     ) as report:
         ratios = []
         for idx, n in enumerate(n_list):
-            term_masks = index_terms(gen_triangle(d, n))[2]  # support 1..n
-            m = len(term_masks)
+            terms = index_terms(gen_triangle(d, n))  # support 1..n
+            m = len(terms)
             signs = np.where(kernel.random_bits(seed, idx << 96, mc_samples, m).T, -1.0, 1.0)
             # float32 sups: their mean and std accumulate in float32
-            sups = kernel.max_abs(term_masks, signs, n).astype(np.float32)
+            sups = kernel.max_abs(terms, signs).astype(np.float32)
             det = float(m)
             avg = float(sups.mean())
             se = float(sups.std(ddof=1) / math.sqrt(mc_samples))

@@ -298,10 +298,10 @@ def load_index_set(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            entries = [int(v) for v in line.split()]
-        except ValueError as exc:
-            raise InvalidArgumentError(f"{path}:{lineno}: not an integer row: {line!r}") from exc
+        tokens = line.split()
+        if not all(map(str.isdigit, tokens)):  # ASCII digits only: int() reads 1_0 and +3 too
+            raise InvalidArgumentError(f"{path}:{lineno}: not an integer row: {line!r}")
+        entries = list(map(int, tokens))
         if rows and len(entries) != len(rows[0]):
             raise InvalidArgumentError(f"{path}:{lineno}: row of order {len(entries)} "
                                        f"in a set of order {len(rows[0])}")

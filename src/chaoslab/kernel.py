@@ -1,99 +1,58 @@
 """Evaluation of a sparse Walsh polynomial over its sign configurations.
 
-Every routine that evaluates a chaos over configurations goes through
-this module.  Coordinate b of the ascending support is -1 at a
-configuration exactly when bit b of its word is set; a monomial is the
-mask of its coordinates, and its value at a configuration is
-(-1)^parity(word & mask), with parity taken by ``np.bitwise_count``.
+Every routine that evaluates a chaos over configurations goes through this
+module, and every one reads the polynomial's monomials as one :class:`Terms`,
+built once from a key array or from a coefficient map's keys: the support
+positions of each term and the support width k.  Coordinate b of the
+ascending support is -1 at a configuration exactly when bit b of its word is
+set.  The exact routes read a term as the mask of its coordinates, whose value
+at a configuration is (-1)^parity(word & mask); Monte Carlo reads its
+coordinates as sign columns.
 
 Every exact law goes through :func:`law`, the one place that picks a route
-and that refuses a support wider than ``HARD_CAP_BITS`` (2^26
-configurations), once for both routes.  It takes the coefficients of one
-polynomial or a (P, T) matrix of P polynomials over the same T term masks,
-such as the sign patterns of one chaos, and settles the dtype, the rank
-reduction and the caps once for all P.  Rows are transformed a block at a
-time: a (2^r, P) array with the rows on its contiguous axis, at most
-2^``LAW_BLOCK_BITS`` entries, transformed by one :func:`fwht` call in
-which every column sees the butterflies of its own 1-D transform in the
-same order, and histogrammed row by row on a transposed copy; the sups of
-:func:`max_abs` halve the block's configuration rows by max in place.  A
-worker allocates its working memory once per call: the block, one scratch
-array (the stage buffer and transposed part of the transform, then the
-transposed copy) and the intp index of the histograms serve every block it
-runs.  Arrays allocated per block would come from fresh pages whenever they
-pass the allocator's mmap threshold, and faulting those in cost more than
-the transform.  The blocks of a matrix, and a law of one block, stream on
-the calling thread; the blocks of one row's slice rows, where they fill
-more than one, run on the :func:`~chaoslab.parallel.map_chunks` pool, one
-set of buffers per worker, and merge in block order, so the law does not
-depend on the worker count.
+and refuses a support wider than ``HARD_CAP_BITS`` (2^26 configurations).  It
+takes one coefficient row or a (P, T) matrix of P rows over the same terms,
+such as the sign patterns of one chaos, settles the dtype, the rank reduction
+and the caps once for all P, and transforms the rows a block of at most
+2^``LAW_BLOCK_BITS`` entries at a time (:func:`_block_laws`), so that each
+row's law is bit-identical to its own one-row call.  The blocks of one row
+that fills several run on the :func:`~chaoslab.parallel.map_chunks` pool and
+merge in block order, so no law depends on the worker count.
 
-* Integer coefficients whose absolute sum S is at most 2^31 - 1 get an
-  exact law from a fast Walsh-Hadamard transform (FWHT) in the narrowest
-  of int8, int16 and int32 that holds S (for a matrix, S sums the largest
-  |c| of each column).  Every partial sum of the transform is a signed
-  subset sum of the coefficients, bounded by S, so it cannot overflow.
-  It enumerates only the 2^r configurations of the r pivot coordinates
-  of the term masks, r their F2-rank, and scales the counts by
-  2^(k - r): every sum set and triangle(2, n) has r = k - 1.  Where some
-  configuration c* negates every term (every odd-degree chaos, such as a
-  sum set, and some even ones, such as disjoint pairs), c and c xor c*
-  have opposite values, so the law is symmetric: the sign of the top bit
-  of c* is fixed to +1 like the non-pivot signs (terms whose masks then
-  coincide add their coefficients), and the counts of the 2^(r - 1)
-  configurations left fold by v -> -v, count(v) = h(v) + h(-v).  One
-  elimination, :func:`_echelon`, finds the pivots and c*; a constant term
-  or triangle(2, n) has no c*, and the law then enumerates all 2^r.  The
-  caps still read the k support bits, so a refusal names the support a
-  caller passed.  Past ``SLICE_BITS`` reduced bits a row is cut into
-  slice rows: slice row h sums c * chi_high(h) over the terms of each
-  distinct low mask, and its transform gives the values at high bits h.
-  Slice rows take the same block loop as any other rows, built a block
-  at a time, and the histograms of a row's slices merge.  The law depends
-  on neither the slice width nor the block size.  Memory is one block
-  only while 2S + 1 <= ``_DENSE_RANGE``: a wider value range can hold up
-  to 2^k distinct atoms, so the hard cap guards memory on this route too.
-* Other coefficients get float64 transforms of all 2^k configurations,
-  in blocks as above, whose stage order (lowest bit first) and
-  butterflies (a + b, a - b) are fixed, so equal inputs give
-  bit-identical atoms; :func:`values` is the one-row case.  This route
-  does not reduce to the rank: a shorter transform would add the floats
-  in another order and move atoms by ulps.  Nor does it fold by
-  v -> -v: its value at c xor c* is the exact negative of the one at c,
-  but the half with a bit of c* clear is contiguous only after a
-  relabelling, which reorders the stages in the same way, so the fold
-  would spare part of the sort and none of the transform.
-* Monte Carlo draws one sign per support coordinate, so it does not
-  reduce or fold either: a fold would count each drawn configuration
-  twice, and the sampled law would no longer be that of the seeded
-  stream.  It reads the Philox stream
-  ``rng.integers(0, 2, size=(m, k))`` in counter blocks of ``MC_CHUNK``
-  rows straight from the raw words: each sign is bit 31 of one 32-bit
-  half of a raw 64-bit word, low half first, which is the bit
-  ``integers(0, 2)`` returns.  A chunk draws its words in sub-blocks of
-  about 2^``_SIGN_BLOCK_BITS`` halves, an even number of rows each, so
-  the stream continues exactly from one sub-block to the next and a
-  chunk holds its signs and one sub-block of words, not all of its words.
-  The signs are stored as contiguous columns, a term's parity is the XOR
-  of its columns, and the terms add exactly in int64 for integer
-  coefficients, in float64 and in term order otherwise.
-* Sign patterns over m terms are bit words in the same convention, bit t
-  set where the sign of term t is -1: :func:`random_bits` draws them, and
-  a drawn pattern is the +-1 coefficient row whose sup :func:`max_abs`
-  transforms.  Shifting the configuration by c multiplies a pattern by
-  the word chi(c) of the :func:`shift_code` H, reduced by :func:`_echelon`
-  too, so a sup or a law over configurations depends only on the pattern's
-  coset.  :func:`flip_code` adds the all-ones word, the flip u -> -u, for
-  a sup or a norm that is also even in u.  The cosets have equal size, so
-  one entry per coset stands for the 2^m patterns: :func:`coset_reps`
-  gives one per coset as a uint8 bit row, the +-1 coefficient row of a
-  pattern by ``np.where``, and :func:`coset_leaders` the least weight of
-  every coset, from a table over the 2^(m - r) syndromes with one min pass
-  per basis row and none over codewords.
+* Integer coefficients whose absolute sum S is at most 2^31 - 1 take a fast
+  Walsh-Hadamard transform (FWHT) in the narrowest of int8, int16 and int32
+  that holds S: every partial sum is a signed subset sum, bounded by S.  It
+  enumerates the 2^r configurations of the r pivot coordinates of the masks,
+  r their F2-rank, and scales the counts by 2^(k - r); every sum set and
+  triangle(2, n) has r = k - 1.  Where a configuration c* negates every term
+  (every odd-degree chaos, and some even ones such as disjoint pairs) the law
+  is symmetric, so the sign of the top bit of c* is fixed too and the counts
+  fold by v -> -v.  The caps read the k support bits, so a refusal names the
+  support a caller passed.  Memory is one block only while 2S + 1 <=
+  ``_DENSE_RANGE``: a wider value range can hold up to 2^k atoms, so the hard
+  cap guards memory on this route too.
+* Other coefficients take float64 transforms of all 2^k configurations, with
+  a fixed stage order (lowest bit first) and fixed butterflies (a + b, a - b),
+  so equal inputs give bit-identical atoms; :func:`values` is the one-row
+  case.  A transform reduced to the rank would add the floats in another order
+  and move atoms by ulps, and a fold would spare part of the sort and none of
+  the transform, as the half with a bit of c* clear is contiguous only after a
+  relabelling that reorders the stages.
+* Monte Carlo (:func:`sample_law`) draws one sign per support coordinate from
+  the seeded Philox stream of :func:`random_bits`, so it neither reduces nor
+  folds, and no cap bounds its support; a term's parity is the XOR of its
+  sign columns.
+* Sign patterns over the T terms are bit words, bit t set where the sign of
+  term t is -1.  Shifting the configuration by c multiplies a pattern by the
+  word chi(c) of the :func:`shift_code` H, so a sup or a law depends only on
+  the pattern's coset; :func:`flip_code` adds the flip u -> -u, and
+  :func:`coset_reps` and :func:`coset_leaders` give one entry per coset for
+  all 2^T patterns.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import threading
 
@@ -112,12 +71,39 @@ _BLOCK_BITS = 16  # longer transforms run their low stages in parts of 2^16 floa
 LAW_BLOCK_BITS = 19  # log2 of the entries of one block of the laws of a coefficient matrix
 
 
-def masks(keys, support):
-    """Mask (a Python int) of each monomial key over the ascending support."""
-    if isinstance(keys, np.ndarray) and len(support) <= 62:  # a row's distinct bits add in int64
-        return np.left_shift(1, np.searchsorted(support, keys), dtype=np.int64).sum(axis=1).tolist()
-    bit = {j: 1 << b for b, j in enumerate(support)}
-    return [sum(map(bit.__getitem__, key)) for key in keys]  # a key's indices are distinct
+class Terms:
+    """The monomials of a Walsh polynomial: term t holds the support positions
+    ``cols[starts[t]:starts[t + 1]]`` (none for a constant term) of a support
+    of ``k`` coordinates.  Built from ``keys``, a (T, d) integer array of index
+    rows or a sequence of index tuples of any lengths, over ``support``, the
+    ascending indices they hold; no cap is read, as a sampled law may be wide."""
+
+    __slots__ = ("cols", "starts", "k", "_masks")
+
+    def __init__(self, keys, support):
+        if isinstance(keys, np.ndarray):
+            sizes, entries = np.full(len(keys), keys.shape[1]), keys.reshape(-1)
+        else:  # entries past int64 read as Python ints
+            sizes = np.fromiter(map(len, keys), np.intp, len(keys))
+            entries = np.array(list(itertools.chain.from_iterable(keys)))
+        self.cols = np.searchsorted(support, entries)
+        self.starts = np.concatenate(([0], np.cumsum(sizes)))
+        self.k, self._masks = len(support), None
+
+    def __len__(self):
+        return len(self.starts) - 1
+
+    def rows(self):
+        """The term of each entry of ``cols``."""
+        return np.repeat(np.arange(len(self)), np.diff(self.starts))
+
+    def masks(self):
+        """int64 mask of each term, bit b set where it holds coordinate b, built on
+        first use: the exact routes read them under the hard cap, where they fit."""
+        if self._masks is None:
+            self._masks = np.zeros(len(self), dtype=np.int64)
+            np.add.at(self._masks, self.rows(), np.left_shift(1, self.cols))  # distinct bits
+        return self._masks
 
 
 def parity(words, mask):
@@ -201,11 +187,11 @@ def _stages(a, rows, buf):
         h *= 2
 
 
-def values(term_masks, coeffs, k):
+def values(terms, coeffs):
     """float64 values of the polynomial at all 2^k configurations."""
-    _check_hard_cap(k)
-    vals = np.zeros(1 << k)
-    vals[term_masks] = coeffs
+    _check_hard_cap(terms.k)
+    vals = np.zeros(1 << terms.k)
+    vals[terms.masks()] = coeffs
     return fwht(vals)
 
 
@@ -238,9 +224,9 @@ def _echelon(words):
     return basis
 
 
-def pivot_bits(term_masks):
-    """(pivots, flip) of the :func:`_echelon` of ``term_masks`` over F2,
-    the elimination :func:`shift_code` runs too.
+def pivot_bits(terms):
+    """(pivots, flip) of the :func:`_echelon` of the masks of ``terms`` over
+    F2, the elimination :func:`shift_code` runs too.
 
     ``pivots`` are the pivot bits, the highest bits of the reduced rows;
     their number is the rank.  ``flip`` is a configuration at which every
@@ -250,36 +236,30 @@ def pivot_bits(term_masks):
     is a pivot; else bit p - 1 of ``flip`` is bit 0 of reduced row p, and
     its free bits are 0.
     """
-    basis = _echelon(m << 1 | 1 for m in term_masks)
+    basis = _echelon(m << 1 | 1 for m in terms.masks().tolist())
     flip = None if 0 in basis else sum((w & 1) << (p - 1) for p, w in basis.items())
     return {p - 1 for p in basis if p}, flip
 
 
-def law(term_masks, coeffs, k):
-    """Exact (values, counts) over the 2^k configurations; for a (P, T)
-    matrix ``coeffs``, an iterator over the laws of its P rows in order.
-
-    Coefficients that ``int_dtype`` transforms exactly run an integer FWHT
-    in its dtype over the slice rows of :func:`_reduced`, a block at a time
-    by :func:`_block_laws`, in one block, one scratch array and one
-    histogram index per worker: the blocks of a matrix stream on the
-    calling thread, and those of one row, where its slice rows fill more
-    than one, run on the worker pool.  A row's slice histograms, folded by
-    v -> -v where a flip negates every term, merge in block order, and its
-    counts scale by 2^(k - r).  The hard cap reads the k support bits.
-    Other coefficients take float64 blocks over all 2^k configurations and
-    the equal runs of each sorted row, which are what ``np.unique`` gives.
+def law(terms, coeffs):
+    """Exact (values, counts) over the 2^k configurations of ``terms``; for a
+    (P, T) matrix ``coeffs``, an iterator over the laws of its P rows in order.
+    Coefficients that ``int_dtype`` transforms exactly take the integer route
+    over the slice rows of :func:`_reduced`, whose histograms, folded by
+    v -> -v where a flip negates every term, merge in block order and scale
+    by 2^(k - r); the others take float64 blocks over all 2^k configurations
+    and the equal runs of each sorted row, which are what ``np.unique`` gives.
     """
-    _check_hard_cap(k)
+    _check_hard_cap(terms.k)
     rows = np.asarray(coeffs, dtype=float)
     single = rows.ndim == 1
     rows = np.atleast_2d(rows)
     dtype, bound = int_dtype(rows)
     if dtype is None:
-        laws = _block_laws(term_masks, len(rows), lambda i, j: rows[i:j], k, np.float64,
+        laws = _block_laws(terms.masks(), len(rows), lambda i, j: rows[i:j], terms.k, np.float64,
                            lambda: _sorted_runs)
         return next(laws) if single else laws
-    lows, low_bits, slices, slice_rows, folded, fixed = _reduced(term_masks, rows, k)
+    lows, low_bits, slices, slice_rows, folded, fixed = _reduced(terms, rows)
 
     def histograms():  # one intp index per worker, reused by every slice row it reads
         index = np.empty(1 << low_bits, dtype=np.intp)
@@ -296,18 +276,18 @@ def law(term_masks, coeffs, k):
     return next(laws) if single else laws
 
 
-def max_abs(term_masks, coeffs, k):
-    """Max over the 2^k configurations of |value| of each row of the (P, T)
-    integer matrix ``coeffs``, as int64, from the slice rows of
+def max_abs(terms, coeffs):
+    """Max over the 2^k configurations of ``terms`` of |value| of each row of
+    the (P, T) integer matrix ``coeffs``, as int64, from the slice rows of
     :func:`_reduced` (the fold keeps the sup, as c xor c* negates the value
     at c) and the blocks of :func:`_block_laws`; refuses other coefficients."""
-    _check_hard_cap(k)
+    _check_hard_cap(terms.k)
     rows = np.atleast_2d(np.asarray(coeffs, dtype=float))
     dtype, _ = int_dtype(rows)
     if dtype is None:
         raise InvalidArgumentError("max_abs needs integer coefficients whose absolute "
                                    "sum is at most 2**31 - 1")
-    lows, low_bits, slices, slice_rows, _, _ = _reduced(term_masks, rows, k)
+    lows, low_bits, slices, slice_rows, _, _ = _reduced(terms, rows)
 
     def tops(block, work):  # halving the rows in place reads contiguous runs at any P
         top = np.abs(block, out=block)  # |v| <= S, which the dtype holds
@@ -323,9 +303,9 @@ def max_abs(term_masks, coeffs, k):
     return out.reshape(len(rows), slices).max(axis=1)
 
 
-def _reduced(term_masks, rows, k):
+def _reduced(terms, rows):
     """(lows, low_bits, slices, slice_rows, folded, fixed) of the integer
-    route: the signs off the r :func:`pivot_bits` of the masks, ``fixed`` =
+    route: the signs off the r :func:`pivot_bits` of ``terms``, ``fixed`` =
     k - r, are +1, and where a flip c* negates every term (``folded``) so is
     the sign of its top bit; masks that then coincide add their coefficients.
     The k' bits left are cut at ``low_bits`` = min(k', SLICE_BITS), and
@@ -334,12 +314,12 @@ def _reduced(term_masks, rows, k):
     c * chi_high(h) over the terms of each distinct low mask in ``lows``,
     exactly, for row p of the float matrix ``rows``.
     """
-    pivots, flip = pivot_bits(term_masks)
-    fixed = k - len(pivots)
+    pivots, flip = pivot_bits(terms)
+    fixed = terms.k - len(pivots)
     if flip:  # the top bit of flip is a pivot: fix its sign to +1 too, and fold
         pivots.remove(flip.bit_length() - 1)
-    words = np.array(term_masks, dtype=np.uint64)  # k <= HARD_CAP_BITS: every mask fits
-    for j in sorted(set(range(k)) - pivots, reverse=True):  # drop bit j: sign j is +1
+    words = terms.masks().astype(np.uint64)
+    for j in sorted(set(range(terms.k)) - pivots, reverse=True):  # drop bit j: sign j is +1
         words = words & ((1 << j) - 1) | words >> (j + 1) << j
     k = len(pivots)
     low_bits = min(k, SLICE_BITS)
@@ -359,20 +339,21 @@ def _reduced(term_masks, rows, k):
     return lows, low_bits, slices, slice_rows, bool(flip), fixed
 
 
-def _block_laws(term_masks, count, rows, k, dtype, reader, pool=False):
+def _block_laws(masks, count, rows, k, dtype, reader, pool=False):
     """Laws of ``count`` coefficient rows over 2^k configurations, built by
     ``rows(start, stop)`` a block of at most 2^LAW_BLOCK_BITS entries (one
-    row at least) at a time.  The P rows of a block are scattered to a
-    (2^k, P) array, the rows on the contiguous axis, and transformed by one
-    :func:`fwht` call; ``read(block, work)`` maps the transformed block to
-    its P laws, or to another reading of each row, and may overwrite both
-    arrays.  A worker allocates its block, one scratch array ``work`` and
-    ``read = reader()`` once and reuses them for every block it runs: the
-    scratch holds the stage buffer and the transposed part of the
-    transform, and then at least the block's size for P > 1, room for the
-    transposed copy of :func:`_rows`.  The blocks stream one after another
-    on the calling thread, or, with ``pool`` and more than one block, run
-    through :func:`map_chunks`; either way the laws come in block order."""
+    row at least) at a time.  The P rows of a block are scattered to rows
+    ``masks`` of a (2^k, P) array, the rows on the contiguous axis, and
+    transformed by one :func:`fwht` call; ``read(block, work)`` maps the
+    transformed block to its P laws, or to another reading of each row, and
+    may overwrite both arrays.  A worker allocates its block, one scratch
+    array ``work`` (the stage buffer and transposed part of the transform,
+    then for P > 1 the transposed copy of :func:`_rows`) and ``read =
+    reader()`` once and reuses them for every block it runs: buffers allocated
+    per block would come from fresh pages past the allocator's mmap threshold,
+    and faulting those in costs more than the transform.  The blocks stream
+    on the calling thread, or, with ``pool`` and more than one block,
+    run through :func:`map_chunks`; either way the laws come in block order."""
     step = max(1, min(count, (1 << LAW_BLOCK_BITS) >> k))
     size, itemsize = step << k, np.dtype(dtype).itemsize
     copy = size if step > 1 else 0  # one row needs no transposed copy
@@ -386,7 +367,7 @@ def _block_laws(term_masks, count, rows, k, dtype, reader, pool=False):
         coeffs = rows(start, min(start + step, count))
         block = held.buf[: coeffs.shape[0] << k].reshape(1 << k, -1)
         block.fill(0)
-        block[term_masks] = coeffs.T
+        block[masks] = coeffs.T
         fwht(block.reshape(-1), block.shape[1], held.work)
         return list(held.read(block, held.work))
 
@@ -458,7 +439,7 @@ def random_bits(seed, counter, rows, k):
 
 def _xor_columns(bits, cols):
     """Parity (uint8) of the rows ``cols`` of ``bits``: 0 for no rows."""
-    if not cols:
+    if len(cols) == 0:
         return np.zeros(bits.shape[1], dtype=np.uint8)
     if len(cols) == 1:
         return bits[cols[0]]
@@ -468,7 +449,7 @@ def _xor_columns(bits, cols):
     return out
 
 
-def sample_law(term_masks, coeffs, k, samples, seed):
+def sample_law(terms, coeffs, samples, seed):
     """Seeded Monte Carlo (values, counts) of ``samples`` configurations.
 
     Chunk j holds rows j * MC_CHUNK.. of the sample and reads its signs
@@ -480,7 +461,7 @@ def sample_law(term_masks, coeffs, k, samples, seed):
     add +c or -c per term in term order, the float64 arithmetic of the
     column products.
     """
-    term_cols = [[b for b in range(k) if mask >> b & 1] for mask in term_masks]
+    term_cols = np.split(terms.cols, terms.starts[1:-1])
     dtype, bound = int_dtype(coeffs)
     exact = dtype is not None
     if exact:
@@ -490,7 +471,7 @@ def sample_law(term_masks, coeffs, k, samples, seed):
 
     def run_chunk(start):
         m = min(MC_CHUNK, samples - start)
-        bits = random_bits(seed, (start // MC_CHUNK) << 64, m, k)
+        bits = random_bits(seed, (start // MC_CHUNK) << 64, m, terms.k)
         if not exact:
             acc, term = np.zeros(m), np.empty(m)
             for columns, c in zip(term_cols, coeffs):
@@ -543,26 +524,33 @@ def _merge(parts):
     return vals, counts
 
 
-def shift_code(term_masks, s):
+def shift_code(terms):
     """Reduced basis {pivot bit: word} of the shift code H = {chi(c)}.
 
-    Bit t of chi(c) is set where monomial t (mask ``term_masks[t]`` over s
-    support bits) is -1 at configuration c, so shifting the configuration
-    by c multiplies sign pattern u by chi(c).  H is spanned by the s
-    coordinate rows (bit t set where term t contains coordinate j), whose
-    :func:`_echelon` is the basis, the elimination :func:`pivot_bits` runs
-    too.  Every basis word is zero on the other pivot bits, so the words
-    zero on every pivot bit are one representative per coset of H.
+    Bit t of chi(c) is set where term t of ``terms`` is -1 at configuration
+    c, so shifting the configuration by c multiplies sign pattern u by
+    chi(c).  H is spanned by the k coordinate rows (bit t set where term t
+    holds coordinate j), whose :func:`_echelon` is the basis, the elimination
+    :func:`pivot_bits` runs too.  Every basis word is zero on the other pivot
+    bits, so the words zero on every pivot bit are one representative per
+    coset of H.
     """
-    return _echelon(sum((mask >> j & 1) << t for t, mask in enumerate(term_masks))
-                    for j in range(s))
+    return _echelon(_coordinate_rows(terms))
 
 
-def flip_code(term_masks, s):
+def flip_code(terms):
     """Reduced basis of H' = H + <1...1>, the :func:`shift_code` H and the
-    flip u -> -u: the row of a fresh coordinate s in every term.  H' = H
-    where a configuration negates every term, as in every odd-degree chaos."""
-    return shift_code([mask | 1 << s for mask in term_masks], s + 1)
+    flip u -> -u: the row of a fresh coordinate in every term.  H' = H where
+    a configuration negates every term, as in every odd-degree chaos."""
+    return _echelon([*_coordinate_rows(terms), (1 << len(terms)) - 1])
+
+
+def _coordinate_rows(terms):
+    """Row j of each coordinate j < k, a Python int: bit t is set where term t holds j."""
+    rows = [0] * terms.k
+    for t, j in zip(terms.rows().tolist(), terms.cols.tolist()):
+        rows[j] |= 1 << t
+    return rows
 
 
 def coset_reps(basis, m):

@@ -234,6 +234,7 @@ class SpaceSpec:
 
     @classmethod
     def orlicz(cls, fn):
+        fn.validate()
         return cls("orlicz", orlicz_fn=fn)
 
     @classmethod

@@ -1,25 +1,20 @@
 """Rademacher functions and chaos sums on the sign hypercube.
 
 The j-th Rademacher function is the dyadic sign function
-``r_j(t) = (-1)^floor(2^j t)`` on [0, 1).  A chaos monomial is a product
-of distinct Rademacher functions indexed by a strictly decreasing
-multi-index, and finite linear combinations of monomials are represented
-as sparse Walsh polynomials (:class:`SignFunction`).  A chaos over an
-index set skips them: :func:`index_terms` builds its kernel input from
-the set's rows, and :func:`law_of` gives its exact law.  Laws come from
-enumerating the sign configurations, or from seeded counter-based Monte
-Carlo past the cap.  The enumeration and the sampling run in :mod:`kernel`:
-monomials are uint64 masks over the ascending support, configurations
-are uint64 words and a monomial's sign is the parity of their AND.
-Every exact law comes from :func:`kernel.law`, which picks the route:
-integer coefficients with absolute sum at most 2^31 - 1 take a
-Walsh-Hadamard transform in the narrowest of int8, int16 and int32 that
-holds that sum, over the configurations of the F2-rank of the masks,
-other coefficients float64 transforms over all 2^k configurations, both
-in blocks of at most 2^``kernel.LAW_BLOCK_BITS`` entries.  The hard cap of
-2^``kernel.HARD_CAP_BITS`` configurations lives in :mod:`kernel`; this
-module checks only the caller's ``bits_cap``, and the dyadic cell count,
-which may exceed the support width, against the kernel's cap.
+``r_j(t) = (-1)^floor(2^j t)`` on [0, 1).  A chaos monomial is a product of
+distinct Rademacher functions indexed by a strictly decreasing multi-index,
+and finite linear combinations of monomials are sparse Walsh polynomials
+(:class:`SignFunction`).  Every law is computed in :mod:`kernel` from one
+input, a :class:`kernel.Terms`: the support positions of each monomial and
+the support width.  :func:`chaos_sum` builds it from its int64 key array,
+:func:`index_terms` from an index set's rows (for the coefficients of
+:func:`index_coeffs`, whose exact law is :func:`law_of`), and a function built
+by algebra from its keys on first use.  Exact laws enumerate the sign
+configurations in :func:`kernel.law`, which picks the route and holds the hard
+cap of 2^``kernel.HARD_CAP_BITS`` configurations; seeded counter-based Monte
+Carlo samples past it.  This module checks only the caller's ``bits_cap``,
+and the dyadic cell count, which may exceed the support width, against the
+kernel's cap.
 """
 
 from __future__ import annotations
@@ -313,7 +308,7 @@ class SignFunction:
     2^-|support|.
     """
 
-    __slots__ = ("terms", "support")
+    __slots__ = ("terms", "support", "_input")
 
     def __init__(self, terms):
         clean = {}
@@ -332,6 +327,7 @@ class SignFunction:
             clean[key] = clean.get(key, 0.0) + coeff
         self.terms = {k: c for k, c in clean.items() if c != 0.0}
         self.support = tuple(sorted({j for k in self.terms for j in k}))
+        self._input = None
 
     def __repr__(self):
         return f"SignFunction({len(self.terms)} terms, support={self.support})"
@@ -405,12 +401,14 @@ class SignFunction:
         Computed by a fast Walsh-Hadamard transform of the coefficient
         vector, O(k 2^k), and refused past ``kernel.HARD_CAP_BITS`` bits.
         """
-        return kernel.values(*self._kernel_input())
+        return kernel.values(self._kernel_terms(), list(self.terms.values()))
 
-    def _kernel_input(self):
-        """(term masks over the ascending support, coefficients, support width):
-        the input of :mod:`kernel`'s evaluations."""
-        return kernel.masks(self.terms, self.support), list(self.terms.values()), len(self.support)
+    def _kernel_terms(self):
+        """The :class:`kernel.Terms` of ``terms`` over ``support``: built from the keys
+        on first use, or by :func:`chaos_sum` from its key array."""
+        if self._input is None:
+            self._input = kernel.Terms(self.terms, self.support)
+        return self._input
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +446,10 @@ def chaos_sum(coeffs):
     if not np.isfinite(c).all():  # the constructor refuses them, naming the first
         return SignFunction(terms)
     f, keep = object.__new__(SignFunction), c != 0.0
-    f.terms = terms if keep.all() else {k: v for k, v in terms.items() if v != 0.0}
-    f.support = tuple(np.unique(rows[keep]).tolist())
+    if not keep.all():
+        terms, rows = {k: v for k, v in terms.items() if v != 0.0}, rows[keep]
+    support = np.unique(rows)
+    f.terms, f.support, f._input = terms, tuple(support.tolist()), kernel.Terms(rows, support)
     return f
 
 
@@ -497,27 +497,25 @@ def distribution_exact(f, bits_cap=DEFAULT_BITS_CAP):
     ``kernel.HARD_CAP_BITS`` by the kernel.
     """
     _check_bits(len(f.support), bits_cap)
-    return terms_law(*f._kernel_input())
+    return terms_law(f._kernel_terms(), list(f.terms.values()))
 
 
-def terms_law(term_masks, coeffs, k):
-    """Exact law of the polynomial with these :func:`kernel.masks` and coefficients
-    over k support bits: :func:`kernel.law` with each count weighted 2^-k.
-    A (P, T) coefficient matrix gives an iterator over the P laws of its rows."""
-    laws = kernel.law(term_masks, coeffs, k)
+def terms_law(terms, coeffs):
+    """Exact law of the polynomial with these :class:`kernel.Terms` and coefficients:
+    :func:`kernel.law` with each count weighted 2^-k, for :func:`distribution_exact`
+    and :func:`law_of` alike.  A (P, T) coefficient matrix gives an iterator over
+    the P laws of its rows."""
+    laws, scale = kernel.law(terms, coeffs), 1 << terms.k
     if isinstance(laws, tuple):  # one (values, counts) pair
-        return StepDistribution(laws[0], laws[1] / (1 << k))
-    return (StepDistribution(values, counts / (1 << k)) for values, counts in laws)
+        return StepDistribution(laws[0], laws[1] / scale)
+    return (StepDistribution(values, counts / scale) for values, counts in laws)
 
 
-def index_terms(A, coeffs=None, bits_cap=None):
-    """Kernel input (c, keep, term_masks, k) of the chaos sum of c_t r_t over
-    the index set ``A``: the float64 coefficients c in canonical row order,
-    the indices ``keep`` of the nonzero ones, their :func:`kernel.masks` over
-    the ascending support of those rows, and its width k, refused past
-    ``bits_cap`` as by :func:`distribution_exact`.  ``coeffs`` is None (all
-    1), a sequence in canonical order, or a map keyed by exactly A, whose
-    :func:`_key_rows` array is lexsorted and matched against A's rows at once.
+def index_coeffs(A, coeffs=None):
+    """The float64 coefficients c of the chaos sum of c_t r_t over the index set
+    ``A``, in canonical row order.  ``coeffs`` is None (all 1), a sequence in
+    canonical order, or a map keyed by exactly A, whose :func:`_key_rows` array
+    is lexsorted and matched against A's rows at once.
     """
     rows = A.to_array()
     size = rows.shape[0]
@@ -544,18 +542,28 @@ def index_terms(A, coeffs=None, bits_cap=None):
     if not np.isfinite(c).all():
         bad = int(np.flatnonzero(~np.isfinite(c))[0])
         raise InvalidArgumentError(f"coefficient {bad} is {c[bad]}; coefficients must be finite")
-    keep = np.flatnonzero(c)
-    support = np.unique(rows[keep])
+    return c
+
+
+def index_terms(A, c=None, bits_cap=None):
+    """The :class:`kernel.Terms` of the chaos over the index set ``A`` with the
+    coefficients ``c`` of :func:`index_coeffs` (None: all 1): its rows of nonzero
+    coefficient, in canonical order, over the ascending support of those rows,
+    refused past ``bits_cap`` as by :func:`distribution_exact`."""
+    rows = A.to_array()
+    if c is not None:
+        rows = rows[np.asarray(c) != 0]
+    support = np.unique(rows)
     if bits_cap is not None:
         _check_bits(support.size, bits_cap)
-    return c, keep, kernel.masks(rows[keep], support), support.size
+    return kernel.Terms(rows, support)
 
 
 def law_of(A, coeffs=None, bits_cap=DEFAULT_BITS_CAP):
     """Exact law of the chaos over the index set ``A`` with the coefficients
-    of :func:`index_terms`: ``distribution_exact`` of its :func:`chaos_sum`."""
-    c, keep, term_masks, k = index_terms(A, coeffs, bits_cap)
-    return terms_law(term_masks, c[keep], k)
+    of :func:`index_coeffs`: ``distribution_exact`` of its :func:`chaos_sum`."""
+    c = index_coeffs(A, coeffs)
+    return terms_law(index_terms(A, c, bits_cap), c[c != 0])
 
 
 def distribution_mc(f, samples, seed=0):
@@ -569,7 +577,7 @@ def distribution_mc(f, samples, seed=0):
     samples = int(samples)
     if samples < 1:
         raise InvalidArgumentError("sample count must be >= 1")
-    values, counts = kernel.sample_law(*f._kernel_input(), samples, seed)
+    values, counts = kernel.sample_law(f._kernel_terms(), list(f.terms.values()), samples, seed)
     return StepDistribution(values, counts / samples)
 
 

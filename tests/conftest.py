@@ -4,9 +4,14 @@ import os
 import threading
 
 import pytest
+from hypothesis import settings
 
 from chaoslab import kernel
 from chaoslab.parallel import worker_count
+
+# a failing property prints the @reproduce_failure blob that replays it
+settings.register_profile("chaoslab", print_blob=True)
+settings.load_profile("chaoslab")
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ from chaoslab import (
 )
 from chaoslab import chaos as chaos_module
 from chaoslab import kernel
-from chaoslab.walsh import index_terms, terms_law
+from chaoslab.walsh import index_coeffs, index_terms, terms_law
 
 TRIANGLE_2_3 = IndexSet.from_tuples([(2, 1), (3, 1), (3, 2)])
 
@@ -81,7 +81,7 @@ def concentration_reference(elements, lam):
     every sign pattern against every configuration in a float32 matmul."""
     m = len(elements)
     support = sorted({j for t in elements for j in t})
-    S = sign_rows(kernel.masks(elements, support), 0, 1 << len(support))
+    S = sign_rows(kernel.Terms(elements, support).masks(), 0, 1 << len(support))
     sup_count, cols = 0, np.zeros(S.shape[0], dtype=np.int64)
     for start in range(0, 1 << m, 1 << 12):
         U = sign_rows([1 << t for t in range(m)], start, min(start + (1 << 12), 1 << m))
@@ -95,7 +95,7 @@ def concentration_reference(elements, lam):
 def shift_code(elements):
     """Reduced basis of the shift code of ``elements`` and its 2^r codewords."""
     support = sorted({j for t in elements for j in t})
-    basis = kernel.shift_code(kernel.masks(elements, support), len(support))
+    basis = kernel.shift_code(kernel.Terms(elements, support))
     words = np.zeros(1, dtype=np.uint64)
     for w in basis.values():  # every XOR combination of the basis words
         words = np.concatenate([words, words ^ np.uint64(w)])
@@ -263,8 +263,9 @@ class TestRudAverage:
         # MERGE_TOL; -u must merge them to the negated atom, or L_1 reads u, -u apart
         coeffs = {(2, 1): 0.1, (4, 1): 0.3, (4, 3): 0.2, (5, 1): 0.3, (5, 2): 0.3, (5, 4): 0.2}
         A = IndexSet.from_tuples(coeffs)
-        c, keep, masks, k = index_terms(A, coeffs)
-        law, flipped = terms_law(masks, c[keep], k), terms_law(masks, -c[keep], k)
+        c = index_coeffs(A, coeffs)
+        terms = index_terms(A, c)
+        law, flipped = terms_law(terms, c[c != 0]), terms_law(terms, -c[c != 0])
         assert flipped.values.tolist() == (-law.values[::-1]).tolist()
         assert flipped.weights.tolist() == law.weights[::-1].tolist()
         for spec in (SpaceSpec.lp(1), *RUD_SPACES.values()):
@@ -298,9 +299,9 @@ class TestRudAverage:
         rows = []  # laws asked of each kernel.law call
         law = kernel.law
 
-        def counting_law(term_masks, coeffs, k):
+        def counting_law(terms, coeffs):
             rows.append(len(np.atleast_2d(coeffs)))
-            return law(term_masks, coeffs, k)
+            return law(terms, coeffs)
 
         monkeypatch.setattr(kernel, "law", counting_law)
         # unit triangle(2, 6): m = 15 terms, shift code of rank 5 (K6 is connected)
@@ -322,12 +323,12 @@ class TestRudAverage:
     @pytest.mark.parametrize("N", [14, 16, 20])  # N = 20 has rank 19: the sliced route
     def test_mc_matches_per_pattern_terms_law(self, N):
         A, space = gen_sum_set(N), SpaceSpec.lp(4)
-        c, keep, masks, k = index_terms(A)
+        c, terms = index_coeffs(A), index_terms(A)
         for seed in range(4):
-            bits = kernel.random_bits(seed, 0, 40, c.size)[keep].T
-            vals = np.array([norm(terms_law(masks, row, k), space, 1e-10)
-                             for row in np.where(bits, -c[keep], c[keep])])
-            det = norm(terms_law(masks, c[keep], k), space, 1e-10)
+            bits = kernel.random_bits(seed, 0, 40, c.size).T
+            vals = np.array([norm(terms_law(terms, row), space, 1e-10)
+                             for row in np.where(bits, -c, c)])
+            det = norm(terms_law(terms, c), space, 1e-10)
             avg = float(vals.mean())
             expect = (avg, det, det / avg, float(vals.std(ddof=1) / math.sqrt(40)))
             res = rud_average(A, space=space, samples=40, seed=seed)
@@ -476,8 +477,8 @@ class TestSignConcentration:
         report = sign_concentration_check(A, B, threshold=12.0)
         assert report.quantity("sup_exceedance_fraction") == 809_216 / 2**21
         elements = list(A.block_elements(B).tuples())
-        masks = kernel.masks(elements, range(1, 8))
-        assert chaos_module._exceeding_patterns(kernel.flip_code(masks, 7), 21, 12.0) == 809_216
+        basis = kernel.flip_code(kernel.Terms(elements, range(1, 8)))
+        assert chaos_module._exceeding_patterns(basis, 21, 12.0) == 809_216
         # 21 - 2w > 12 for w <= 4
         basis, _ = shift_code(elements)
         least_side = np.count_nonzero(kernel.coset_leaders(basis, 21) < 5) << len(basis)
@@ -517,7 +518,7 @@ class TestSignConcentration:
         # sign_concentration_check still refuses these by its support terms
         m = len(elements)
         support = sorted({j for t in elements for j in t})
-        basis = kernel.flip_code(kernel.masks(elements, support), len(support))
+        basis = kernel.flip_code(kernel.Terms(elements, support))
         assert len(basis) == m
         tracemalloc.start()
         try:
@@ -564,20 +565,20 @@ class TestShiftCode:
     def test_law_constant_on_cosets(self, case):
         elements, a, pattern, word = case
         support = sorted({j for t in elements for j in t})
-        masks, k = kernel.masks(elements, support), len(support)
+        terms = kernel.Terms(elements, support)
         _, code = shift_code(elements)
         h = int(code[word % code.size])
         bits = (pattern >> np.arange(len(elements))) & 1
         shifted = (pattern ^ h) >> np.arange(len(elements)) & 1
-        base = kernel.law(masks, np.where(bits, -a, a), k)
-        other = kernel.law(masks, np.where(shifted, -a, a), k)
+        base = kernel.law(terms, np.where(bits, -a, a))
+        other = kernel.law(terms, np.where(shifted, -a, a))
         assert np.array_equal(base[0], other[0]) and np.array_equal(base[1], other[1])
 
     def test_codewords_are_configuration_signs(self):
         elements = list(gen_triangle(2, 5).tuples())
         basis, words = shift_code(elements)
         assert len(basis) == 4  # a connected graph on 5 vertices
-        S = sign_rows(kernel.masks(elements, range(1, 6)), 0, 1 << 5)
+        S = sign_rows(kernel.Terms(elements, range(1, 6)).masks(), 0, 1 << 5)
         chi = {sum(1 << t for t in np.flatnonzero(row < 0)) for row in S}
         assert chi == set(words.tolist())
         for p, b in basis.items():
@@ -591,17 +592,17 @@ class TestShiftCode:
         monkeypatch.setattr(kernel, "SLICE_BITS", slice_bits)
         elements = list(gen_triangle(d, n).tuples())
         m = len(elements)
-        masks = kernel.masks(elements, range(1, n + 1))
+        terms = kernel.Terms(elements, range(1, n + 1))
         rng = np.random.default_rng(d * 100 + n)
         signs = np.vstack([np.ones(m), -np.ones(m), 1 - 2 * rng.integers(0, 2, (60, m))])
-        sums = signs.astype(np.float32) @ sign_rows(masks, 0, 1 << n).T
+        sums = signs.astype(np.float32) @ sign_rows(terms.masks(), 0, 1 << n).T
         expect = np.abs(sums).max(axis=1)
-        got = kernel.max_abs(masks, signs.astype(np.int64), n)
+        got = kernel.max_abs(terms, signs.astype(np.int64))
         assert got.dtype == np.int64 and np.array_equal(got, expect)
 
     def test_max_abs_refuses_floats(self):
         with pytest.raises(InvalidArgumentError):
-            kernel.max_abs([1, 2, 3], [[0.5, 1.0, -1.0]], 2)
+            kernel.max_abs(kernel.Terms([(1,), (2,), (2, 1)], [1, 2]), [[0.5, 1.0, -1.0]])
 
 
 class TestAveragedSupGrowth:
@@ -651,7 +652,7 @@ class TestAveragedSupGrowth:
             report = averaged_sup_growth(d, n_list, mc_samples=samples, seed=seed)
             for idx, n in enumerate(n_list):
                 elements = list(gen_triangle(d, n).tuples())
-                S = sign_rows(kernel.masks(elements, list(range(1, n + 1))), 0, 1 << n)
+                S = sign_rows(kernel.Terms(elements, range(1, n + 1)).masks(), 0, 1 << n)
                 rng = np.random.Generator(np.random.Philox(key=seed, counter=idx << 96))
                 U = (1.0 - 2.0 * rng.integers(0, 2, size=(samples, len(elements)))).astype(np.float32)
                 sups = np.abs(U @ S.T).max(axis=1)

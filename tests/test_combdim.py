@@ -491,6 +491,22 @@ class TestTextFormat:
         with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: ") + ".*int64"):
             load_index_set(path)
 
+    @pytest.mark.parametrize("token", ["1_0", "+3"])
+    def test_only_ascii_digit_runs(self, token, tmp_path):
+        # int() reads 1_0 as 10 and +3 as 3; the format is runs of ASCII digits
+        path = tmp_path / "token.idx"
+        path.write_text(f"12 11 9\n# comment\n{token} 2 1\n")
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"{path}:3: not an integer row: '{token} 2 1'")):
+            load_index_set(path)
+
+    @pytest.mark.parametrize("A", [gen_sum_set(20), gen_triangle(3, 8)], ids=["sum20", "tri3_8"])
+    def test_generated_sets_round_trip(self, A, tmp_path):
+        path = tmp_path / "set.idx"
+        dump_index_set(A, path)
+        B = load_index_set(path)
+        assert B == A and np.array_equal(B.to_array(), A.to_array())
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.idx"
         path.write_text("# nothing\n")

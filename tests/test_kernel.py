@@ -80,9 +80,19 @@ def mc_reference(f, samples, seed):
     return values, [counts[v] / samples for v in values]
 
 
+def kernel_input(f):
+    """(terms, coefficients) of ``f``: the one input of every kernel routine."""
+    return f._kernel_terms(), list(f.terms.values())
+
+
+def masks_terms(masks, k):
+    """The kernel.Terms of monomials given by their masks over k coordinates."""
+    return kernel.Terms([[b for b in range(k) if m >> b & 1] for m in masks], np.arange(k))
+
+
 def parity_law(f):
     """Law by Python-integer popcounts over every configuration."""
-    masks = kernel.masks(f.terms, f.support)
+    masks = kernel.Terms(f.terms, f.support).masks().tolist()
     coeffs = list(f.terms.values())
     counts = {}
     for cfg in range(1 << len(f.support)):
@@ -93,8 +103,7 @@ def parity_law(f):
 
 def law_counts(f):
     """Law of ``f`` from kernel.law, as {value: configuration count}."""
-    masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
-    vals, counts = kernel.law(masks, coeffs, len(f.support))
+    vals, counts = kernel.law(*kernel_input(f))
     return dict(zip(vals.tolist(), counts.tolist()))
 
 
@@ -138,9 +147,8 @@ class TestRouteAgreement:
         k = len(f.support)
         coeffs = list(f.terms.values())
         assert kernel.int_dtype(coeffs) == (None, None)
-        masks = kernel.masks(f.terms, f.support)
         unique = np.unique(f.values(), return_counts=True)
-        assert all(np.array_equal(a, b) for a, b in zip(kernel.law(masks, coeffs, k), unique))
+        assert all(np.array_equal(a, b) for a, b in zip(kernel.law(*kernel_input(f)), unique))
         exact = distribution_exact(f)
         assert as_counts(exact, k) == parity_law(f)
         assert evaluate_dyadic(f, max(f.support)).histogram().atoms() == exact.atoms()
@@ -148,13 +156,11 @@ class TestRouteAgreement:
     @settings(max_examples=40, deadline=None)
     @given(functions(int_coeff), st.integers(1, 9))
     def test_slice_width(self, f, slice_bits):
-        k = len(f.support)
-        masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernel, "SLICE_BITS", k)
-            whole = kernel.law(masks, coeffs, k)
+            mp.setattr(kernel, "SLICE_BITS", len(f.support))
+            whole = kernel.law(*kernel_input(f))
             mp.setattr(kernel, "SLICE_BITS", slice_bits)
-            sliced = kernel.law(masks, coeffs, k)
+            sliced = kernel.law(*kernel_input(f))
         assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
 
     @pytest.mark.parametrize("k", [1, 2, 5, 9, 10, 11, 14, 16, 17, 19])
@@ -309,11 +315,11 @@ class TestRankReduction:
     @given(edge_functions(rank_deficient_keys()), st.integers(1, 9))
     def test_reduced_law_is_the_full_law(self, f, slice_bits):
         k = len(f.support)
-        masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
-        assert len(kernel.pivot_bits(masks)[0]) < k
+        terms, coeffs = kernel_input(f)
+        assert len(kernel.pivot_bits(terms)[0]) < k
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "SLICE_BITS", slice_bits)
-            vals, counts = kernel.law(masks, coeffs, k)
+            vals, counts = kernel.law(terms, coeffs)
         assert counts.dtype == np.int64
         assert int(counts.sum()) == 1 << k
         assert dict(zip(vals.tolist(), counts.tolist())) == parity_law(f)
@@ -377,8 +383,9 @@ class TestHalfCube:
     @given(edge_functions(half_cube_keys()), st.integers(1, 9))
     def test_law_is_the_parity_law(self, f, slice_bits):
         k = len(f.support)
-        masks = kernel.masks(f.terms, f.support)
-        pivots, flip = kernel.pivot_bits(masks)
+        terms = kernel.Terms(f.terms, f.support)
+        masks = terms.masks().tolist()
+        pivots, flip = kernel.pivot_bits(terms)
         assert (flip is not None) == flip_exists(masks, k)
         if flip is not None:
             assert all(bin(flip & m).count("1") % 2 for m in masks)
@@ -391,16 +398,15 @@ class TestHalfCube:
     @settings(max_examples=80, deadline=None)
     @given(edge_functions(half_cube_keys()), st.data(), st.integers(1, 9), st.integers(0, 8))
     def test_rows_match_one_row_calls(self, f, data, slice_bits, block_bits):
-        masks, base = kernel.masks(f.terms, f.support), np.array(list(f.terms.values()))
-        k = len(f.support)
+        terms, base = f._kernel_terms(), np.array(list(f.terms.values()))
         signs = data.draw(st.lists(st.lists(st.sampled_from([-1.0, 1.0]), min_size=base.size,
                                             max_size=base.size), min_size=1, max_size=6))
         rows = base * np.array(signs)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "SLICE_BITS", slice_bits)
             mp.setattr(kernel, "LAW_BLOCK_BITS", block_bits)
-            batched = list(kernel.law(masks, rows, k))
-            single = [kernel.law(masks, row.tolist(), k) for row in rows]
+            batched = list(kernel.law(terms, rows))
+            single = [kernel.law(terms, row.tolist()) for row in rows]
         assert len(batched) == len(rows)
         for (bvals, bcounts), (svals, scounts), row in zip(batched, single, rows):
             assert bvals.tolist() == svals.tolist() and bcounts.tolist() == scounts.tolist()
@@ -444,23 +450,24 @@ class TestHalfCube:
 
     def test_empty_support_is_a_point_mass(self):
         # no terms: the solve is consistent with flip 0, which never halves
-        assert kernel.pivot_bits([]) == (set(), 0)
-        assert [a.tolist() for a in kernel.law([], [], 0)] == [[0], [1]]
-        assert kernel.pivot_bits([0]) == (set(), None)
-        assert [a.tolist() for a in kernel.law([0], [2.0], 0)] == [[2], [1]]
+        none, constant = kernel.Terms([], []), kernel.Terms([()], [])
+        assert kernel.pivot_bits(none) == (set(), 0)
+        assert [a.tolist() for a in kernel.law(none, [])] == [[0], [1]]
+        assert kernel.pivot_bits(constant) == (set(), None)
+        assert [a.tolist() for a in kernel.law(constant, [2.0])] == [[2], [1]]
         assert distribution_exact(SignFunction({(): 2.0})).atoms() == [(2.0, 1.0)]
 
 
 @st.composite
 def coefficient_matrices(draw):
-    """(masks, (P, T) coefficient matrix, k): 1 <= P <= 6 rows over the shared
-    masks of an edge function, on full-rank or rank-deficient keys.  Integer
+    """(terms, (P, T) coefficient matrix): 1 <= P <= 6 rows over the shared
+    terms of an edge function, on full-rank or rank-deficient keys.  Integer
     rows flip the signs of the function's coefficients (S at an int8, int16
     or int32 edge), and some drop its large one, so that a row alone may fit
     a narrower dtype than the matrix; float rows are seeded Gaussians, which
     the transform adds inexactly, so any change in its order shows."""
     f = draw(edge_functions(st.one_of(keys, rank_deficient_keys())))
-    masks, base = kernel.masks(f.terms, f.support), np.array(list(f.terms.values()))
+    terms, base = f._kernel_terms(), np.array(list(f.terms.values()))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["signs", "small", "float"]))
@@ -473,7 +480,7 @@ def coefficient_matrices(draw):
         if kind == "small":
             row[0] = signs[0]
         rows.append(row)
-    return masks, np.array(rows), len(f.support)
+    return terms, np.array(rows)
 
 
 class TestBatchedLaws:
@@ -482,12 +489,12 @@ class TestBatchedLaws:
     def test_rows_match_one_row_calls(self, case, slice_bits, block_bits):
         # a narrow slice width takes the sliced route, a small block budget
         # puts block boundaries between the rows
-        masks, rows, k = case
+        terms, rows = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "SLICE_BITS", slice_bits)
             mp.setattr(kernel, "LAW_BLOCK_BITS", block_bits)
-            batched = list(kernel.law(masks, rows, k))
-            single = [kernel.law(masks, row.tolist(), k) for row in rows]
+            batched = list(kernel.law(terms, rows))
+            single = [kernel.law(terms, row.tolist()) for row in rows]
         assert len(batched) == len(rows)
         for (bvals, bcounts), (svals, scounts) in zip(batched, single):
             assert bcounts.dtype == scounts.dtype == np.int64
@@ -501,14 +508,14 @@ class TestBatchedLaws:
         # sum set N = 14: 2^12 reduced configurations in int8, or 2^14 in
         # float64, whose parts run on transposed copies in the scratch that
         # every block reuses; the last block is narrower than the others
-        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(14)))._kernel_input()
+        terms, coeffs = kernel_input(chaos_sum(unit_coefficients(gen_sum_set(14))))
         signs = np.random.default_rng(block_bits).choice([-1.0, 1.0], size=(count, len(coeffs)))
         rows = signs * np.array(coeffs) * scale
         monkeypatch.setattr(kernel, "LAW_BLOCK_BITS", block_bits)
-        batched = list(kernel.law(masks, rows, k))
+        batched = list(kernel.law(terms, rows))
         assert len(batched) == count
         for (bvals, bcounts), row in zip(batched, rows):
-            svals, scounts = kernel.law(masks, row.tolist(), k)
+            svals, scounts = kernel.law(terms, row.tolist())
             assert bvals.tobytes() == svals.tobytes() and bcounts.tolist() == scounts.tolist()
 
     def test_block_holds_the_budget(self, monkeypatch):
@@ -516,9 +523,9 @@ class TestBatchedLaws:
         # the flip fixed): a block of 2^LAW_BLOCK_BITS entries holds 2^(B - 12)
         # rows, one fwht call per block, the last one partial
         shapes = fwht_shapes(monkeypatch)
-        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(14)))._kernel_input()
+        terms, coeffs = kernel_input(chaos_sum(unit_coefficients(gen_sum_set(14))))
         rows = np.tile(coeffs, (300, 1))
-        assert len(list(kernel.law(masks, rows, k))) == 300
+        assert len(list(kernel.law(terms, rows))) == 300
         per = 1 << (kernel.LAW_BLOCK_BITS - 12)
         assert 300 % per and shapes == [(1 << 12, min(per, 300 - s)) for s in range(0, 300, per)]
 
@@ -527,8 +534,8 @@ class TestBatchedLaws:
 def shift_codes(draw):
     """(reduced basis, m) of the shift code of m <= 10 terms over s <= 8 support bits."""
     s = draw(st.integers(1, 8))
-    term_masks = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=1, max_size=10))
-    return kernel.shift_code(term_masks, s), len(term_masks)
+    masks = draw(st.lists(st.integers(0, (1 << s) - 1), min_size=1, max_size=10))
+    return kernel.shift_code(masks_terms(masks, s)), len(masks)
 
 
 def span(basis):
@@ -568,7 +575,7 @@ def term_sets(draw):
 def term_code(elements):
     """(reduced basis, m) of the shift code of ``elements`` over their support."""
     support = sorted({j for t in elements for j in t})
-    return kernel.shift_code(kernel.masks(elements, support), len(support)), len(elements)
+    return kernel.shift_code(kernel.Terms(elements, support)), len(elements)
 
 
 class TestCosetLeaders:
@@ -592,8 +599,8 @@ class TestCosetLeaders:
         # brute force: every pattern u against every codeword h of H, the least
         # min(wt, m - wt) of u xor h, read at the coset of u in H' = H + <1...1>
         support = sorted({j for t in elements for j in t})
-        masks, m = kernel.masks(elements, support), len(elements)
-        shift, flip = kernel.shift_code(masks, len(support)), kernel.flip_code(masks, len(support))
+        terms, m = kernel.Terms(elements, support), len(elements)
+        shift, flip = kernel.shift_code(terms), kernel.flip_code(terms)
         code = span(shift)
         u = np.arange(1 << m, dtype=np.uint64)
         weights = np.bitwise_count(u[:, None] ^ code[None, :]).astype(np.int64)
@@ -679,8 +686,8 @@ class TestHomogeneity:
 
 def sum_set_law(N, scale=1.0):
     """Exact (values, counts) lists of the unit sum set of order N, scaled."""
-    masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(N)))._kernel_input()
-    vals, counts = kernel.law(masks, np.array(coeffs) * scale, k)
+    terms, coeffs = kernel_input(chaos_sum(unit_coefficients(gen_sum_set(N))))
+    vals, counts = kernel.law(terms, np.array(coeffs) * scale)
     return vals.tolist(), counts.tolist()
 
 
@@ -688,9 +695,9 @@ def small_triangle_law(n):
     """Exact (values, counts) lists of triangle(2, n) with seeded {-3..3} coefficients."""
     tuples = list(gen_triangle(2, n).tuples())
     c = np.random.default_rng(n).integers(-3, 4, size=len(tuples)).astype(float)
-    masks, coeffs, k = chaos_sum(dict(zip(tuples, c)))._kernel_input()
-    assert k == n
-    vals, counts = kernel.law(masks, coeffs, k)
+    terms, coeffs = kernel_input(chaos_sum(dict(zip(tuples, c))))
+    assert terms.k == n
+    vals, counts = kernel.law(terms, coeffs)
     return vals.tolist(), counts.tolist()
 
 
@@ -724,12 +731,10 @@ class TestWorkerCount:
     def test_exact_and_mc_laws(self, monkeypatch, pool_calls):
         f = chaos_sum(unit_coefficients(gen_sum_set(12)))
         g = SignFunction({(2, 1): 1.5, (5, 3): -0.25, (4,): 1.0})
-        masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
-        k = len(f.support)
         monkeypatch.setattr(kernel, "SLICE_BITS", 4)
 
         def laws():
-            sliced = kernel.law(masks, coeffs, k)
+            sliced = kernel.law(*kernel_input(f))
             return (
                 [a.tolist() for a in sliced],
                 distribution_exact(f).atoms(),
@@ -808,9 +813,9 @@ class TestWorkerCount:
         # the laws and sups of a coefficient matrix stream their blocks on
         # the calling thread, at the default sizes or with many small blocks
         if caller == "rows_200":  # test_slice_rows_follow_the_block_cap's law
-            masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(22)))._kernel_input()
+            terms, coeffs = kernel_input(chaos_sum(unit_coefficients(gen_sum_set(22))))
             signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(200, len(coeffs)))
-            assert len(list(kernel.law(masks, signs * np.array(coeffs), k))) == 200
+            assert len(list(kernel.law(terms, signs * np.array(coeffs)))) == 200
         else:
             shapes = fwht_shapes(monkeypatch)
             monkeypatch.setattr(kernel, "SLICE_BITS", 3)
@@ -831,13 +836,12 @@ class TestWorkerCount:
                                                   block_bits):
         # a one-block law runs inline; a law of several blocks maps them in
         # one map_chunks call, on the default pool of up to 4 workers
-        masks, coeffs = kernel.masks(f.terms, f.support), list(f.terms.values())
         pool_calls.clear()
         with pytest.MonkeyPatch.context() as mp:
             shapes = fwht_shapes(mp)
             mp.setattr(kernel, "SLICE_BITS", slice_bits)
             mp.setattr(kernel, "LAW_BLOCK_BITS", block_bits)
-            vals, counts = kernel.law(masks, coeffs, len(f.support))
+            vals, counts = kernel.law(*kernel_input(f))
         assert dict(zip(vals.tolist(), counts.tolist())) == parity_law(f)
         assert [n for n, _ in pool_calls] == ([len(shapes)] if len(shapes) > 1 else [])
 
@@ -913,15 +917,15 @@ class TestMemoryAndCaps:
         # transposed copy take 2 bytes per entry, and 2^21 bytes cover the
         # rest (one 2^16-entry intp histogram index, the 200 x 110 matrix and
         # the 16 x 110 slice rows of a block); all 3200 at once take more
-        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(22)))._kernel_input()
+        terms, coeffs = kernel_input(chaos_sum(unit_coefficients(gen_sum_set(22))))
         signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(200, len(coeffs)))
         tracemalloc.start()
         try:
-            laws = list(kernel.law(masks, signs * np.array(coeffs), k))
+            laws = list(kernel.law(terms, signs * np.array(coeffs)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(laws) == 200 and all(int(c.sum()) == 1 << k for _, c in laws)
+        assert len(laws) == 200 and all(int(c.sum()) == 1 << terms.k for _, c in laws)
         assert peak < 2 * (1 << kernel.LAW_BLOCK_BITS) + (1 << 21)
 
     def test_sum_set_n30_sample_law_memory(self, monkeypatch):
@@ -942,11 +946,11 @@ class TestMemoryAndCaps:
         # then the int64 sums and the histogram index; all 2^20 raw words of
         # the chunk at once, with their bool and transposed copies, took ~10 MiB
         monkeypatch.setenv("CHAOSLAB_THREADS", "1")
-        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(30)))._kernel_input()
-        kernel.sample_law(masks, coeffs, k, 10, 0)  # first-call allocations stay out
+        terms, coeffs = kernel_input(chaos_sum(unit_coefficients(gen_sum_set(30))))
+        kernel.sample_law(terms, coeffs, 10, 0)  # first-call allocations stay out
         tracemalloc.start()
         try:
-            vals, counts = kernel.sample_law(masks, coeffs, k, kernel.MC_CHUNK, 1)
+            vals, counts = kernel.sample_law(terms, coeffs, kernel.MC_CHUNK, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -960,28 +964,28 @@ class TestMemoryAndCaps:
         # serve every block, and 2^20 bytes cover the rest (the 2^16-entry intp
         # histogram index and the slice rows of a block)
         monkeypatch.setenv("CHAOSLAB_THREADS", "1")
-        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(24)))._kernel_input()
+        terms, coeffs = kernel_input(chaos_sum(unit_coefficients(gen_sum_set(24))))
         tracemalloc.start()
         try:
-            vals, counts = kernel.law(masks, coeffs, k)
+            vals, counts = kernel.law(terms, coeffs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert int(counts.sum()) == 1 << k
+        assert int(counts.sum()) == 1 << terms.k
         assert peak < 5 * (1 << kernel.LAW_BLOCK_BITS) + (1 << 20)
 
     def test_sum_set_n24_law_holds_buffers_per_worker(self, monkeypatch, pool_calls):
         # the same law on two workers: each holds its own block, scratch array
         # and histogram index, so the bound above holds per worker
         monkeypatch.setenv("CHAOSLAB_THREADS", "2")
-        masks, coeffs, k = chaos_sum(unit_coefficients(gen_sum_set(24)))._kernel_input()
+        terms, coeffs = kernel_input(chaos_sum(unit_coefficients(gen_sum_set(24))))
         tracemalloc.start()
         try:
-            vals, counts = kernel.law(masks, coeffs, k)
+            vals, counts = kernel.law(terms, coeffs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert int(counts.sum()) == 1 << k
+        assert int(counts.sum()) == 1 << terms.k
         assert [(n, len(ids)) for n, ids in pool_calls] == [(8, 2)]
         assert peak < 2 * 5 * (1 << kernel.LAW_BLOCK_BITS) + (1 << 20)
 
@@ -1046,7 +1050,8 @@ def test_one_absolute_law():
 
 def test_one_elimination_routine():
     # the pivots and flip of a law and the shift code reduce one way over F2
-    assert callers("_echelon") == {"kernel.py: pivot_bits", "kernel.py: shift_code"}
+    assert callers("_echelon") == {"kernel.py: pivot_bits", "kernel.py: shift_code",
+                                   "kernel.py: flip_code"}
 
 
 def test_one_flip_code():
@@ -1099,5 +1104,5 @@ class TestEchelon:
         st.lists(st.integers(0, (1 << k) - 1), max_size=12), st.just(k))))
     def test_row_rank_is_column_rank(self, case):
         # pivot_bits eliminates the masks, shift_code their transposed rows
-        masks, k = case
-        assert len(kernel.pivot_bits(masks)[0]) == len(kernel.shift_code(masks, k))
+        terms = masks_terms(*case)
+        assert len(kernel.pivot_bits(terms)[0]) == len(kernel.shift_code(terms))

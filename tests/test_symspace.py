@@ -363,6 +363,31 @@ WEIGHTS = st.one_of(
 )
 
 
+class TestOrliczSpaceValidation:
+    """SpaceSpec.orlicz validates its function, as lorentz and marcinkiewicz
+    validate their weights."""
+
+    @pytest.mark.parametrize("M", [OrliczFunction("power", 0.5),
+                                   OrliczFunction("exponential", 0.5)],
+                             ids=["power-half", "unspliced-exponential"])
+    def test_nonconvex_function_refused(self, M):
+        with pytest.raises(InvalidArgumentError, match="convexity"):
+            SpaceSpec.orlicz(M)
+
+    @pytest.mark.parametrize("M", [
+        *map(OrliczFunction.power, (1, 1.5, 2, 3, 100, 1e6)),
+        *map(OrliczFunction.exponential, (0.01, 0.1, 0.5, 0.99, 1, 2, 30)),
+        OrliczFunction.exponential(2, 1), OrliczFunction.exponential(0.5, 3),
+    ], ids=lambda M: f"{M.kind}:{M.param:g}:{M.u0:.3g}")
+    def test_stock_factories_accepted(self, M):
+        assert SpaceSpec.orlicz(M).orlicz_fn is M
+
+    @settings(max_examples=60, deadline=None)
+    @given(ORLICZ_FUNCTIONS)
+    def test_drawn_stock_functions_accepted(self, M):
+        assert SpaceSpec.orlicz(M).orlicz_fn is M
+
+
 class TestOneEvaluator:
     @settings(max_examples=200, deadline=None)
     @given(M=ORLICZ_FUNCTIONS, u=st.floats(-5.0, 5.0))

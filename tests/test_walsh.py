@@ -31,7 +31,7 @@ from chaoslab import (
     unit_coefficients,
 )
 from chaoslab import kernel
-from chaoslab.walsh import index_terms
+from chaoslab.walsh import index_coeffs, index_terms
 
 
 def brute_force_law(coeffs):
@@ -386,6 +386,10 @@ def same_law(a, b):
     return np.array_equal(a.values, b.values) and np.array_equal(a.weights, b.weights)
 
 
+def same_terms(a, b):
+    return a.k == b.k and np.array_equal(a.cols, b.cols) and np.array_equal(a.starts, b.starts)
+
+
 class TestLawOf:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["int", "dyadic", "gauss"]).flatmap(index_set_chaos), st.randoms())
@@ -397,10 +401,9 @@ class TestLawOf:
         order = list(range(len(c)))
         random.shuffle(order)
         assert same_law(law_of(A, {elements[i]: c[i] for i in order}), reference)
-        _, keep, term_masks, k = index_terms(A, c)
-        support = sorted({j for i in keep for j in elements[i]})
-        assert term_masks == kernel.masks([elements[i] for i in keep], support)
-        assert k == len(support)
+        kept = [t for t, x in zip(elements, c) if x != 0]
+        support = sorted({j for t in kept for j in t})
+        assert same_terms(index_terms(A, index_coeffs(A, c)), kernel.Terms(kept, support))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["int", "dyadic"]).flatmap(index_set_chaos),
@@ -410,6 +413,23 @@ class TestLawOf:
         relabeled = {tuple(sorted((image[j - 1] for j in t), reverse=True)): x
                      for t, x in zip(A.tuples(), c)}
         assert same_law(law_of(IndexSet.from_tuples(relabeled), relabeled), law_of(A, c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([st.integers(-50, 50).map(float),
+                            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)])
+           .flatmap(lambda entry: st.lists(entry, min_size=1, max_size=12)), st.data())
+    def test_sign_flips_at_order_one(self, a, data):
+        # integer or float a, k <= 12: at d = 1 flipping a_j shifts the configuration
+        # by e_j, which permutes and negates butterfly inputs exactly, so the law is
+        # bit-identical
+        A = IndexSet.triangle(1, len(a))
+        flips = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(a), max_size=len(a)))
+        assert same_law(law_of(A, np.multiply(a, flips)), law_of(A, a))
+
+    def test_sign_flip_moves_an_order_two_law(self):
+        # the comparison above can fail: at d = 2 a flip is no shift, and the law moves
+        A = IndexSet.triangle(2, 3)
+        assert not same_law(law_of(A, [-1.0, 1.0, 1.0]), law_of(A, [1.0, 1.0, 1.0]))
 
     def test_unit_coefficients_by_default(self):
         A = gen_triangle(2, 6)
@@ -465,7 +485,7 @@ class TestNonFiniteCoefficients:
         coeffs = [1.0, 2.0, bad, 1.0, 1.0, 1.0]
         for given_coeffs in (coeffs, np.array(coeffs), dict(zip(A.tuples(), coeffs))):
             with pytest.raises(InvalidArgumentError, match="coefficient 2 is"):
-                index_terms(A, given_coeffs)
+                index_coeffs(A, given_coeffs)
             with pytest.raises(InvalidArgumentError, match="finite"):
                 law_of(A, given_coeffs)
 
@@ -492,8 +512,8 @@ def per_key_sign_function(coeffs):
     return SignFunction({MultiIndex(k): v for k, v in coeffs.items()})
 
 
-def per_key_index_terms(A, coeffs):
-    """``index_terms`` of a map read one MultiIndex per key and handed on as
+def per_key_index_coeffs(A, coeffs):
+    """``index_coeffs`` of a map read one MultiIndex per key and handed on as
     the sequence of its values in canonical order."""
     given = {MultiIndex(t): float(v) for t, v in coeffs.items()}
     keys = [tuple(r) for r in A.to_array().tolist()]
@@ -501,7 +521,7 @@ def per_key_index_terms(A, coeffs):
     if missing or len(given) > len(keys):
         raise InvalidArgumentError(f"coefficient map misses {missing} elements of the set "
                                    f"and has {len(given) - len(keys) + missing} keys outside it")
-    return index_terms(A, [given[t] for t in keys])
+    return index_coeffs(A, [given[t] for t in keys])
 
 
 def outcome(fn, *args):
@@ -668,12 +688,10 @@ class TestKeyArray:
                 all(isinstance(k, tuple) for k in coeffs):
             self.assert_same_sign_function(outcome(SignFunction, coeffs),
                                            outcome(per_key_sign_function, coeffs))
-        got, want = outcome(index_terms, A, coeffs), outcome(per_key_index_terms, A, coeffs)
+        got, want = outcome(index_coeffs, A, coeffs), outcome(per_key_index_coeffs, A, coeffs)
         assert got[0] == want[0]
         if got[0] == "ok":
-            (c, keep, masks, k), (c0, keep0, masks0, k0) = got[1], want[1]
-            assert c.tobytes() == c0.tobytes() and np.array_equal(keep, keep0)
-            assert masks == masks0 and k == k0
+            assert got[1].tobytes() == want[1].tobytes()
         else:
             assert got[1] == want[1]
 
@@ -689,20 +707,65 @@ class TestKeyArray:
         assert built == [(2, 1)]  # the counter counts
         built.clear()
         assert len(m20) == 190 and len(chaos_sum(m20).terms) == 190
-        assert len(m18) == 153 and len(index_terms(A18, m18)[2]) == 153 * 4 // 5
+        c18 = index_coeffs(A18, m18)
+        assert len(m18) == 153 and len(index_terms(A18, c18)) == 153 * 4 // 5
         bare = {j: float(j % 3) for j in range(20, 0, -1)}  # order 1 keyed by bare ints
-        assert len(chaos_sum(bare).terms) == 14 and len(index_terms(gen_triangle(1, 20), bare)[2]) == 14
+        A20 = gen_triangle(1, 20)
+        assert len(chaos_sum(bare).terms) == 14 and len(index_terms(A20, index_coeffs(A20, bare))) == 14
         assert built == []
 
-
-    @pytest.mark.parametrize("n", [62, 63, 64, 70])
-    def test_masks_of_wide_supports_are_exact(self, n):
-        # int64 masks hold 62 bits here; wider supports take Python ints
-        rows = gen_triangle(2, n).to_array()
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([62, 63, 64, 70, 80]), st.integers(1, 4), st.data())
+    def test_one_builder_for_arrays_and_tuples(self, n, d, data):
+        # keys of order d whose support holds n indices: the (T, d) key array and
+        # the same keys as tuples give one input; with keys of other orders and
+        # () beside them, each term's columns are still its indices' positions
+        cover = [tuple(range(i + d - 1, i - 1, -1)) for i in range(1, n - d + 2, d)]
+        cover.append(tuple(range(n, n - d, -1)))  # reaches n where d does not divide it
+        key = st.sets(st.integers(1, n), min_size=d, max_size=d).map(lambda t: tuple(sorted(t)[::-1]))
+        keys = list(dict.fromkeys(cover + data.draw(st.lists(key, max_size=8))))
+        rows = np.array(keys, dtype=np.int64)
         support = np.unique(rows)
-        got = kernel.masks(rows, support)
-        assert got == kernel.masks(rows.tolist(), support.tolist())
-        assert max(got) == 3 << (n - 2) and all(type(m) is int for m in got)
+        assert support.size == n
+        terms = kernel.Terms(rows, support)
+        assert same_terms(terms, kernel.Terms(keys, support.tolist()))
+        other = st.sets(st.integers(1, n + 3), max_size=5).map(lambda t: tuple(sorted(t)[::-1]))
+        f = SignFunction({**dict.fromkeys(keys, 1.0),
+                          **dict.fromkeys(data.draw(st.lists(other, max_size=6)), -2.0)})
+        position = {j: b for b, j in enumerate(f.support)}
+        mixed = f._kernel_terms()
+        columns = np.split(mixed.cols, mixed.starts[1:-1])  # what the sampled route reads
+        assert mixed.k == len(f.support) and len(columns) == len(f.terms)
+        assert [c.tolist() for c in columns] == [[position[j] for j in t] for t in f.terms]
+        if mixed.k <= 62:  # the masks of the exact routes hold every bit
+            assert mixed.masks().tolist() == [sum(1 << position[j] for j in t) for t in f.terms]
+        vals, counts = kernel.sample_law(mixed, list(f.terms.values()), 100, 0)
+        assert int(counts.sum()) == 100
+
+    def test_one_build_per_law(self, monkeypatch):
+        # chaos_sum hands its key array to the builder, which distribution_exact
+        # then reads; law_of builds from the set's rows; an algebra-built function
+        # builds from its dict keys once, on first use
+        built, Terms = [], kernel.Terms
+
+        class Counting(Terms):
+            __slots__ = ()
+
+            def __init__(self, keys, support):
+                built.append(type(keys))
+                super().__init__(keys, support)
+
+        monkeypatch.setattr(kernel, "Terms", Counting)
+        distribution_exact(chaos_sum(unit_coefficients(gen_sum_set(14))))
+        assert built == [np.ndarray]
+        A = gen_triangle(2, 10)
+        built.clear()
+        law_of(A, {t: float(i % 3) for i, t in enumerate(A.tuples())})
+        assert built == [np.ndarray]
+        built.clear()
+        f = rademacher(3) * rademacher(1) + rademacher(2) - 1
+        distribution_exact(f), distribution_mc(f, 10), f.values()
+        assert built == [dict]
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 12), st.integers(0, 2**32 - 1))
