@@ -714,6 +714,21 @@ class TestKeyArray:
         assert len(chaos_sum(bare).terms) == 14 and len(index_terms(A20, index_coeffs(A20, bare))) == 14
         assert built == []
 
+    @pytest.mark.parametrize("n", [62, 63, 64, 70])
+    def test_masks_of_wide_supports_are_exact(self, n):
+        # the key array and the same keys as tuples give one input; each term's
+        # mask read from its columns is exact past int64, and the int64 masks
+        # of the exact routes hold it up to 62 bits
+        rows = gen_triangle(2, n).to_array()
+        support = np.unique(rows)
+        terms = kernel.Terms(rows, support)
+        assert same_terms(terms, kernel.Terms(rows.tolist(), support.tolist()))
+        got = [sum(1 << b for b in c.tolist()) for c in np.split(terms.cols, terms.starts[1:-1])]
+        assert got == [sum(1 << (j - 1) for j in r) for r in rows.tolist()]
+        assert max(got) == 3 << (n - 2)
+        if n <= 62:
+            assert terms.masks().tolist() == got
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([62, 63, 64, 70, 80]), st.integers(1, 4), st.data())
     def test_one_builder_for_arrays_and_tuples(self, n, d, data):
